@@ -339,7 +339,8 @@ def main(argv=None) -> int:
     write_snapshot(
         "E23-durability",
         {
-            "hops": hops,
+            "capture_hops": GATE_HOPS,
+            "recovery_hops": hops,
             "capture_ratio": round(ratio, 3),
             "capture_memory_ms": round(memory_best * 1e3, 2),
             "capture_durable_ms": round(durable_best * 1e3, 2),

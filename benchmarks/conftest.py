@@ -12,6 +12,8 @@ everything EXPERIMENTS.md records.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from collections import defaultdict
 from pathlib import Path
 
@@ -37,10 +39,15 @@ def write_snapshot(
     the snapshot under ``"skipped"``, so the run stays green and the
     perf trajectory shows *why* there is no number rather than silently
     losing the data point.
+
+    Every snapshot also records the host it was measured on
+    (:func:`host_fingerprint`) under ``"host"``: a ratio means little
+    without the CPU count and interpreter behind it.
     """
 
+    payload = {**payload, "host": host_fingerprint()}
     if skipped is not None:
-        payload = {**payload, "skipped": skipped}
+        payload["skipped"] = skipped
         print(f"SKIP {experiment}: {skipped}")
     path = _REPO_ROOT / f"BENCH_{experiment}.json"
     # write-temp + rename: a crash mid-write must never leave a torn
@@ -52,6 +59,16 @@ def write_snapshot(
     )
     temp.replace(path)
     return path
+
+
+def host_fingerprint() -> dict:
+    """CPU count, Python version and platform of the measuring host."""
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def record_row(experiment: str, row: str) -> None:

@@ -431,10 +431,10 @@ def canonical(system: System) -> NormalForm:
 
 
 def _used_channels(components: tuple[System, ...]) -> frozenset[Channel]:
-    result: frozenset[Channel] = frozenset()
+    result: set[Channel] = set()
     for component in components:
-        result |= system_free_channels(component)
-    return result
+        result.update(system_free_channels(component))
+    return frozenset(result)
 
 
 def _component_key(component: System, masked: set[Channel]) -> str:

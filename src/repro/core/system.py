@@ -147,10 +147,10 @@ def system_free_variables(system: System) -> frozenset[Variable]:
     if isinstance(system, SysRestriction):
         return system_free_variables(system.body)
     if isinstance(system, SysParallel):
-        result: frozenset[Variable] = frozenset()
+        result: set[Variable] = set()
         for part in system.parts:
-            result |= system_free_variables(part)
-        return result
+            result.update(system_free_variables(part))
+        return frozenset(result)
     raise TypeError(f"not a system: {system!r}")
 
 
@@ -168,10 +168,10 @@ def system_free_channels(system: System) -> frozenset[Channel]:
     if isinstance(system, SysRestriction):
         return system_free_channels(system.body) - {system.channel}
     if isinstance(system, SysParallel):
-        result = frozenset()
+        channels: set[Channel] = set()
         for part in system.parts:
-            result |= system_free_channels(part)
-        return result
+            channels.update(system_free_channels(part))
+        return frozenset(channels)
     raise TypeError(f"not a system: {system!r}")
 
 
@@ -195,10 +195,10 @@ def system_principals(system: System) -> frozenset[Principal]:
     if isinstance(system, SysRestriction):
         return system_principals(system.body)
     if isinstance(system, SysParallel):
-        result = frozenset()
+        principals: set[Principal] = set()
         for part in system.parts:
-            result |= system_principals(part)
-        return result
+            principals.update(system_principals(part))
+        return frozenset(principals)
     raise TypeError(f"not a system: {system!r}")
 
 

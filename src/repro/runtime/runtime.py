@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.congruence import all_system_names, normalize
-from repro.core.names import Principal
+from repro.core.names import NameSupply, Principal
 from repro.core.semantics import SemanticsMode
 from repro.core.system import Located, Message, System
 from repro.runtime.metrics import RuntimeMetrics
@@ -197,8 +197,10 @@ class DistributedRuntime:
 
         if self.durable is not None and not self.durable.manifest_path().exists():
             self.durable.write_manifest(self._manifest_for(system))
-        self.middleware.supply.reserve(all_system_names(system))
-        nf = normalize(system)
+        # one name walk seeds both the runtime's supply and normalization's
+        names = all_system_names(system)
+        self.middleware.supply.reserve(names)
+        nf = normalize(system, NameSupply(names))
         # consecutive components of one principal ride one batched
         # event (spawn_group); interleaving stays exactly the normal
         # form's component order, so heap and run-queue deployments

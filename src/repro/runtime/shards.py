@@ -47,6 +47,14 @@ generator stream — the draw a message gets is independent of the
 partition, which is what makes the ``shards=N`` vs ``shards=1``
 differential exact.
 
+Process-mode results travel home once, at ``finish``: each worker
+encodes its delivered record as journal delivery entries
+(:func:`repro.storage.journal.encode_delivery_entry`) through one fresh
+streaming codec, and the conductor decodes them with
+:func:`~repro.storage.journal.decode_entry` through one fresh codec per
+shard.  Every spine node ships and re-interns once — the reply is
+O(interned DAG nodes), where pickled spines were O(total spine length).
+
 ``delivered_trace()`` merges the per-shard delivery records into one
 canonical global trace ordered by ``(time, channel, per-channel
 ordinal)`` — each channel is homed on exactly one shard, so per-channel
@@ -71,7 +79,12 @@ from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.core.congruence import NormalForm, all_system_names, normalize
-from repro.core.errors import ShardLostError, SimulationError, WireFormatError
+from repro.core.errors import (
+    ShardLostError,
+    SimulationError,
+    StorageError,
+    WireFormatError,
+)
 from repro.core.names import Channel, NameSupply, Principal
 from repro.core.semantics import SemanticsMode
 from repro.core.system import Located, Message, System
@@ -586,9 +599,73 @@ def _build_worker_shard(spec: _ShardSpec):
         spec.index, partitioner, runtime, hub=None, lookahead=spec.lookahead
     )
     runtime.middleware.router = router
-    runtime.middleware.supply.reserve(all_system_names(system))
-    nf = normalize(system)
+    names = all_system_names(system)
+    runtime.middleware.supply.reserve(names)
+    nf = normalize(system, NameSupply(names))
     return runtime, router, partitioner, nf
+
+
+def _encode_delivered(records) -> list[bytes]:
+    """A worker's delivered record as journal delivery entries.
+
+    All entries go through one fresh streaming :class:`Codec`, so every
+    spine node of the record ships once and later occurrences are
+    back-references: the result costs O(interned DAG nodes), not
+    O(total spine length) as pickled spines do.  No attestation tags
+    ride along (the conductor only merges and indexes the record), and
+    the latency field is zero — :class:`DeliveryRecord` has none.
+    """
+
+    from repro.storage.journal import encode_delivery_entry
+
+    codec = Codec()
+    return [
+        encode_delivery_entry(
+            codec,
+            record.time,
+            record.principal,
+            record.channel,
+            record.branch_index,
+            0.0,
+            record.values,
+            None,
+        )[0]
+        for record in records
+    ]
+
+
+def _decode_delivered(index: int, entries: list[bytes]) -> list[DeliveryRecord]:
+    """Rebuild shard ``index``'s delivered record from its entries.
+
+    The inverse of :func:`_encode_delivered`, through one fresh codec per
+    shard; decoding re-interns each DAG node once.  A malformed entry
+    raises :class:`SimulationError` naming the shard.
+    """
+
+    from repro.storage.journal import DeliveryEntry, decode_entry
+
+    codec = Codec()
+    records = []
+    try:
+        for payload in entries:
+            entry = decode_entry(payload, codec)
+            if not isinstance(entry, DeliveryEntry):
+                raise StorageError("not a delivery entry")
+            records.append(
+                DeliveryRecord(
+                    entry.time,
+                    entry.principal,
+                    entry.channel,
+                    entry.values,
+                    entry.branch_index,
+                )
+            )
+    except StorageError as error:
+        raise SimulationError(
+            f"shard {index} returned an undecodable delivered record "
+            f"(entry {len(records)}): {error}"
+        ) from error
+    return records
 
 
 def _shard_worker(conn, spec: _ShardSpec) -> None:
@@ -603,6 +680,14 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
     respawns it with ``recover=True``, and this function replays the
     WAL from ``t = 0`` to rebuild the exact pre-crash state before
     rejoining the barrier.
+
+    On ``finish`` the worker replies with its metrics summary and its
+    delivered record.  The record travels home as journal delivery
+    entries encoded through one fresh streaming codec
+    (:func:`_encode_delivered`), never as pickled spines: the reply
+    grows with the interned DAG, not with the sum of spine lengths.
+    The summary is taken first, so nothing the encode does shows up
+    in it.
     """
 
     try:
@@ -732,7 +817,9 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
                 result = {
                     "summary": metrics.summary(),
                     "delivered": (
-                        list(metrics.delivered) if spec.collect_trace else []
+                        _encode_delivered(metrics.delivered)
+                        if spec.collect_trace
+                        else []
                     ),
                     "events_processed": simulator.events_processed,
                     "deliveries": metrics.deliveries,
@@ -955,8 +1042,8 @@ class ShardedRuntime:
 
     def _build_inline(self) -> None:
         sequence = SequenceSource()
-        supply = NameSupply()
-        supply.reserve(all_system_names(self._system))
+        names = all_system_names(self._system)
+        supply = NameSupply(names)
         for index in range(self.n_shards):
             durable_kwargs = {}
             if self.durable_dir is not None:
@@ -995,7 +1082,7 @@ class ShardedRuntime:
                 lookahead=self.lookahead,
             )
             self._shards.append(runtime)
-        nf = normalize(self._system)
+        nf = normalize(self._system, NameSupply(names))
         _deploy_partitioned(
             nf, self.partitioner, lambda shard: self._shards[shard]
         )
@@ -1182,8 +1269,12 @@ class ShardedRuntime:
             results = []
             for conn in connections:
                 conn.send(("finish",))
-            for conn in connections:
-                results.append(self._expect(conn, "result")[1])
+            for index, conn in enumerate(connections):
+                result = self._expect(conn, "result")[1]
+                result["delivered"] = _decode_delivered(
+                    index, result["delivered"]
+                )
+                results.append(result)
             self._process_results = results
             for worker in workers:
                 worker.join(timeout=30)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import StorageError
+from repro.core.errors import StorageError, WireFormatError
 from repro.core.names import Channel, Principal
 from repro.core.provenance import Provenance
 from repro.core.values import AnnotatedValue
@@ -223,8 +223,21 @@ def encode_note_entry(kind: str, detail: str) -> bytes:
 
 
 def decode_entry(payload: bytes, codec: Codec):
-    """Decode one journal record payload (delivery or note)."""
+    """Decode one journal record payload (delivery or note).
 
+    Truncated or malformed bytes raise :class:`StorageError` — never a
+    bare ``struct.error``, ``IndexError``, name ``ValueError`` or the
+    codec's :class:`WireFormatError`.  A failed decode may leave
+    ``codec``'s tables polluted, so the stream it belongs to is done.
+    """
+
+    try:
+        return _decode_entry(payload, codec)
+    except (WireFormatError, struct.error, IndexError, ValueError) as error:
+        raise StorageError(f"malformed journal record: {error}") from error
+
+
+def _decode_entry(payload: bytes, codec: Codec):
     if not payload:
         raise StorageError("empty journal record")
     kind = payload[0]

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import ch, pr
+from repro.core.builder import ch, inp, located, nil, out, pr, sys_par, var
 from repro.core.errors import SimulationError
 from repro.lang import parse_system
 from repro.runtime import LatencyModel, ShardedRuntime
+from repro.runtime import shards as shards_module
 from repro.runtime.shards import Partitioner, ShardPlan
 from repro.workloads import wide_fanout
 from repro.workloads.random_systems import GeneratorConfig, random_system
@@ -296,3 +297,103 @@ class TestProcessSharding:
         runtime.run()
         with pytest.raises(SimulationError, match="runs once"):
             runtime.run()
+
+
+def _deep_relay(lanes, hops):
+    """``lanes`` relays of ``hops`` hops alternating between two servers,
+    every channel homed with its receiver."""
+
+    x = var("x")
+    components = []
+    homes = {}
+    for lane in range(lanes):
+        channels = [ch(f"t{lane}_{i}") for i in range(hops + 1)]
+        components.append(
+            located(pr(f"s{lane % 2}"), out(channels[0], ch(f"v{lane}")))
+        )
+        for i in range(1, hops + 1):
+            server = (lane + i) % 2
+            body = out(channels[i], x) if i < hops else nil()
+            components.append(
+                located(pr(f"s{server}"), inp(channels[i - 1], x, body=body))
+            )
+            homes[channels[i - 1].name] = server
+    plan = ShardPlan({"s0": 0, "s1": 1}, homes, LatencyModel().base)
+    return sys_par(*components), plan
+
+
+def _dag_nodes(trace):
+    """Distinct spine nodes reachable from the trace's values."""
+
+    seen = set()
+    stack = [value.provenance for *_, values, _ in trace for value in values]
+    while stack:
+        node = stack.pop()
+        while node and id(node) not in seen:
+            seen.add(id(node))
+            stack.append(node.head.channel_provenance)
+            node = node.tail
+    return len(seen)
+
+
+def _answers(index, principals):
+    delivered = index.delivered
+    return (
+        delivered,
+        [index.cone_of_influence(o) for o in range(delivered)],
+        [index.happens_before(o, delivered - 1 - o) for o in range(delivered)],
+        [index.taint(p) for p in principals],
+        [index.derived_from_sends(p) for p in principals],
+    )
+
+
+class TestProcessResultFrames:
+    def test_deep_relay_matches_inline_with_every_layer_on(
+        self, tmp_path, monkeypatch
+    ):
+        lanes, hops = 2, 128
+        system, plan = _deep_relay(lanes, hops)
+        baseline = ShardedRuntime(shards=1, seed=3)
+        baseline.deploy(system)
+        baseline.run()
+        shipped = []
+        decode = shards_module._decode_delivered
+
+        def spy(index, entries):
+            shipped.append(sum(len(entry) for entry in entries))
+            return decode(index, entries)
+
+        monkeypatch.setattr(shards_module, "_decode_delivered", spy)
+        sharded = ShardedRuntime(
+            shards=2,
+            shard_mode="process",
+            seed=3,
+            plan=plan,
+            crypto=True,
+            verify_deliveries=True,
+            durable_dir=tmp_path / "store",
+        )
+        sharded.deploy(system)
+        sharded.run()
+        trace = sharded.delivered_trace()
+        assert len(trace) == lanes * hops
+        assert trace == baseline.delivered_trace()
+        principals = [pr("s0"), pr("s1")]
+        assert _answers(sharded.build_query_index(), principals) == _answers(
+            baseline.build_query_index(), principals
+        )
+        # the finish payload grows with the interned DAG, not with the
+        # summed spine lengths (the pickled spines' cost)
+        assert len(shipped) == 2
+        spine_events = sum(
+            len(value.provenance) for *_, values, _ in trace for value in values
+        )
+        nodes = _dag_nodes(trace)
+        assert spine_events > 30 * nodes
+        assert sum(shipped) <= 40 * nodes
+
+    def test_undecodable_result_names_the_shard(self):
+        with pytest.raises(SimulationError, match="shard 1"):
+            shards_module._decode_delivered(1, [b"\x01\x00"])
+        with pytest.raises(SimulationError, match="shard 0.*not a delivery"):
+            shards_module._decode_delivered(0, [b"\x02\x01k\x01d"])

@@ -14,10 +14,12 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.core.integrity import AttestationStore, KeyRing, SpineVerifier
-from repro.core.names import Principal
+from repro.core.names import Channel, Principal
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent
+from repro.core.values import AnnotatedValue
 from repro.lang import parse_system
 from repro.runtime import DistributedRuntime, FaultPlan
+from repro.runtime.wire import Codec
 from repro.storage import (
     AttestationSpill,
     DurableStore,
@@ -32,7 +34,12 @@ from repro.storage import (
     torn_truncate,
 )
 from repro.storage.checkpoint import collect_entries
-from repro.storage.journal import ZERO_DIGEST
+from repro.storage.journal import (
+    ZERO_DIGEST,
+    DeliveryEntry,
+    decode_entry,
+    encode_delivery_entry,
+)
 from repro.storage.segments import SegmentWriter, frame_record
 
 RELAY = "a[m<u>] || b[m(x).n<x>] || c[n(y).p<y>] || d[p(z).0]"
@@ -335,6 +342,68 @@ class TestDurabilitySink:
             read_checkpoint(checkpoint.path)
         # load_latest skips the bad one instead of failing the world
         assert load_latest_checkpoint(store) is None
+
+
+def delivery_payload(values, tag_lookup=None):
+    payload, _, _ = encode_delivery_entry(
+        Codec(), 1.5, Principal("a"), Channel("m"), 2, 0.25, values, tag_lookup
+    )
+    return payload
+
+
+MINIMAL_RECORD = delivery_payload((AnnotatedValue(Channel("v"), EMPTY),))
+"""One value with an empty history: 28 bytes, 27 truncation points."""
+
+RICH_RECORD = delivery_payload(
+    (
+        AnnotatedValue(Channel("v"), spine("a", "b", "c")),
+        AnnotatedValue(Principal("b"), spine("a", "b")),
+    ),
+    lambda node: bytes(16) if len(node) % 2 else None,
+)
+"""Shared spines, back-references and both kinds of tag marker."""
+
+
+class TestDeliveryEntryDecoding:
+    """Truncated or corrupted records fail only with StorageError."""
+
+    @pytest.mark.parametrize(
+        "payload", [MINIMAL_RECORD, RICH_RECORD], ids=["minimal", "rich"]
+    )
+    def test_roundtrip(self, payload):
+        entry = decode_entry(payload, Codec())
+        assert isinstance(entry, DeliveryEntry)
+        assert (entry.time, entry.branch_index, entry.latency) == (1.5, 2, 0.25)
+        assert (entry.principal, entry.channel) == (
+            Principal("a"),
+            Channel("m"),
+        )
+
+    def test_minimal_record_size(self):
+        assert len(MINIMAL_RECORD) == 28
+
+    @pytest.mark.parametrize(
+        "payload", [MINIMAL_RECORD, RICH_RECORD], ids=["minimal", "rich"]
+    )
+    def test_every_truncation_raises_storage_error(self, payload):
+        for cut in range(len(payload)):
+            with pytest.raises(StorageError):
+                decode_entry(payload[:cut], Codec())
+
+    @pytest.mark.parametrize(
+        "payload", [MINIMAL_RECORD, RICH_RECORD], ids=["minimal", "rich"]
+    )
+    def test_bit_flips_decode_or_raise_storage_error(self, payload):
+        rejected = 0
+        for position in range(len(payload)):
+            for bit in range(8):
+                flipped = bytearray(payload)
+                flipped[position] ^= 1 << bit
+                try:
+                    decode_entry(bytes(flipped), Codec())
+                except StorageError:
+                    rejected += 1
+        assert rejected > 0
 
 
 class TestFaultPlanParse:

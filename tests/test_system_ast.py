@@ -1,13 +1,17 @@
 """Unit tests for the system AST."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import ch, inp, located, msg, nil, out, pr, sys_new, sys_par, var
+from repro.core.congruence import _used_channels, normalize
 from repro.core.errors import IllFormedTermError
 from repro.core.provenance import EMPTY, OutputEvent, Provenance
 from repro.core.system import (
     Message,
     SysParallel,
+    SysRestriction,
     located_components,
     messages_of,
     system_annotated_values,
@@ -17,6 +21,7 @@ from repro.core.system import (
     system_size,
 )
 from repro.core.values import annotate
+from repro.workloads.random_systems import GeneratorConfig, random_system
 
 A, B = pr("a"), pr("b")
 M, N, V = ch("m"), ch("n"), ch("v")
@@ -82,3 +87,61 @@ class TestQueries:
     def test_annotated_values_include_message_payloads(self):
         values = list(system_annotated_values(self.system()))
         assert any(v.provenance.events for v in values)
+
+
+# -- the linear unions equal the fold they replaced ----------------------
+
+
+def _folded(query, recurse):
+    """The reference fold: ``result |= frozenset`` per parallel part."""
+
+    def run(system):
+        if isinstance(system, SysParallel):
+            result = frozenset()
+            for part in system.parts:
+                result |= run(part)
+            return result
+        if isinstance(system, SysRestriction):
+            return recurse(run(system.body), system)
+        return query(system)
+
+    return run
+
+
+_FOLDED = {
+    system_free_channels: _folded(
+        system_free_channels, lambda body, s: body - {s.channel}
+    ),
+    system_free_variables: _folded(system_free_variables, lambda body, s: body),
+    system_principals: _folded(system_principals, lambda body, s: body),
+}
+
+
+def _nested_system(seeds, binders):
+    """Random systems under restrictions and nested parallels."""
+
+    parts = []
+    for index, seed in enumerate(seeds):
+        part = random_system(
+            seed, GeneratorConfig(n_components=3, n_messages=2, max_depth=2)
+        )
+        if index < len(binders):
+            part = SysRestriction(ch(binders[index]), part)
+        parts.append(part)
+    return SysParallel((SysParallel(tuple(parts[:1])), *parts[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+    binders=st.lists(st.sampled_from(["c0", "c1", "m", "n"]), max_size=4),
+)
+def test_linear_unions_match_the_fold(seeds, binders):
+    system = _nested_system(seeds, binders)
+    for query, reference in _FOLDED.items():
+        assert query(system) == reference(system), query.__name__
+    components = normalize(system).components
+    folded = frozenset()
+    for component in components:
+        folded |= system_free_channels(component)
+    assert _used_channels(components) == folded
