@@ -23,6 +23,11 @@ certificate and asserts:
 * every skipped check is accounted: ``vets_elided`` on the certified
   run equals ``pattern_checks`` on the uncertified one.
 
+The snapshot records ``smoke``, the measured ``hops`` and ``gate_hops``
+separately: ``--smoke`` measures at ``SMOKE_HOPS`` while the pytest gate
+and a plain run measure at ``GATE_HOPS``, and the committed
+``BENCH_E20-static-elision.json`` comes from a gate-size run.
+
 Soundness of the analysis parameters: the chain's provenance grows two
 events per hop, so ``k = 2·hops + 2`` keeps abstractions exact and every
 site provably REDUNDANT.  A smaller ``k`` degrades verdicts to NEEDED —
@@ -215,7 +220,9 @@ def main(argv=None) -> int:
     write_snapshot(
         "E20-static-elision",
         {
+            "smoke": arguments.smoke,
             "hops": hops,
+            "gate_hops": GATE_HOPS,
             "plain_work_units": plain_work,
             "certified_work_units": cert_work,
             "work_ratio": round(ratio, 1),

@@ -25,7 +25,6 @@ normalization; the binary constructor of the paper is recovered by
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -53,8 +52,13 @@ __all__ = [
 ]
 
 
-class Process(abc.ABC):
-    """Base class of process terms."""
+class Process:
+    """Base class of process terms.
+
+    A plain class, not an ``abc.ABC``: it declares no abstract methods,
+    and every term walk's ``isinstance`` against an ABC would go through
+    ``ABCMeta.__instancecheck__`` instead of the interpreter's fast path.
+    """
 
     __slots__ = ()
 

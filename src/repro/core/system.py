@@ -15,7 +15,6 @@ send rule.  The payload components are annotated values.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -47,8 +46,13 @@ __all__ = [
 ]
 
 
-class System(abc.ABC):
-    """Base class of system terms."""
+class System:
+    """Base class of system terms.
+
+    A plain class, not an ``abc.ABC``: it declares no abstract methods,
+    and every term walk's ``isinstance`` against an ABC would go through
+    ``ABCMeta.__instancecheck__`` instead of the interpreter's fast path.
+    """
 
     __slots__ = ()
 

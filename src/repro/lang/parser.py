@@ -16,13 +16,33 @@ Patterns inside input prefixes use the sample language of Table 3
 (:mod:`repro.patterns.parse`); the calculus itself remains parametric in
 the pattern language, but the concrete syntax commits to the paper's
 sample language.
+
+The front end is one linear pass: :func:`~repro.lang.lexer.scan` lexes
+the text with one regular expression into parallel kind and text lists,
+the rules below walk them by index through a
+:class:`~repro.lang.lexer.TokenStream`, and no token object or line and
+column is built unless a :class:`ParseError` escapes.  Two things keep
+long machine-written sources, such as a durable store's manifest, cheap
+and safe to re-read:
+
+* **Guard memo.**  Within one parse, a binding's pattern is keyed by its
+  token texts up to the ``as`` at parenthesis depth 0; a later binding
+  with the same text reuses the first one's frozen pattern object
+  instead of re-parsing (and re-backtracking through) it.  Patterns are
+  immutable values, so the sharing is unobservable — a 2,048-hop relay
+  parses its guard once.
+* **Nesting limit.**  Terms, patterns, groups and provenance literals
+  nested deeper than :data:`~repro.lang.lexer.MAX_NESTING` fail with a
+  positioned :class:`ParseError` rather than a :class:`RecursionError`.
+
+A name outside the calculus' ASCII alphabet lexes but is refused with a
+positioned :class:`ParseError` when the parser builds it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.errors import ParseError
 from repro.core.names import Channel, Principal, Variable
 from repro.core.patterns import Pattern
 from repro.core.process import (
@@ -45,7 +65,7 @@ from repro.core.provenance import (
 )
 from repro.core.system import Located, Message, SysParallel, SysRestriction, System
 from repro.core.values import AnnotatedValue, Identifier
-from repro.lang.lexer import Token, TokenStream, tokenize
+from repro.lang.lexer import Mismatch, TokenStream
 from repro.patterns.ast import AnyPattern
 from repro.patterns.parse import parse_pattern_stream
 
@@ -55,31 +75,23 @@ __all__ = ["parse_system", "parse_process", "parse_provenance", "parse_identifie
 def parse_system(source: str, principals: Iterable[str] = ()) -> System:
     """Parse a complete system term."""
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), _scan_principals(tokens, principals))
-    system = parser.system()
-    parser.stream.expect("EOF")
-    return system
+    stream = TokenStream(source)
+    parser = _Parser(stream, _scan_principals(stream, principals))
+    return stream.complete(parser.system)
 
 
 def parse_process(source: str, principals: Iterable[str] = ()) -> Process:
     """Parse a complete process term."""
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), set(principals))
-    process = parser.process()
-    parser.stream.expect("EOF")
-    return process
+    stream = TokenStream(source)
+    return stream.complete(_Parser(stream, set(principals)).process)
 
 
 def parse_provenance(source: str) -> Provenance:
     """Parse a braced provenance literal, e.g. ``{c?{}; s!{}}``."""
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), set())
-    provenance = parser.provenance()
-    parser.stream.expect("EOF")
-    return provenance
+    stream = TokenStream(source)
+    return stream.complete(_Parser(stream, set()).provenance)
 
 
 def parse_identifier(source: str, principals: Iterable[str] = ()) -> Identifier:
@@ -88,21 +100,23 @@ def parse_identifier(source: str, principals: Iterable[str] = ()) -> Identifier:
     Free bare names parse as channels unless listed in ``principals``.
     """
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), set(principals))
-    identifier = parser.identifier()
-    parser.stream.expect("EOF")
-    return identifier
+    stream = TokenStream(source)
+    return stream.complete(_Parser(stream, set(principals)).identifier)
 
 
-def _scan_principals(tokens: list[Token], extra: Iterable[str]) -> set[str]:
+def _scan_principals(stream: TokenStream, extra: Iterable[str]) -> set[str]:
     """Names immediately followed by ``[`` host located processes."""
 
     principals = set(extra)
-    for index in range(len(tokens) - 1):
-        if tokens[index].kind == "NAME" and tokens[index + 1].kind == "[":
-            principals.add(tokens[index].text)
-    return principals
+    kinds, texts = stream.kinds, stream.texts
+    index = 0
+    try:
+        while True:
+            index = kinds.index("[", index + 1)
+            if kinds[index - 1] == "NAME":
+                principals.add(texts[index - 1])
+    except ValueError:
+        return principals
 
 
 class _Parser:
@@ -110,6 +124,7 @@ class _Parser:
         self.stream = stream
         self.principals = principals
         self._bound: list[str] = []
+        self._guards: dict[tuple[str, ...], Pattern] = {}
 
     # -- systems ---------------------------------------------------------
 
@@ -123,11 +138,18 @@ class _Parser:
 
     def sysatom(self) -> System:
         stream = self.stream
+        stream.descend()
+        system = self._sysatom()
+        stream.depth -= 1
+        return system
+
+    def _sysatom(self) -> System:
+        stream = self.stream
         if stream.at("("):
-            if stream.peek(1).kind == "new":
+            if stream.peek() == "new":
                 stream.expect("(")
                 stream.expect("new")
-                name = stream.expect("NAME").text
+                name = stream.expect("NAME")
                 stream.expect(")")
                 body = self.sysatom()
                 return SysRestriction(Channel(name), body)
@@ -135,25 +157,25 @@ class _Parser:
             system = self.system()
             stream.expect(")")
             return system
-        if stream.at("NUMBER") and stream.current.text == "0":
+        if stream.at("NUMBER") and stream.text == "0":
             stream.advance()
             return SysParallel(())
         if stream.at("NAME"):
-            if stream.peek(1).kind == "[":
-                name = stream.advance().text
+            if stream.peek() == "[":
+                name = stream.advance()
                 self.principals.add(name)
                 stream.expect("[")
                 process = self.process()
                 stream.expect("]")
                 return Located(Principal(name), process)
-            if stream.peek(1).kind == "<<":
-                name = stream.advance().text
+            if stream.peek() == "<<":
+                name = stream.advance()
                 stream.expect("<<")
                 payload = self._value_list(">>")
                 stream.expect(">>")
                 return Message(Channel(name), tuple(payload))
         raise stream.error(
-            f"expected a system, found {stream.current.kind!r}"
+            f"expected a system, found {stream.kind!r}"
         )
 
     def _value_list(self, closer: str) -> list[AnnotatedValue]:
@@ -207,11 +229,18 @@ class _Parser:
 
     def patom(self) -> Process:
         stream = self.stream
+        stream.descend()
+        process = self._patom()
+        stream.depth -= 1
+        return process
+
+    def _patom(self) -> Process:
+        stream = self.stream
         if stream.at("("):
-            if stream.peek(1).kind == "new":
+            if stream.peek() == "new":
                 stream.expect("(")
                 stream.expect("new")
-                name = stream.expect("NAME").text
+                name = stream.expect("NAME")
                 stream.expect(")")
                 return Restriction(Channel(name), self.patom())
             stream.expect("(")
@@ -220,7 +249,7 @@ class _Parser:
             return process
         if stream.accept("*"):
             return Replication(self.patom())
-        if stream.at("NUMBER") and stream.current.text == "0":
+        if stream.at("NUMBER") and stream.text == "0":
             stream.advance()
             return Inaction()
         if stream.at("if"):
@@ -242,7 +271,7 @@ class _Parser:
             raise stream.error(
                 "expected '<' (output) or '(' (input) after channel"
             )
-        raise stream.error(f"expected a process, found {stream.current.kind!r}")
+        raise stream.error(f"expected a process, found {stream.kind!r}")
 
     def _match(self) -> Process:
         stream = self.stream
@@ -278,24 +307,69 @@ class _Parser:
         return InputBranch(tuple(patterns), tuple(binders), continuation)
 
     def _binding(self) -> tuple[Pattern, Variable]:
+        """``π as x`` or a bare binder ``x`` (which guards with ``any``).
+
+        Guards repeat: a relay's every hop carries the same one.  Patterns
+        are immutable values, so within one parse the text before ``as``
+        (at parenthesis depth 0) keys the parsed pattern, and a repeat
+        reuses the first hop's object instead of parsing it again.
+        """
+
         stream = self.stream
+        start = stream.index
+        key = self._guard_key(start)
+        if key is not None:
+            pattern = self._guards.get(key)
+            after = start + len(key) + 1
+            # without a binder name after ``as``, parse as before so the
+            # error is the same
+            if pattern is not None and stream.kinds[after] == "NAME":
+                stream.index = after + 1
+                return pattern, Variable(stream.texts[after])
         mark = stream.mark()
         try:
             pattern = parse_pattern_stream(stream)
             if stream.accept("as"):
-                name = stream.expect("NAME").text
+                name = stream.expect("NAME")
+                # memoize only a pattern that spans exactly the key
+                if key is not None and stream.index == start + len(key) + 2:
+                    self._guards[key] = pattern
                 return pattern, Variable(name)
-        except ParseError:
+        except Mismatch:
             pass
         stream.reset(mark)
-        name = stream.expect("NAME").text
+        name = stream.expect("NAME")
         return AnyPattern(), Variable(name)
+
+    def _guard_key(self, start: int) -> tuple[str, ...] | None:
+        """The token texts from ``start`` up to the next depth-0 ``as``.
+
+        ``None`` when a ``,`` or an unmatched ``)`` ends the binding
+        first (a bare binder), or the text runs out.
+        """
+
+        kinds = self.stream.kinds
+        depth = 0
+        index = start
+        while True:
+            kind = kinds[index]
+            if kind == "as" and depth == 0:
+                return tuple(self.stream.texts[start:index])
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                if depth == 0:
+                    return None
+                depth -= 1
+            elif kind == "," and depth == 0 or kind == "EOF":
+                return None
+            index += 1
 
     # -- identifiers and provenance ---------------------------------------
 
     def identifier(self) -> Identifier:
         stream = self.stream
-        name = stream.expect("NAME").text
+        name = stream.expect("NAME")
         if stream.at(":"):
             stream.expect(":")
             provenance = self.provenance()
@@ -312,6 +386,7 @@ class _Parser:
     def provenance(self) -> Provenance:
         stream = self.stream
         stream.expect("{")
+        stream.descend()
         events: list[Event] = []
         if not stream.at("}"):
             while True:
@@ -319,11 +394,12 @@ class _Parser:
                 if not stream.accept(";"):
                     break
         stream.expect("}")
+        stream.depth -= 1
         return Provenance(tuple(events))
 
     def _event(self) -> Event:
         stream = self.stream
-        name = stream.expect("NAME").text
+        name = stream.expect("NAME")
         principal = Principal(name)
         self.principals.add(name)
         if stream.accept("!"):

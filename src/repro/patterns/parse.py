@@ -30,10 +30,9 @@ empty alternation, expressible but not denotable in the paper's grammar.
 
 from __future__ import annotations
 
-from repro.core.errors import ParseError
 from repro.core.names import Principal
 from repro.core.patterns import MatchNone, Pattern
-from repro.lang.lexer import TokenStream, tokenize
+from repro.lang.lexer import Mismatch, TokenStream
 from repro.patterns.ast import (
     Alternation,
     AnyPattern,
@@ -55,14 +54,16 @@ __all__ = ["parse_pattern", "parse_pattern_stream", "parse_group"]
 def parse_pattern(text: str) -> Pattern:
     """Parse a standalone pattern; input must be fully consumed."""
 
-    stream = TokenStream(tokenize(text))
-    pattern = parse_pattern_stream(stream)
-    stream.expect("EOF")
-    return pattern
+    stream = TokenStream(text)
+    return stream.complete(lambda: _alt(stream))
 
 
 def parse_pattern_stream(stream: TokenStream) -> Pattern:
-    """Parse a pattern starting at the stream's cursor (embeddable)."""
+    """Parse a pattern starting at the stream's cursor (embeddable).
+
+    Failures are the stream's unpositioned :class:`~repro.lang.lexer.
+    Mismatch`; the caller's :meth:`TokenStream.complete` positions them.
+    """
 
     return _alt(stream)
 
@@ -105,14 +106,16 @@ def _primary(stream: TokenStream) -> Pattern:
         mark = stream.mark()
         try:
             return _event(stream)
-        except ParseError:
+        except Mismatch:
             stream.reset(mark)
         stream.expect("(")
+        stream.descend()
         pattern = _alt(stream)
         stream.expect(")")
+        stream.depth -= 1
         return pattern
     raise stream.error(
-        f"expected a pattern, found {stream.current.kind!r}"
+        f"expected a pattern, found {stream.kind!r}"
     )
 
 
@@ -124,7 +127,9 @@ def _event(stream: TokenStream) -> Pattern:
         direction = "?"
     else:
         raise stream.error("expected '!' or '?' after group expression")
+    stream.descend()
     channel_pattern = _primary(stream)
+    stream.depth -= 1
     return EventPattern(direction, group, _sample(channel_pattern, stream))
 
 
@@ -133,7 +138,7 @@ def parse_group(stream: TokenStream) -> Group:
 
     left = _gatom(stream)
     while stream.at("+", "-"):
-        operator = stream.advance().kind
+        operator = stream.advance()
         right = _gatom(stream)
         if operator == "+":
             left = GroupUnion(left, right)
@@ -146,13 +151,15 @@ def _gatom(stream: TokenStream) -> Group:
     if stream.accept("~"):
         return GroupAll()
     if stream.at("NAME"):
-        return GroupSingle(Principal(stream.advance().text))
+        return GroupSingle(Principal(stream.advance()))
     if stream.accept("("):
+        stream.descend()
         group = parse_group(stream)
         stream.expect(")")
+        stream.depth -= 1
         return group
     raise stream.error(
-        f"expected a group expression, found {stream.current.kind!r}"
+        f"expected a group expression, found {stream.kind!r}"
     )
 
 

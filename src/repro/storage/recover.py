@@ -211,20 +211,32 @@ def runtime_from_manifest(
     return DistributedRuntime(**kwargs)
 
 
-def rebuild_system(manifest: dict):
-    """Re-parse the manifest's pretty-printed system source."""
+def rebuild_system(manifest: dict, origin: str = "manifest"):
+    """Re-parse the manifest's pretty-printed system source.
 
+    A missing source, or one that does not parse, is a damaged record,
+    not a caller bug: it raises :class:`StorageError` naming ``origin``
+    (the manifest's path, when known) and, for a
+    :class:`~repro.core.errors.ParseError`, its line:column.
+    """
+
+    from repro.core.errors import ParseError
     from repro.lang import parse_system
 
     source = manifest.get("system")
     if not source:
         raise StorageError(
-            "manifest carries no system source — the run was deployed "
+            f"{origin} carries no system source — the run was deployed "
             "without repro-side source capture (e.g. a shard worker); "
             "replay verification needs the root store or a single-"
             "runtime store"
         )
-    return parse_system(source, principals=manifest.get("principals", ()))
+    try:
+        return parse_system(source, principals=manifest.get("principals", ()))
+    except ParseError as error:
+        raise StorageError(
+            f"{origin}: system source does not parse: {error}"
+        ) from error
 
 
 def verify_replay(
@@ -243,7 +255,7 @@ def verify_replay(
 
     if state is None:
         state = load_state(store)
-    system = rebuild_system(state.manifest)
+    system = rebuild_system(state.manifest, str(state.store.manifest_path()))
     runtime = runtime_from_manifest(state.manifest)
     runtime.deploy(system)
     runtime.run(max_events=max_events)

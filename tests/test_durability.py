@@ -8,9 +8,14 @@ from its WAL without changing the merged trace; and security state
 (quarantine, revocation) survives the crash.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 
-from repro.core.errors import ShardLostError
+from repro.cli import main
+from repro.core.errors import ShardLostError, StorageError
 from repro.lang import parse_system
 from repro.runtime import (
     DistributedRuntime,
@@ -25,7 +30,7 @@ from repro.storage import (
     verify_replay,
 )
 from repro.storage.recover import rebuild_system
-from repro.workloads import relay_gauntlet, wide_fanout
+from repro.workloads import relay_gauntlet, vetted_relay_chain, wide_fanout
 
 HOPS, LANES = 12, 2
 
@@ -248,3 +253,72 @@ class TestRecoverCli:
 
         assert main(["recover", str(tmp_path / "nothing")]) == 2
         assert "error" in capsys.readouterr().err.lower()
+
+
+class TestHostileManifestSource:
+    """A manifest whose system source is damaged fails typed: the replay
+    raises only StorageError (wrapping the positioned ParseError) or
+    reports a divergence, and ``repro recover`` exits 0, 1 or 2 — never a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def relay_store(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("relay") / "store"
+        runtime = DistributedRuntime(seed=3, durable=str(root))
+        runtime.deploy(vetted_relay_chain(1).system)
+        runtime.run()
+        runtime.checkpoint()
+        return root
+
+    @staticmethod
+    def _outcomes(root, sources):
+        manifest_path = root / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        verdicts = set()
+        try:
+            for source in sources:
+                manifest_path.write_text(
+                    json.dumps({**manifest, "system": source})
+                )
+                try:
+                    report = verify_replay(str(root))
+                    verdicts.add("ok" if report.ok else "diverged")
+                except StorageError as error:
+                    assert "MANIFEST.json" in str(error)
+                    verdicts.add("storage-error")
+                quiet = io.StringIO()
+                with contextlib.redirect_stdout(quiet), \
+                        contextlib.redirect_stderr(quiet):
+                    status = main(["recover", str(root)])
+                assert status in (0, 1, 2), (source, status)
+        finally:
+            manifest_path.write_text(json.dumps(manifest))
+        return verdicts
+
+    def test_truncation_and_bit_flip_sweep(self, relay_store):
+        source = json.loads((relay_store / "MANIFEST.json").read_text())[
+            "system"
+        ]
+        damaged = [source[:cut] for cut in range(len(source))]
+        damaged += [
+            source[:at] + chr(ord(source[at]) ^ bit) + source[at + 1:]
+            for at in range(len(source))
+            for bit in (0x01, 0x80)
+        ]
+        verdicts = self._outcomes(relay_store, damaged)
+        assert "storage-error" in verdicts and "diverged" in verdicts
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "a[" + "(" * 5000 + "t1<v>" + ")" * 5000 + "]",
+            "a[t1(" + "(" * 5000 + "~" + ")" * 5000 + "!any as x).0]",
+            "t1<<v:" + "{a!" * 5000 + "{}" + "}" * 5000 + ">>",
+        ],
+        ids=["process", "pattern-group", "provenance"],
+    )
+    def test_deep_nesting_is_a_storage_error(self, relay_store, source):
+        assert self._outcomes(relay_store, [source]) == {"storage-error"}
+        manifest = json.loads((relay_store / "MANIFEST.json").read_text())
+        with pytest.raises(StorageError, match=r"does not parse: nesting"):
+            rebuild_system({**manifest, "system": source}, "MANIFEST.json")

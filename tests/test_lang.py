@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.builder import av, ch, pr, var
+from repro.core.builder import av, ch, inp, located, nil, out, pr, sys_par, var
 from repro.core.errors import ParseError
 from repro.core.names import Channel, Principal, Variable
 from repro.core.process import InputSum, Match, Output, Parallel, Replication, Restriction
@@ -19,7 +20,11 @@ from repro.lang import (
     pretty_system,
     tokenize,
 )
+from repro.lang.lexer import MAX_NESTING
+from repro.patterns import parse_pattern
+from repro.workloads.scaling import relay_guard
 from tests.conftest import systems
+from tests.lexer_oracle import oracle_tokenize
 
 
 class TestLexer:
@@ -45,6 +50,65 @@ class TestLexer:
         with pytest.raises(ParseError) as info:
             tokenize("a $ b")
         assert info.value.column == 3
+
+    def test_eof_after_trailing_comment_sits_at_the_comment(self):
+        tokens = tokenize("a  # tail")
+        assert (tokens[-1].kind, tokens[-1].line, tokens[-1].column) == (
+            "EOF", 1, 4
+        )
+
+    def test_unicode_letters_and_digits(self):
+        tokens = tokenize("é²x 1² a")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("NAME", "é²x"), ("NUMBER", "1²"), ("NAME", "a"), ("EOF", ""),
+        ]
+
+    def test_numeric_non_digit_is_foreign(self):
+        # "½" is numeric but neither a letter nor a digit
+        with pytest.raises(ParseError) as info:
+            tokenize("a\n\tb ½")
+        assert (info.value.line, info.value.column) == (2, 4)
+
+
+def _lexed(lex, text):
+    """A lexer's verdict on ``text``: positioned tokens or its error."""
+
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in lex(text)]
+    except ParseError as error:
+        return ("error", str(error), error.line, error.column)
+
+
+_FRAGMENTS = [
+    *"[](){}<>|+-*!?~;:,.=", "<<", ">>", "||", "if", "then", "else", "new",
+    "as", "any", "eps", "none", "m", "x'", "_b1", "0", "42", "é", "ñame",
+    "中", "²", "x²", "½", " ", "\t", "\r", "\n", "\r\n", "#", "# note\n",
+    "$", "@", "\x0b", "\u00a0", "\x00",
+]
+
+
+class TestScannerMatchesOracle:
+    """The regex scanner against the character-loop oracle it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(_FRAGMENTS) | st.characters(), max_size=40
+        ).map("".join)
+    )
+    def test_same_tokens_positions_and_errors(self, text):
+        assert _lexed(tokenize, text) == _lexed(oracle_tokenize, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=60))
+    def test_same_on_arbitrary_text(self, text):
+        assert _lexed(tokenize, text) == _lexed(oracle_tokenize, text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems())
+    def test_same_on_printed_systems(self, system):
+        text = pretty_system(system)
+        assert _lexed(tokenize, text) == _lexed(oracle_tokenize, text)
 
 
 class TestParseProvenance:
@@ -198,6 +262,126 @@ class TestRoundTrip:
         principals = {p.name for p in _hosts(system)}
         reparsed = parse_system(printed, principals=principals)
         assert reparsed == system
+
+
+def relay(layout, guard_of=lambda lane, hop: relay_guard()):
+    """``s_k[t_i(π as x).t_{i+1}<x>]`` per hop, lanes in parallel — the
+    shape of the full-stack benchmark's relay workload."""
+
+    x = var("x")
+    components = []
+    for lane, servers in enumerate(layout):
+        channels = [ch(f"t{lane}_{i}") for i in range(len(servers))]
+        components.append(
+            located(pr(f"s{servers[0]}"), out(channels[0], ch(f"v{lane}")))
+        )
+        for i in range(1, len(servers)):
+            body = out(channels[i], x) if i + 1 < len(servers) else nil()
+            components.append(
+                located(
+                    pr(f"s{servers[i]}"),
+                    inp(channels[i - 1], (guard_of(lane, i), x), body=body),
+                )
+            )
+    return sys_par(*components)
+
+
+def _guards(system):
+    return [
+        branch.patterns[0]
+        for part in system.parts
+        if isinstance(part.process, InputSum)
+        for branch in part.process.branches
+    ]
+
+
+class TestRelayFrontEnd:
+    """A 2,048-hop relay manifest through the front end."""
+
+    LAYOUT = [[(lane * 7 + hop) % 64 for hop in range(65)] for lane in range(32)]
+
+    def test_round_trip_is_exact(self):
+        system = relay(self.LAYOUT)
+        text = pretty_system(system)
+        reparsed = parse_system(text)
+        assert len(_guards(reparsed)) == 2048
+        assert reparsed == system
+        assert pretty_system(reparsed) == text
+
+    def test_every_hop_shares_one_guard_object(self):
+        guards = _guards(parse_system(pretty_system(relay(self.LAYOUT))))
+        assert guards[0] == relay_guard()
+        assert all(guard is guards[0] for guard in guards)
+
+    def test_different_guard_text_is_not_shared(self):
+        other = parse_pattern("s1!any;any")
+
+        def guard_of(lane, hop):
+            return other if (lane, hop) == (3, 5) else relay_guard()
+
+        system = relay(self.LAYOUT, guard_of)
+        guards = _guards(parse_system(pretty_system(system)))
+        odd = guards[3 * 64 + 4]
+        assert odd == other and odd is not guards[0]
+        assert sum(guard is guards[0] for guard in guards) == 2047
+
+    def test_same_guard_text_in_other_parses_is_parsed_afresh(self):
+        first = _guards(parse_system(pretty_system(relay(self.LAYOUT[:1]))))
+        second = _guards(parse_system(pretty_system(relay(self.LAYOUT[:1]))))
+        assert first[0] == second[0] and first[0] is not second[0]
+
+
+class TestHostileNesting:
+    """Nesting past MAX_NESTING is a positioned ParseError, not a
+    RecursionError, in each of the three nested shapes."""
+
+    DEPTH = 5000
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("a[" + "(" * DEPTH + "m<v>" + ")" * DEPTH + "]", 2 + MAX_NESTING),
+            (
+                "a[m(" + "(" * DEPTH + "~" + ")" * DEPTH + "!any as x).0]",
+                4 + MAX_NESTING,
+            ),
+            (
+                "m<<v:" + "{a!" * DEPTH + "{}" + "}" * DEPTH + ">>",
+                4 + 3 * MAX_NESTING,
+            ),
+        ],
+        ids=["process", "pattern-group", "provenance"],
+    )
+    def test_deep_nesting_is_a_positioned_parse_error(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert "nesting deeper than" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a[" + "*" * DEPTH + "m<v>]",
+            "a[" + "m(x)." * DEPTH + "0]",
+            "a[m(" + "c!" * DEPTH + "any as x).0]",
+            "(" * DEPTH + "a[0]" + ")" * DEPTH,
+        ],
+        ids=["replication", "prefix-chain", "event-chain", "system"],
+    )
+    def test_other_deep_shapes_fail_typed(self, text):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_system(text)
+
+    def test_nesting_within_the_limit_parses(self):
+        depth = MAX_NESTING // 2
+        text = "a[m(" + "(" * depth + "any" + ")" * depth + " as x).0]"
+        assert str(parse_system(text).process.branches[0].patterns[0]) == "any"
+
+    def test_non_ascii_name_is_a_positioned_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_system("a[m<v>] ||\n b[m(é).0]")
+        assert "invalid name 'é'" in str(info.value)
+        assert (info.value.line, info.value.column) == (2, 6)
 
 
 def _hosts(system):
