@@ -13,6 +13,12 @@ binding constructs must be respected:
 Patterns are statically defined and contain no identifiers (the paper's §5
 explicitly defers binding patterns to future work), so substitution never
 descends into them.
+
+The runtime substitutes on every input delivery without a supply of its
+own, so the default supply is built lazily (most substitutions rename
+nothing) and the name walk that seeds it is an explicit-stack loop: no
+nested closures, so a substitution leaves no reference cycles behind
+for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -67,23 +73,46 @@ def substitute(
 ) -> Process:
     """Capture-avoiding substitution ``P{w₁…wₙ / x₁…xₙ}``.
 
-    ``supply`` provides fresh names for alpha-renaming; when omitted, a
-    local supply seeded with every name visible in the process and the
-    substitution range is created, which is always safe but repeats work —
-    the engine threads its own supply.
+    ``supply`` provides fresh names for alpha-renaming; the engine threads
+    its own.  When omitted, a local supply is built the first time a
+    restriction binder needs renaming, seeded with every name visible in
+    ``process`` and in the substitution (domain and range).  That is
+    always safe; building it only on demand spares the name walk on the
+    common substitution that renames nothing, and the fresh names are
+    the same as if the supply had been built up front.
     """
 
     if not mapping:
         return process
+    mapping = dict(mapping)
     if supply is None:
-        supply = NameSupply(_all_names(process))
-        supply.reserve(c.name for c in _channels_in_range(mapping))
-        for variable in mapping:
-            supply.reserve((variable.name,))
-    return _subst(process, dict(mapping), supply)
+        supply = _LazySupply(process, mapping)
+    return _subst(process, mapping, supply)
 
 
-def _subst(process: Process, mapping: dict, supply: NameSupply) -> Process:
+class _LazySupply:
+    """The default supply of :func:`substitute`, seeded on first use."""
+
+    __slots__ = ("_process", "_mapping", "_supply")
+
+    def __init__(self, process: Process, mapping: Substitution) -> None:
+        self._process = process
+        self._mapping = mapping
+        self._supply: NameSupply | None = None
+
+    def fresh_channel(self, base: Channel) -> Channel:
+        supply = self._supply
+        if supply is None:
+            supply = NameSupply(_all_names(self._process))
+            supply.reserve(c.name for c in _channels_in_range(self._mapping))
+            supply.reserve(variable.name for variable in self._mapping)
+            self._supply = supply
+        return supply.fresh_channel(base)
+
+
+def _subst(
+    process: Process, mapping: dict, supply: NameSupply | _LazySupply
+) -> Process:
     if isinstance(process, Output):
         return Output(
             identifier_substitute(process.channel, mapping),
@@ -191,41 +220,37 @@ def _all_names(process: Process) -> set[str]:
     """
 
     names: set[str] = set()
-
-    def visit_identifier(identifier: Identifier) -> None:
-        if isinstance(identifier, Variable):
-            names.add(identifier.name)
-        else:
-            names.add(identifier.value.name)
-
-    def visit(p: Process) -> None:
+    stack = [process]
+    while stack:
+        p = stack.pop()
         if isinstance(p, Output):
-            visit_identifier(p.channel)
-            for w in p.payload:
-                visit_identifier(w)
+            identifiers = (p.channel, *p.payload)
         elif isinstance(p, InputSum):
-            visit_identifier(p.channel)
+            identifiers = (p.channel,)
             for b in p.branches:
-                for x in b.binders:
-                    names.add(x.name)
-                visit(b.continuation)
+                names.update(x.name for x in b.binders)
+                stack.append(b.continuation)
         elif isinstance(p, Match):
-            visit_identifier(p.left)
-            visit_identifier(p.right)
-            visit(p.then_branch)
-            visit(p.else_branch)
+            identifiers = (p.left, p.right)
+            stack.append(p.then_branch)
+            stack.append(p.else_branch)
         elif isinstance(p, Restriction):
             names.add(p.channel.name)
-            visit(p.body)
+            stack.append(p.body)
+            continue
         elif isinstance(p, Parallel):
-            for part in p.parts:
-                visit(part)
+            stack.extend(p.parts)
+            continue
         elif isinstance(p, Replication):
-            visit(p.body)
+            stack.append(p.body)
+            continue
         elif isinstance(p, Inaction):
-            return
+            continue
         else:
             raise TypeError(f"not a process: {p!r}")
-
-    visit(process)
+        for identifier in identifiers:
+            if isinstance(identifier, Variable):
+                names.add(identifier.name)
+            else:
+                names.add(identifier.value.name)
     return names

@@ -62,6 +62,7 @@ law ``matches(cons(e, κ)) ≡ matches-from-scratch``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Optional
 
 from repro.core.patterns import Pattern
@@ -187,7 +188,15 @@ class PolicyBank:
     own ``matches`` and simply bypass the vector.
     """
 
-    __slots__ = ("patterns", "_engine", "_dfas", "_index", "_runs", "_start")
+    __slots__ = (
+        "patterns",
+        "_engine",
+        "_dfas",
+        "_index",
+        "_runs",
+        "_start",
+        "__weakref__",
+    )
 
     def __init__(self, engine: "PolicyEngine", patterns: Iterable[Pattern]) -> None:
         deduped: dict[SamplePattern, None] = {}
@@ -254,13 +263,19 @@ class PolicyEngine:
     ``cache_limit`` bounds every run cache (per pattern and per bank);
     past it a cache is cleared wholesale and rebuilt from the spine —
     same policy as :class:`repro.patterns.nfa.NFAMatcher`.
+
+    Banks are memoized weakly: a bank points back at its engine, and a
+    strong memo would close a reference cycle.  A bank lives as long as
+    its holder (a channel's rendezvous manager) and is shared meanwhile.
     """
 
     def __init__(self, cache_limit: int = 1 << 16) -> None:
         self.cache_limit = cache_limit
         self._dfas: dict[SamplePattern, LazyDFA] = {}
         self._runs: dict[SamplePattern, dict[Provenance, int]] = {}
-        self._banks: dict[tuple[Pattern, ...], PolicyBank] = {}
+        self._banks: weakref.WeakValueDictionary[
+            tuple[Pattern, ...], PolicyBank
+        ] = weakref.WeakValueDictionary()
         self.transitions_taken = 0
         self.run_cache_hits = 0
         self.run_cache_misses = 0

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.heap import settled_heap
 from repro.core.names import Channel, Principal
 from repro.core.patterns import Pattern
 from repro.core.provenance import EMPTY, Event, OutputEvent, Provenance
@@ -226,7 +227,9 @@ class ProvenanceIndex:
         Returns the number of deliveries absorbed (0 when idle, in which
         case the generation counter does not move).  Trace-global query
         caches are invalidated; per-node sweep caches stay — a spine
-        node's suffix history is immutable.
+        node's suffix history is immutable.  The absorb runs inside
+        :func:`~repro.core.heap.settled_heap`: the index and record it
+        extends are acyclic, so the collector's full passes skip them.
         """
 
         batch = self._pending
@@ -234,8 +237,9 @@ class ProvenanceIndex:
             return 0
         self._pending = []
         before = self.events_indexed
-        for entry in batch:
-            self._absorb(*entry)
+        with settled_heap():
+            for entry in batch:
+                self._absorb(*entry)
         self.generation += 1
         self._generation_marks.append(len(self._deliveries))
         self._generation_work.append(self.events_indexed - before)

@@ -28,6 +28,8 @@ the snapshot is an accelerator, never a source of truth.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -197,6 +199,8 @@ def _read_snapshot(path: Path) -> Tuple[dict, list, dict]:
                 f"query-index snapshot {path} is corrupt: {error}"
             ) from None
     header, edges, nodes = parts
+    if not isinstance(header, dict):
+        raise StorageError(f"query-index snapshot {path} has no header")
     if header.get("format") != SNAPSHOT_FORMAT:
         raise StorageError(
             f"query-index snapshot {path} has unknown format "
@@ -205,17 +209,102 @@ def _read_snapshot(path: Path) -> Tuple[dict, list, dict]:
     return header, edges, nodes
 
 
+def _whole(value, low: int = 0, high: float = math.inf) -> bool:
+    """``value`` is a JSON integer (not a boolean), ``low <= value < high``."""
+
+    return type(value) is int and low <= value < high
+
+
+def _ids(values, bound: float = math.inf) -> bool:
+    """``values`` is a list of JSON integers in ``range(bound)``.
+
+    Checked in C-level passes: the principal-set table of a large
+    record holds tens of thousands of members.
+    """
+
+    return (
+        isinstance(values, list)
+        and set(map(type, values)) <= {int}
+        and (not values or (min(values) >= 0 and max(values) < bound))
+    )
+
+
+def _check_snapshot(
+    header: dict, edges, nodes, stored: int
+) -> Tuple[int, List[Principal]]:
+    """Validate a decoded snapshot's shapes and ranges.
+
+    A snapshot can pass its CRC check and still hold bad content (a
+    crafted or stale file).  Every table index :func:`_rebuild` follows
+    is checked here first, so a bad snapshot raises
+    :class:`StorageError` and :func:`load_index` falls back to an older
+    snapshot or a fresh build.  Returns the delivery count and the
+    principal table.
+    """
+
+    def bad(what: str) -> StorageError:
+        return StorageError(f"query-index snapshot has a malformed {what}")
+
+    delivered = header.get("delivered")
+    if not _whole(delivered):
+        raise bad("header field 'delivered'")
+    if delivered > stored:
+        raise StorageError(
+            "query-index snapshot covers more deliveries than the store "
+            f"holds ({delivered!r} > {stored})"
+        )
+    if not isinstance(edges, list) or len(edges) != delivered:
+        raise bad("edge table")
+    for key in ("generation", "events_indexed"):
+        if not _whole(header.get(key)):
+            raise bad(f"header field {key!r}")
+    for key in ("marks", "work"):
+        if not _ids(header.get(key)):
+            raise bad(f"header field {key!r}")
+    names = header.get("principals")
+    if not isinstance(names, list):
+        raise bad("principal table")
+    try:
+        principals = [Principal(name) for name in names]
+    except ValueError as error:
+        raise bad(f"principal table ({error})") from None
+    if not isinstance(nodes, dict):
+        raise bad("node table")
+    sets, rows = nodes.get("sets"), nodes.get("rows")
+    if not (
+        isinstance(sets, list)
+        and all(type(members) is list for members in sets)
+        and _ids(list(chain.from_iterable(sets)), len(principals))
+    ):
+        raise bad("principal-set table")
+    if not isinstance(rows, list) or not all(
+        type(row) is list
+        and len(row) == 3
+        and _whole(row[0], 0, len(sets))
+        and _whole(row[1], 0, len(sets))
+        and _whole(row[2], -1, delivered)
+        for row in rows
+    ):
+        raise bad("node rows")
+    for ordinal, preds in enumerate(edges):
+        # happens-before edges only point back in delivery order
+        if not isinstance(preds, list) or not all(
+            isinstance(edge, list)
+            and len(edge) == 2
+            and _whole(edge[0])
+            and edge[0] in _CODE_KIND
+            and _whole(edge[1], 0, ordinal)
+            for edge in preds
+        ):
+            raise bad(f"edge list at delivery {ordinal}")
+    return delivered, principals
+
+
 def _rebuild(
     header: dict, edges: list, nodes: dict, entries: Sequence
 ) -> ProvenanceIndex:
-    delivered = int(header["delivered"])
-    if delivered > len(entries) or len(edges) != delivered:
-        raise StorageError(
-            "query-index snapshot covers more deliveries than the store "
-            f"holds ({delivered} > {len(entries)})"
-        )
+    delivered, principals = _check_snapshot(header, edges, nodes, len(entries))
     covered = entries[:delivered]
-    principals = [Principal(name) for name in header["principals"]]
     sets = [
         frozenset(principals[i] for i in members)
         for members in nodes["sets"]

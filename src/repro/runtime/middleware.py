@@ -56,6 +56,7 @@ exactly what the verifier then catches.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -158,11 +159,17 @@ class _StoredMessage:
 
 
 class ChannelManager:
-    """Rendezvous state for a single channel."""
+    """Rendezvous state for a single channel.
+
+    The manager reaches its middleware through a weak reference: the
+    middleware owns its managers, and a strong back-pointer would make
+    every discarded runtime cyclic garbage that only a full collector
+    pass could free.
+    """
 
     def __init__(self, channel: Channel, middleware: "Middleware") -> None:
         self.channel = channel
-        self._middleware = middleware
+        self._middleware = weakref.ref(middleware)
         self._messages: deque[_StoredMessage] = deque()
         self._waiters: list[PendingReceive] = []
         self._consumed_count = 0
@@ -186,10 +193,11 @@ class ChannelManager:
         """
 
         if self._bank is None:
+            policy = self._middleware().policy
             if self._bank_patterns:
-                self._middleware.policy.discard_bank(self._bank_patterns)
+                policy.discard_bank(self._bank_patterns)
             self._bank_patterns = tuple(self._patterns)
-            self._bank = self._middleware.policy.bank(self._bank_patterns)
+            self._bank = policy.bank(self._bank_patterns)
         return self._bank
 
     @property
@@ -201,7 +209,7 @@ class ChannelManager:
         return sum(1 for waiter in self._waiters if not waiter.consumed)
 
     def post(self, payload: tuple[AnnotatedValue, ...], posted_at: float) -> None:
-        middleware = self._middleware
+        middleware = self._middleware()
         if middleware.verify_deliveries and not middleware.payload_verifies(
             payload
         ):
@@ -212,9 +220,10 @@ class ChannelManager:
             middleware.record_tamper("chain")
             return
         self._messages.append(_StoredMessage(payload, posted_at))
-        self._match()
+        self._match(middleware)
 
     def register(self, pending: PendingReceive) -> None:
+        middleware = self._middleware()
         for branch in pending.branches:
             if branch.trivial:
                 continue  # MatchAll registers nothing worth banking
@@ -222,12 +231,12 @@ class ChannelManager:
                 if pattern not in self._patterns:
                     self._patterns[pattern] = None
                     self._bank = None
-                    if self._middleware.is_sample_pattern(pattern):
+                    if middleware.is_sample_pattern(pattern):
                         self._has_sample = True
         self._waiters.append(pending)
-        self._match()
+        self._match(middleware)
 
-    def _match(self) -> None:
+    def _match(self, middleware: "Middleware") -> None:
         """Deliver every (message, waiter, branch) triple that fits.
 
         A single pass in registration order suffices: delivery callbacks
@@ -254,15 +263,16 @@ class ChannelManager:
             waiter = waiters[index]
             if waiter.consumed:
                 continue
-            if self._try_deliver(waiter):
+            if self._try_deliver(waiter, middleware):
                 self._consumed_count += 1
         if self._consumed_count * 2 > len(waiters):
             self._waiters = [w for w in waiters if not w.consumed]
             self._consumed_count = 0
             self._scan_start = 0
 
-    def _try_deliver(self, waiter: PendingReceive) -> bool:
-        middleware = self._middleware
+    def _try_deliver(
+        self, waiter: PendingReceive, middleware: "Middleware"
+    ) -> bool:
         actions = (
             waiter.actions if middleware.certificate is not None else None
         )

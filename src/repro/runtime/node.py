@@ -44,6 +44,7 @@ per-channel FIFO pairing are preserved unconditionally.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Callable, Optional
 
@@ -291,6 +292,10 @@ class Node:
             raise OpenTermError({channel}, f"input at {self.principal}")
         self.blocked_threads += 1
         batched = self.batch_limit is not None
+        # the middleware holds waiting receivers, and this node holds the
+        # middleware: the callbacks reach the node weakly, or every
+        # receiver still waiting when the run ends would close a cycle
+        node = weakref.ref(self)
         branches = []
         for branch in input_sum.branches:
             nil_continuation = batched and isinstance(
@@ -304,14 +309,15 @@ class Node:
                 _branch=branch,
                 _nil=nil_continuation,
             ) -> None:
-                self.blocked_threads -= 1
+                owner = node()
+                owner.blocked_threads -= 1
                 if _nil:
                     # substituting into 0 yields 0: count the thread,
                     # skip the no-op event (the seed path still pays it)
-                    self.threads_spawned += 1
+                    owner.threads_spawned += 1
                     return
                 mapping = dict(zip(_branch.binders, values))
-                self.spawn(substitute(_branch.continuation, mapping))
+                owner.spawn(substitute(_branch.continuation, mapping))
 
             branches.append(ReceiveBranch(branch.patterns, fire))
         self.middleware.receive(self.principal, channel, tuple(branches))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.congruence import all_system_names, normalize
+from repro.core.heap import settled_heap
 from repro.core.names import NameSupply, Principal
 from repro.core.semantics import SemanticsMode
 from repro.core.system import Located, Message, System
@@ -103,6 +104,7 @@ class DistributedRuntime:
         self.durability = None
         self.checkpoint_every = checkpoint_every
         attestations = None
+        spill = None
         if durable is not None:
             from repro.storage.segments import AttestationSpill, DurableStore
             from repro.core.integrity import AttestationStore
@@ -118,9 +120,8 @@ class DistributedRuntime:
             cache = (
                 attestation_cache if attestation_cache is not None else 65536
             )
-            attestations = AttestationStore(
-                spill=AttestationSpill(store.spill_path()), capacity=cache
-            )
+            spill = AttestationSpill(store.spill_path())
+            attestations = AttestationStore(spill=spill, capacity=cache)
         self.middleware = Middleware(
             self.simulator,
             self.network,
@@ -141,6 +142,7 @@ class DistributedRuntime:
             self.durability = DurabilitySink(
                 self.durable,
                 attestation_lookup=self.middleware.attestations.tag,
+                spill=spill,
             )
             self.middleware.journal = self.durability
         self.query_index = None
@@ -328,9 +330,15 @@ class DistributedRuntime:
 
         On a durable runtime the journal is flushed when the run
         settles, and with ``checkpoint_every=N`` a checkpoint is cut
-        after every ``N`` processed events.
+        after every ``N`` processed events.  Everything alive when the
+        run starts is kept out of the cyclic collector's full passes
+        until it ends (:func:`~repro.core.heap.settled_heap`).
         """
 
+        with settled_heap():
+            return self._run(until, max_events)
+
+    def _run(self, until: Optional[float], max_events: int) -> int:
         if self.durability is None:
             return self.simulator.run(until=until, max_events=max_events)
         every = self.checkpoint_every

@@ -72,6 +72,7 @@ import os
 import signal
 import time as time_module
 import traceback
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from math import floor
@@ -85,6 +86,7 @@ from repro.core.errors import (
     StorageError,
     WireFormatError,
 )
+from repro.core.heap import freeze_for_process, settled_heap
 from repro.core.names import Channel, NameSupply, Principal
 from repro.core.semantics import SemanticsMode
 from repro.core.system import Located, Message, System
@@ -215,6 +217,10 @@ class ShardRouter:
     (process mode).  Remote *receives* only work inline — a delivery
     callback cannot cross an OS process boundary — so process mode
     requires receivers to be co-located with their channel's home.
+
+    The router reaches its runtime and hub through weak references: both
+    own it (through the shard's middleware), and strong back-pointers
+    would make a discarded mesh cyclic garbage.
     """
 
     def __init__(
@@ -227,8 +233,8 @@ class ShardRouter:
     ) -> None:
         self.index = index
         self.partitioner = partitioner
-        self.runtime = runtime
-        self.hub = hub
+        self._runtime = weakref.ref(runtime)
+        self._hub = None if hub is None else weakref.ref(hub)
         self.lookahead = lookahead
         self.lamport = 0
         self.cross_shard_sent = 0
@@ -239,6 +245,14 @@ class ShardRouter:
         self._encoders: dict[int, Codec] = {}
         self._decoders: dict[int, Codec] = {}
         self._outbox: list[WireEnvelope] = []
+
+    @property
+    def runtime(self) -> DistributedRuntime:
+        return self._runtime()
+
+    @property
+    def hub(self) -> Optional["ShardedRuntime"]:
+        return None if self._hub is None else self._hub()
 
     def is_local(self, channel: Channel) -> bool:
         return self.partitioner.home_of(channel) == self.index
@@ -697,6 +711,10 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
             partitioner,
             lambda shard: runtime if shard == spec.index else None,
         )
+        # the worker lives for one run: its deployed heap stays frozen
+        # until exit (a forked worker inherits the conductor's
+        # settled_heap depth, so that scope would be a no-op here)
+        freeze_for_process()
         simulator = runtime.simulator
 
         def next_time() -> Optional[float]:
@@ -1094,19 +1112,25 @@ class ShardedRuntime:
         until: Optional[float] = None,
         max_events: int = 1_000_000,
     ) -> int:
-        """Advance the whole mesh; returns events processed (all shards)."""
+        """Advance the whole mesh; returns events processed (all shards).
+
+        Like ``DistributedRuntime.run``, the run keeps the heap alive at
+        its start out of the collector's full passes
+        (:func:`~repro.core.heap.settled_heap`).
+        """
 
         if not self._deployed:
             raise SimulationError("deploy a system before running")
-        if self.shard_mode == "inline":
-            processed = self._run_inline(until, max_events)
-            # the inline conductor drives the simulators directly, so
-            # the per-shard journals flush here, not in runtime.run()
-            for shard in self._shards:
-                if shard.durability is not None:
-                    shard.durability.flush()
-        else:
-            processed = self._run_process(until, max_events)
+        with settled_heap():
+            if self.shard_mode == "inline":
+                processed = self._run_inline(until, max_events)
+                # the inline conductor drives the simulators directly, so
+                # the per-shard journals flush here, not in runtime.run()
+                for shard in self._shards:
+                    if shard.durability is not None:
+                        shard.durability.flush()
+            else:
+                processed = self._run_process(until, max_events)
         self._events_processed += processed
         return processed
 

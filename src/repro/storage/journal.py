@@ -61,6 +61,7 @@ from repro.runtime.wire import (
     encode_varint,
 )
 from repro.storage.segments import (
+    AttestationSpill,
     DurableStore,
     SegmentWriter,
     read_segment,
@@ -322,6 +323,11 @@ class DurabilitySink:
     journal generation.  :meth:`checkpoint` compacts everything
     journaled so far into an atomic, generation-stamped snapshot and
     rolls to a fresh generation (and codec table).
+
+    A durable runtime passes its attestation ``spill`` too: it is
+    flushed with the journal, fsynced with it (on checkpoints and on
+    ``close(sync=True)``) and closed with the sink, so no buffered tag
+    outlives a closed sink.
     """
 
     FLUSH_BOUND = 1024
@@ -333,6 +339,7 @@ class DurabilitySink:
         "delivered_count",
         "notes_count",
         "_lookup",
+        "_spill",
         "_codec",
         "_writer",
         "_pending",
@@ -345,6 +352,7 @@ class DurabilitySink:
             Callable[[Provenance], Optional[bytes]]
         ] = None,
         wipe: bool = False,
+        spill: Optional[AttestationSpill] = None,
     ) -> None:
         if not isinstance(store, DurableStore):
             store = DurableStore(store)
@@ -363,6 +371,7 @@ class DurabilitySink:
         self.delivered_count = 0
         self.notes_count = 0
         self._lookup = attestation_lookup
+        self._spill = spill
         self._codec = Codec()
         self._writer = SegmentWriter(store.journal_path(self.generation))
         self._pending: list = []
@@ -423,6 +432,8 @@ class DurabilitySink:
                 self.delivered_count += 1
             self.trace_digest = digest
             self._pending.clear()
+        if self._spill is not None:
+            self._spill.flush(sync=sync)
         self._writer.flush(sync=sync)
 
     def checkpoint(self, state: dict, compact: bool = True):
@@ -462,6 +473,8 @@ class DurabilitySink:
     def close(self, sync: bool = True) -> None:
         self.flush(sync=sync)
         self._writer.close(sync=sync)
+        if self._spill is not None:
+            self._spill.close(sync=False)  # the flush above synced it
 
 
 class WindowJournal:

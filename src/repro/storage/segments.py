@@ -314,9 +314,11 @@ class AttestationSpill:
             if sync:
                 os.fsync(self._handle.fileno())
 
-    def close(self) -> None:
+    def close(self, sync: bool = True) -> None:
+        """Flush and close the handle; a later append or lookup reopens it."""
+
         if self._handle is not None:
-            self.flush(sync=True)
+            self.flush(sync=sync)
             self._handle.close()
             self._handle = None
 

@@ -403,6 +403,72 @@ class TestPersistence:
         assert info["snapshot_generation"] == 0
         assert resumed.delivered == 7  # 6 relays + the final consume
 
+    CRAFTED = {
+        "set id out of range": lambda h, e, n: n["rows"][0].__setitem__(
+            0, len(n["sets"])
+        ),
+        "negative set id": lambda h, e, n: n["rows"][0].__setitem__(0, -1),
+        "principal id out of range": lambda h, e, n: n["sets"].__setitem__(
+            0, [len(h["principals"])]
+        ),
+        "unknown edge kind": lambda h, e, n: e.__setitem__(1, [[9, 0]]),
+        "header without principals": lambda h, e, n: h.pop("principals"),
+        "rows not a list": lambda h, e, n: n.__setitem__("rows", 5),
+        "edge source out of range": lambda h, e, n: e.__setitem__(
+            1, [[0, 10**6]]
+        ),
+        "self edge": lambda h, e, n: e.__setitem__(1, [[0, 1]]),
+        "forward edge": lambda h, e, n: e.__setitem__(1, [[0, 2]]),
+    }
+
+    @pytest.mark.parametrize("craft", sorted(CRAFTED))
+    def test_crafted_snapshot_falls_back_to_a_fresh_build(
+        self, tmp_path, craft, capsys
+    ):
+        """CRC-valid snapshots with bad content are refused, not followed."""
+
+        import json
+
+        from repro.cli import main
+        from repro.query.persist import _read_snapshot
+        from repro.storage import load_state
+        from repro.storage.segments import (
+            DurableStore,
+            atomic_write_bytes,
+            frame_record,
+        )
+
+        self.run_durable(tmp_path)
+        store = DurableStore(tmp_path)
+        [generation] = store.query_index_generations()
+        path = store.query_index_path(generation)
+        parts = _read_snapshot(path)
+        self.CRAFTED[craft](*parts)
+        atomic_write_bytes(
+            path,
+            b"".join(
+                frame_record(bytes((kind,)) + json.dumps(part).encode())
+                for kind, part in zip((0x20, 0x21, 0x22), parts)
+            ),
+        )
+        resumed, info = resume_index(tmp_path)
+        assert info["snapshot_generation"] == 0
+        fresh = ProvenanceIndex()
+        fresh.extend_entries(load_state(tmp_path).entries)
+        assert resumed.summary() == fresh.summary()
+        for ordinal in range(fresh.delivered):
+            assert resumed.predecessors(ordinal) == fresh.predecessors(ordinal)
+            assert resumed.cone_of_influence(
+                ordinal
+            ) == fresh.cone_of_influence(ordinal)
+        for principal in fresh.known_principals():
+            assert resumed.derived_from_sends(
+                principal
+            ) == fresh.derived_from_sends(principal)
+            assert resumed.taint(principal) == fresh.taint(principal)
+        assert main(["query", str(tmp_path)]) == 0
+        assert "deliveries=7" in capsys.readouterr().out
+
     def test_checkpoint_writes_one_snapshot_per_generation(self, tmp_path):
         from repro.storage.segments import DurableStore
 

@@ -165,6 +165,22 @@ class TestAttestationSpill:
         reopened.close()
         assert path.stat().st_size == 32
 
+    def test_the_sink_flushes_and_closes_the_spill(self, tmp_path):
+        from repro.workloads import vetted_relay_chain
+
+        runtime = DistributedRuntime(seed=1, durable=tmp_path)
+        spill = runtime.middleware.attestations._spill
+        runtime.deploy(vetted_relay_chain(16).system)
+        runtime.run(max_events=20)
+        runtime.checkpoint()
+        # fewer tags than one write buffer: only a flush puts them on disk
+        assert 0 < len(spill) < 256
+        assert spill.path.stat().st_size == 32 * len(spill)
+        runtime.run()
+        runtime.durability.close()
+        assert spill._handle is None
+        assert spill.path.stat().st_size == 32 * len(spill)
+
 
 class TestAttestationStoreSpill:
     """Satellite: bounded RAM with spill-backed reload, verdicts stable."""

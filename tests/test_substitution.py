@@ -1,15 +1,25 @@
 """Unit and property tests for capture-avoiding substitution."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import ch, inp, match, new, out, par, pr, rep, var
 from repro.core.names import Channel
-from repro.core.process import Restriction, free_channels, free_variables
+from repro.core.process import (
+    InputSum,
+    Match,
+    Parallel,
+    Replication,
+    Restriction,
+    free_channels,
+    free_variables,
+)
 from repro.core.provenance import EMPTY, OutputEvent, Provenance
-from repro.core.substitution import rename_free_channel, substitute
+from repro.core.substitution import _all_names, rename_free_channel, substitute
 from repro.core.values import annotate
 from repro.workloads.random_systems import GeneratorConfig, random_process
 import random
+
+from tests.substitution_oracle import oracle_all_names, oracle_substitute
 
 M, N, K, V = ch("m"), ch("n"), ch("k"), ch("v")
 A = pr("a")
@@ -118,3 +128,75 @@ class TestProperties:
         mapping = {X: annotate(V), Y: annotate(K)}
         result = substitute(p, mapping)
         assert free_variables(result) == frozenset()
+
+
+def _binders(process):
+    """Every restriction binder in ``process``, outermost first."""
+
+    found, stack = [], [process]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Restriction):
+            found.append(p.channel)
+            stack.append(p.body)
+        elif isinstance(p, Parallel):
+            stack.extend(reversed(p.parts))
+        elif isinstance(p, Replication):
+            stack.append(p.body)
+        elif isinstance(p, Match):
+            stack += [p.else_branch, p.then_branch]
+        elif isinstance(p, InputSum):
+            stack.extend(b.continuation for b in reversed(p.branches))
+    return found
+
+
+class TestMatchesEagerSupplyOracle:
+    """The lazy supply and iterative name walk against the old code."""
+
+    CAPTURING = GeneratorConfig(p_restriction=0.45, max_depth=5)
+
+    def capturing_case(self, seed):
+        """An open process and a mapping aimed at its own binders."""
+
+        rng = random.Random(seed)
+        p = random_process(rng, self.CAPTURING, [A, pr("b")], [M, N], [X, Y])
+        binders = _binders(p)
+        # binders capture; their primed forms collide with the first
+        # fresh candidate alpha-renaming would try
+        pool = [M, N, *binders, *(ch(f"{c.name}'1") for c in binders)]
+        mapping = {
+            X: annotate(rng.choice(pool)),
+            Y: annotate(rng.choice(pool + [A])),
+        }
+        return p, mapping
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_identical_terms_and_fresh_names(self, seed):
+        p, mapping = self.capturing_case(seed)
+        # term equality covers every binder, so the fresh names agree
+        assert substitute(p, mapping) == oracle_substitute(p, mapping)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_name_walk_matches_the_recursive_walk(self, seed):
+        p, _ = self.capturing_case(seed)
+        assert _all_names(p) == oracle_all_names(p)
+
+    def test_the_property_exercises_renaming(self):
+        renamed = 0
+        for seed in range(200):
+            p, mapping = self.capturing_case(seed)
+            renamed += _binders(substitute(p, mapping)) != _binders(p)
+        assert renamed >= 20
+
+    def test_nested_and_colliding_binders(self):
+        n1 = ch("n'1")
+        p = new(
+            "n",
+            par(out(M, X), new("n", out(N, Y)), out(n1, X), new("n'1", out(M, Y))),
+        )
+        mapping = {X: annotate(N), Y: annotate(n1)}
+        result = substitute(p, mapping)
+        assert result == oracle_substitute(p, mapping)
+        assert {N, n1} <= free_channels(result)
