@@ -4,8 +4,8 @@ The incremental engine (:mod:`repro.core.incremental`) claims O(affected)
 step maintenance where the from-scratch enumerator pays O(system) per
 step.  This bench measures full-run throughput over the width-scaling
 workloads (``fan_out``, ``fan_in_fan_out``) and the depth-scaling relay
-chain, A/B-ing ``Engine(incremental=True)`` against the from-scratch
-reference kept behind ``incremental=False``.
+chain, A/B-ing ``Engine.run`` against the from-scratch run loop kept as
+a test-only oracle (``tests/engine_oracle.py``).
 
 Expected shape: from-scratch throughput collapses quadratically (or
 cubically on fan-in shapes, where the redex count itself grows with the
@@ -31,11 +31,9 @@ import pytest
 from repro.core.engine import Engine, RunStatus
 from repro.workloads import fan_in_fan_out, fan_out, relay_chain
 
-try:
-    from conftest import record_row
-except ImportError:  # standalone invocation
-    def record_row(experiment: str, row: str) -> None:
-        print(f"[{experiment}] {row}")
+from conftest import load_oracle, record_row
+
+engine_oracle = load_oracle("engine_oracle")
 
 
 SCENARIOS = {
@@ -50,7 +48,9 @@ SPEEDUP_FLOOR = 3.0
 
 
 def run_full(system, incremental: bool) -> int:
-    trace = Engine(incremental=incremental).run(system, max_steps=100_000)
+    trace = engine_oracle.run_path(
+        Engine(), system, incremental, max_steps=100_000
+    )
     assert trace.status is RunStatus.QUIESCENT
     return len(trace)
 
@@ -99,8 +99,8 @@ def test_paths_agree(scenario):
     """Differential guard: identical traces on the benchmark workloads."""
 
     system = SCENARIOS[scenario](12)
-    fast = Engine(incremental=True).run(system)
-    slow = Engine(incremental=False).run(system)
+    fast = Engine().run(system)
+    slow = engine_oracle.from_scratch_run(Engine(), system)
     assert fast.labels == slow.labels
     assert fast.final == slow.final
     assert fast.status is slow.status

@@ -8,8 +8,10 @@ pays Θ(n²) matcher work over a run; the reversed lazy DFA
 node and pays two transitions per hop — Θ(n) total.
 
 The gate (``test_incremental_vetting_gate`` / ``--smoke``) runs
-:func:`repro.workloads.scaling.vetted_relay_chain` at ``hops=512`` under
-both middleware vetting modes, asserts the runs *identical* (same
+:func:`repro.workloads.scaling.vetted_relay_chain` at ``hops=512`` on the
+runtime and again with the test-only NFA oracle
+(``tests/vetting_oracle.py``) standing in for the policy engine,
+asserts the runs *identical* (same
 deliveries, same stamped values, same per-component check/rejection
 counters) and requires the bank to do ≥ 10× less total vetting work
 (automaton transitions: DFA steps taken vs NFA spine events consumed —
@@ -23,13 +25,17 @@ Usage::
 """
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro.runtime import DistributedRuntime
 from repro.workloads import vetted_relay_chain
 
-from conftest import record_row, write_snapshot
+from conftest import load_oracle, record_row, write_snapshot
+
+VETTING = {"bank": nullcontext, "nfa": load_oracle("vetting_oracle").nfa_vetting}
+"""The runtime's policy bank, and the NFA oracle installed in its place."""
 
 HOPS = [32, 128, 512]
 
@@ -46,7 +52,8 @@ def _run(hops: int, vetting: str):
     """Deploy the guarded chain, run it, return (runtime, run_seconds)."""
 
     workload = vetted_relay_chain(hops)
-    runtime = DistributedRuntime(seed=11, vetting=vetting)
+    with VETTING[vetting]():
+        runtime = DistributedRuntime(seed=11)
     runtime.deploy(workload.system)
     start = time.perf_counter()
     runtime.run()
@@ -217,7 +224,7 @@ def main(argv=None) -> int:
         if wall_speedup < wall_floor:
             print(f"FAIL: wall-clock speedup below the {wall_floor}x floor")
             return 1
-    print("runs identical under both vetting paths")
+    print("runs identical under the bank and the NFA oracle")
     write_snapshot(
         "E18-incremental-vetting",
         {

@@ -1,4 +1,4 @@
-"""E19: substrate scaling — two-tier run-queue scheduler vs the seed heap.
+"""E19: substrate scaling — two-tier run-queue scheduler vs the seed heap oracle.
 
 The §5 overhead story only matters if the substrate carrying the
 middleware can be driven at scale.  PRs 1–4 made the engine, provenance
@@ -6,9 +6,11 @@ store, monitor and vetting incremental; this bench gates the *simulated
 substrate* itself: the seed scheduler paid one O(log n) binary-heap
 operation per event and one scheduler event per process-tree node, so a
 wide deployment paid ~10 heap operations per delivered message.  The
-two-tier scheduler (``Simulator(scheduler="runq")``) drains zero-delay
+two-tier scheduler (:class:`repro.runtime.Simulator`) drains zero-delay
 events from a FIFO run queue in O(1) and the batched node interpreter
-walks process trees as an explicit worklist inside one event.
+walks process trees as an explicit worklist inside one event.  The seed
+substrate survives only as a test-only oracle
+(``tests/substrate_oracle.py``), installed for the reference runs.
 
 Workload: :func:`repro.workloads.scaling.wide_fanout` — thousands of
 principals across regions, free intra-region links (run-queue load),
@@ -36,13 +38,20 @@ Usage::
 
 import gc
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro.runtime import DistributedRuntime, RuntimeMetrics
 from repro.workloads import wide_fanout
 
-from conftest import record_row, write_snapshot
+from conftest import load_oracle, record_row, write_snapshot
+
+SUBSTRATES = {
+    "runq": nullcontext,
+    "heap": load_oracle("substrate_oracle").seed_substrate,
+}
+"""The runtime's substrate, and the seed-substrate oracle."""
 
 SIZES = [(4, 50), (8, 150), (16, 400)]
 """(regions, sources per region) for the timing sweep."""
@@ -61,10 +70,11 @@ the delivered traces can be compared record by record."""
 def _build(scheduler, regions, sources, burst=GATE_BURST,
            guard_depth=GATE_GUARD_DEPTH, **kwargs):
     workload = wide_fanout(regions, sources, burst, guard_depth=guard_depth)
-    runtime = DistributedRuntime(
-        seed=23, scheduler=scheduler, topology=workload.topology, **kwargs
-    )
-    runtime.deploy(workload.system)
+    with SUBSTRATES[scheduler]():
+        runtime = DistributedRuntime(
+            seed=23, topology=workload.topology, **kwargs
+        )
+        runtime.deploy(workload.system)
     return workload, runtime
 
 

@@ -11,9 +11,11 @@ everything EXPERIMENTS.md records.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import platform
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -69,6 +71,21 @@ def host_fingerprint() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
+
+
+def load_oracle(name: str):
+    """The test-only reference module ``tests/<name>.py``.
+
+    The gated A/B benches (E18, E19, engine scaling) measure the runtime
+    against reference paths that live under ``tests/`` as oracles, not
+    in ``src/``.  Oracle modules import only ``repro`` and the stdlib,
+    so loading one needs nothing beyond the repository root on the path.
+    """
+
+    root = str(_REPO_ROOT)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    return importlib.import_module(f"tests.{name}")
 
 
 def record_row(experiment: str, row: str) -> None:

@@ -8,7 +8,6 @@ stdin when the path is ``-``)::
     python -m repro check system.pi          # monitored run + Theorem 1
     python -m repro check system.pi --online # every state, incrementally
     python -m repro sim system.pi            # simulated cluster + metrics
-    python -m repro sim system.pi --vetting nfa  # A/B the vetting path
     python -m repro analyse system.pi        # static flow verdicts
     python -m repro lint system.pi           # static policy gate (+--json)
     python -m repro fmt system.pi            # parse and pretty-print
@@ -127,23 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--seed", type=int, default=0)
     sim_p.add_argument("--max-events", type=int, default=1_000_000)
     sim_p.add_argument(
-        "--vetting",
-        choices=["bank", "nfa"],
-        default="bank",
-        help="incremental lazy-DFA policy bank (default) or the "
-        "per-message NFA re-simulation reference",
-    )
-    sim_p.add_argument(
         "--erased", action="store_true",
         help="run the untracked baseline semantics",
-    )
-    sim_p.add_argument(
-        "--scheduler",
-        choices=["runq", "heap"],
-        default="runq",
-        help="two-tier run-queue scheduler (default) or the seed's "
-        "single-heap reference; each is deterministic per seed, and "
-        "race-free systems run identically under both",
     )
     sim_p.add_argument(
         "--metrics-retention",
@@ -741,8 +725,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 lookahead=args.lookahead,
                 mode=mode,
-                vetting=args.vetting,
-                scheduler=args.scheduler,
                 metrics_retention=args.metrics_retention,
                 verify_deliveries=args.verify_deliveries,
                 fault_plan=fault_plan,
@@ -814,8 +796,6 @@ def main(argv: list[str] | None = None) -> int:
         runtime = DistributedRuntime(
             seed=args.seed,
             mode=mode,
-            vetting=args.vetting,
-            scheduler=args.scheduler,
             metrics_retention=args.metrics_retention,
             verify_deliveries=args.verify_deliveries,
             fault_plan=fault_plan,
@@ -887,7 +867,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  rejected by {pattern_text}: {count}")
         stats = runtime.middleware.vetting_stats()
         print(
-            f"vetting[{args.vetting}]: "
+            "vetting: "
             + " ".join(f"{k}={v}" for k, v in sorted(stats.items()))
         )
         _print_timings(parse=parse_seconds, simulate=run_seconds)

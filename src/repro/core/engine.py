@@ -9,26 +9,21 @@ benchmarks is reproducible.
 Incremental architecture
 ------------------------
 
-``Engine.run`` drives reduction through one of two equivalent paths:
-
-* the **from-scratch** path (``incremental=False``) re-normalizes the
-  system and re-enumerates every redex at every step via
-  :func:`repro.core.semantics.enumerate_steps` — O(system) per step, the
-  original reference implementation, kept for A/B differential testing
-  and for callers that want stateless stepping;
-* the **incremental** path (the default) hands the run to a
-  :class:`repro.core.incremental.IncrementalReducer`, which keeps the
-  system in a persistent normal form with channel-keyed indices (pending
-  messages by channel, enabled receivers by channel, cached send/match
-  redexes) so that after a fired step only the components it created or
-  consumed are re-indexed — O(affected) maintenance per step.
-
-Both paths share the same per-component redex enumeration
-(:func:`repro.core.semantics.component_redexes`) and are *trace-identical*:
-same labels, same intermediate systems (fresh names included), same
-statuses, under every strategy.  Strategies see lazily materialized step
-sequences on the incremental path, so a strategy that only inspects the
-head (e.g. :class:`FirstStrategy`) never forces the full redex list.
+``Engine.run`` hands the run to a
+:class:`repro.core.incremental.IncrementalReducer`, which keeps the
+system in a persistent normal form with channel-keyed indices (pending
+messages by channel, enabled receivers by channel, cached send/match
+redexes) so that after a fired step only the components it created or
+consumed are re-indexed — O(affected) maintenance per step.  It shares
+the per-component redex enumeration
+(:func:`repro.core.semantics.component_redexes`) with the stateless
+:meth:`Engine.steps`/:meth:`Engine.step`, which re-normalize and
+re-enumerate every redex; the test suite pins that a run built from
+those stateless steps is *trace-identical* (same labels, same
+intermediate systems, fresh names included, same statuses) under every
+strategy.  Strategies see lazily materialized step sequences, so a
+strategy that only inspects the head (e.g. :class:`FirstStrategy`)
+never forces the full redex list.
 """
 
 from __future__ import annotations
@@ -211,12 +206,9 @@ class Engine:
         Optional callback invoked after every fired step with the chosen
         :class:`ReductionStep`; the monitored semantics and the metrics
         collectors hook in here.
-    incremental:
-        Use the incremental reducer for :meth:`run` (the default).  The
-        two paths are trace-identical; ``incremental=False`` forces the
-        from-scratch enumerator (the A/B reference).  :meth:`steps` and
-        :meth:`step` are stateless and always use the from-scratch
-        enumerator.
+
+    :meth:`run` uses the incremental reducer; :meth:`steps` and
+    :meth:`step` are stateless and enumerate from scratch.
     """
 
     def __init__(
@@ -225,13 +217,11 @@ class Engine:
         strategy: Strategy | None = None,
         max_steps: int = 10_000,
         observer: Callable[[ReductionStep], None] | None = None,
-        incremental: bool = True,
     ) -> None:
         self.mode = mode
         self.strategy = strategy or FirstStrategy()
         self.max_steps = max_steps
         self.observer = observer
-        self.incremental = incremental
 
     def steps(self, system: System) -> list[ReductionStep]:
         """Enumerate the redexes of ``system`` under the engine's mode."""
@@ -264,46 +254,9 @@ class Engine:
         only if no redex remains; otherwise :data:`RunStatus.STOPPED`.
         """
 
-        budget = self.max_steps if max_steps is None else max_steps
-        if self.incremental:
-            return self._run_incremental(system, budget, stop_when)
-        return self._run_from_scratch(system, budget, stop_when)
-
-    def _run_from_scratch(
-        self,
-        system: System,
-        budget: int,
-        stop_when: Callable[[System], bool] | None,
-    ) -> Trace:
-        entries: list[TraceEntry] = []
-        current = system
-        if stop_when is not None and stop_when(current):
-            return Trace(system, tuple(entries), self._stop_status(current))
-        for step_number in range(budget):
-            chosen = self.step(current, step_number)
-            if chosen is None:
-                return Trace(system, tuple(entries), RunStatus.QUIESCENT)
-            entries.append(TraceEntry(chosen.label, chosen.target))
-            current = chosen.target
-            if stop_when is not None and stop_when(current):
-                return Trace(system, tuple(entries), self._stop_status(current))
-        return Trace(system, tuple(entries), RunStatus.MAX_STEPS)
-
-    def _stop_status(self, current: System) -> RunStatus:
-        """Status of a run ended by ``stop_when`` (from-scratch path)."""
-
-        if self.steps(current):
-            return RunStatus.STOPPED
-        return RunStatus.QUIESCENT
-
-    def _run_incremental(
-        self,
-        system: System,
-        budget: int,
-        stop_when: Callable[[System], bool] | None,
-    ) -> Trace:
         from repro.core.incremental import IncrementalReducer
 
+        budget = self.max_steps if max_steps is None else max_steps
         reducer = IncrementalReducer(system, self.mode)
         entries: list[TraceEntry] = []
         if stop_when is not None and stop_when(system):
@@ -338,13 +291,7 @@ def run(
     mode: SemanticsMode = SemanticsMode.TRACKED,
     strategy: Strategy | None = None,
     max_steps: int = 10_000,
-    incremental: bool = True,
 ) -> Trace:
     """One-shot convenience wrapper around :class:`Engine`."""
 
-    return Engine(
-        mode=mode,
-        strategy=strategy,
-        max_steps=max_steps,
-        incremental=incremental,
-    ).run(system)
+    return Engine(mode=mode, strategy=strategy, max_steps=max_steps).run(system)

@@ -30,7 +30,6 @@ from repro.core.engine import RunStatus, Strategy, FirstStrategy
 from repro.core.semantics import (
     MatchLabel,
     ReceiveLabel,
-    ReductionStep,
     SemanticsMode,
     SendLabel,
     StepLabel,
@@ -175,24 +174,22 @@ StateObserver = Callable[[MonitoredSystem, "Sequence[System] | None"], None]
 """Per-state hook of :meth:`MonitoredEngine.run`.
 
 Called with the initial state and with every state a fired step produces.
-On the incremental path the second argument is the state's normal-form
-components straight from the reducer (no re-normalization needed — this
-is what the online monitor feeds on); on the from-scratch path it is
-``None`` and the observer derives what it needs from the state itself.
+The second argument is the state's normal-form components straight from
+the reducer (no re-normalization needed — this is what the online
+monitor feeds on); a caller without them at hand passes ``None`` and the
+observer derives what it needs from the state itself.
 """
 
 
 class MonitoredEngine:
     """Multi-step ``→m`` reduction under a strategy (cf. core ``Engine``).
 
-    Like the core :class:`~repro.core.engine.Engine`, the run loop drives
-    one of two trace-identical paths: the **incremental** default hands
+    Like the core :class:`~repro.core.engine.Engine`, the run loop hands
     the system part to a :class:`~repro.core.incremental.IncrementalReducer`
-    (persistent normal form, O(affected) redex maintenance — monitored
-    runs no longer re-enumerate redexes from scratch at every step) and
-    conses the recorded actions onto the global log as steps fire;
-    ``incremental=False`` keeps the stateless from-scratch enumeration
-    via :func:`monitored_steps` as the A/B reference.
+    (persistent normal form, O(affected) redex maintenance) and conses
+    the recorded actions onto the global log as steps fire.  The test
+    suite pins it trace-identical to a run built from the stateless
+    :func:`monitored_steps`.
     """
 
     def __init__(
@@ -200,12 +197,10 @@ class MonitoredEngine:
         mode: SemanticsMode = SemanticsMode.TRACKED,
         strategy: Strategy | None = None,
         max_steps: int = 10_000,
-        incremental: bool = True,
     ) -> None:
         self.mode = mode
         self.strategy = strategy or FirstStrategy()
         self.max_steps = max_steps
-        self.incremental = incremental
 
     def run(
         self,
@@ -213,19 +208,9 @@ class MonitoredEngine:
         max_steps: int | None = None,
         state_observer: StateObserver | None = None,
     ) -> MonitoredTrace:
-        budget = self.max_steps if max_steps is None else max_steps
-        if self.incremental:
-            return self._run_incremental(monitored, budget, state_observer)
-        return self._run_from_scratch(monitored, budget, state_observer)
-
-    def _run_incremental(
-        self,
-        monitored: MonitoredSystem,
-        budget: int,
-        state_observer: StateObserver | None,
-    ) -> MonitoredTrace:
         from repro.core.incremental import IncrementalReducer
 
+        budget = self.max_steps if max_steps is None else max_steps
         reducer = IncrementalReducer(monitored.system, self.mode)
         if state_observer is not None:
             state_observer(monitored, reducer.components())
@@ -246,28 +231,4 @@ class MonitoredEngine:
             entries.append(MonitoredStep(actions, fired.label, target))
             if state_observer is not None:
                 state_observer(target, reducer.components())
-        return MonitoredTrace(monitored, tuple(entries), RunStatus.MAX_STEPS)
-
-    def _run_from_scratch(
-        self,
-        monitored: MonitoredSystem,
-        budget: int,
-        state_observer: StateObserver | None,
-    ) -> MonitoredTrace:
-        if state_observer is not None:
-            state_observer(monitored, None)
-        entries: list[MonitoredStep] = []
-        current = monitored
-        for step_number in range(budget):
-            steps = monitored_steps(current, self.mode)
-            if not steps:
-                return MonitoredTrace(monitored, tuple(entries), RunStatus.QUIESCENT)
-            chosen = steps[self.strategy.choose(
-                [ReductionStep(s.label, s.target.system) for s in steps],
-                step_number,
-            )]
-            entries.append(chosen)
-            current = chosen.target
-            if state_observer is not None:
-                state_observer(current, None)
         return MonitoredTrace(monitored, tuple(entries), RunStatus.MAX_STEPS)

@@ -112,43 +112,50 @@ def compile_pattern(pattern: SamplePattern) -> NFA:
     """Thompson's construction, specialized for Table 3 patterns."""
 
     nfa = NFA()
-
-    def build(p: SamplePattern) -> tuple[int, int]:
-        if isinstance(p, Empty):
-            state = nfa.new_state()
-            return state, state
-        if isinstance(p, AnyPattern):
-            state = nfa.new_state()
-            nfa.add_edge(state, _WILDCARD, state)
-            return state, state
-        if isinstance(p, EventPattern):
-            start = nfa.new_state()
-            accept = nfa.new_state()
-            nfa.add_edge(start, p, accept)
-            return start, accept
-        if isinstance(p, Sequence):
-            left_start, left_accept = build(p.left)
-            right_start, right_accept = build(p.right)
-            nfa.add_edge(left_accept, None, right_start)
-            return left_start, right_accept
-        if isinstance(p, Alternation):
-            start = nfa.new_state()
-            accept = nfa.new_state()
-            for part in (p.left, p.right):
-                part_start, part_accept = build(part)
-                nfa.add_edge(start, None, part_start)
-                nfa.add_edge(part_accept, None, accept)
-            return start, accept
-        if isinstance(p, Repetition):
-            hub = nfa.new_state()
-            body_start, body_accept = build(p.body)
-            nfa.add_edge(hub, None, body_start)
-            nfa.add_edge(body_accept, None, hub)
-            return hub, hub
-        raise TypeError(f"not a sample pattern: {p!r}")
-
-    nfa.start, nfa.accept = build(pattern)
+    nfa.start, nfa.accept = _build(nfa, pattern)
     return nfa
+
+
+def _build(nfa: NFA, p: SamplePattern) -> tuple[int, int]:
+    """Add ``p``'s fragment to ``nfa``; return its (start, accept).
+
+    A module-level function rather than a closure: a recursive closure
+    references itself through its cell, so every compile would leave a
+    reference cycle for the collector.
+    """
+
+    if isinstance(p, Empty):
+        state = nfa.new_state()
+        return state, state
+    if isinstance(p, AnyPattern):
+        state = nfa.new_state()
+        nfa.add_edge(state, _WILDCARD, state)
+        return state, state
+    if isinstance(p, EventPattern):
+        start = nfa.new_state()
+        accept = nfa.new_state()
+        nfa.add_edge(start, p, accept)
+        return start, accept
+    if isinstance(p, Sequence):
+        left_start, left_accept = _build(nfa, p.left)
+        right_start, right_accept = _build(nfa, p.right)
+        nfa.add_edge(left_accept, None, right_start)
+        return left_start, right_accept
+    if isinstance(p, Alternation):
+        start = nfa.new_state()
+        accept = nfa.new_state()
+        for part in (p.left, p.right):
+            part_start, part_accept = _build(nfa, part)
+            nfa.add_edge(start, None, part_start)
+            nfa.add_edge(part_accept, None, accept)
+        return start, accept
+    if isinstance(p, Repetition):
+        hub = nfa.new_state()
+        body_start, body_accept = _build(nfa, p.body)
+        nfa.add_edge(hub, None, body_start)
+        nfa.add_edge(body_accept, None, hub)
+        return hub, hub
+    raise TypeError(f"not a sample pattern: {p!r}")
 
 
 def edge_accepts(test: EdgeTest, event: Event, nested_matches) -> bool:

@@ -77,8 +77,9 @@ class RuntimeMetrics:
     """Rejection counts keyed by the rejecting pattern's rendering."""
 
     vet_transitions: int = 0
-    """Automaton work done by ``Middleware.vet``: lazy-DFA transitions
-    taken (bank mode) or NFA spine events consumed (reference mode)."""
+    """Automaton work done by ``Middleware.vet``: the policy engine's
+    ``transitions_taken`` (one unit ≙ one spine event consumed by one
+    automaton)."""
 
     vet_cache_hits: int = 0
     """Vet queries answered entirely from a cached spine run."""

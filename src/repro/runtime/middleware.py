@@ -18,20 +18,19 @@ Architecture:
   thunks, so the encode is only paid when the metric is read);
   ``receive`` registers branch patterns and a continuation, and the
   manager fires the first branch whose patterns admit an available
-  message, stamping the input event before handing the values over.
-
-Pattern vetting is incremental by default (``vetting="bank"``): every
-sample pattern registered on a channel's receive branches is fused into
-one :class:`repro.patterns.dfa.PolicyBank`, whose reversed lazy DFAs
-cache their reached state per interned spine node — so vetting a value
-that gained one event since its last hop costs one memoized transition
-instead of a whole-history NFA re-simulation.  ``vetting="nfa"`` keeps
-the per-message subset simulation as the A/B reference
-(``benchmarks/bench_patterns_incremental.py`` gates the differential
-and the work ratio).
+  message, stamping the input event before handing the values over;
 * ``inject_raw`` — the unchecked path an adversary would use; with
   integrity enforcement on (the default) unsigned injections are dropped,
   modelling the digital-signature scheme the paper appeals to.
+
+Pattern vetting is incremental: every sample pattern registered on a
+channel's receive branches is fused into one
+:class:`repro.patterns.dfa.PolicyBank`, whose reversed lazy DFAs cache
+their reached state per interned spine node — so vetting a value that
+gained one event since its last hop costs one memoized transition
+instead of a whole-history NFA re-simulation
+(``benchmarks/bench_patterns_incremental.py`` gates the work ratio
+against a test-only NFA oracle).
 
 Integrity (PR 8): the signature scheme is no longer a boolean.  The
 middleware owns a :class:`~repro.core.integrity.KeyRing` and attests
@@ -69,18 +68,10 @@ from repro.core.semantics import SemanticsMode
 from repro.core.values import AnnotatedValue
 from repro.patterns.ast import SamplePattern
 from repro.patterns.dfa import PolicyBank, PolicyEngine
-from repro.patterns.nfa import NFAMatcher
 from repro.runtime.metrics import DeliveryRecord, RuntimeMetrics
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
-from repro.runtime.wire import (
-    WIRE_V1,
-    WIRE_V2,
-    encode_plain,
-    encode_payload,
-    encode_payload_v2,
-    encode_varint,
-)
+from repro.runtime.wire import encode_payload_v2, encode_plain, encode_varint
 
 __all__ = ["ReceiveBranch", "PendingReceive", "ChannelManager", "Middleware"]
 
@@ -276,11 +267,7 @@ class ChannelManager:
         actions = (
             waiter.actions if middleware.certificate is not None else None
         )
-        bank = (
-            self.policy_bank()
-            if middleware.vetting == "bank" and self._has_sample
-            else None
-        )
+        bank = self.policy_bank() if self._has_sample else None
         erased = middleware.mode is SemanticsMode.ERASED
         for message_index, stored in enumerate(self._messages):
             for branch_index, branch in enumerate(waiter.branches):
@@ -359,25 +346,17 @@ class Middleware:
         metrics: Optional[RuntimeMetrics] = None,
         mode: SemanticsMode = SemanticsMode.TRACKED,
         enforce_integrity: bool = True,
-        wire_version: int = WIRE_V2,
-        vetting: str = "bank",
         certificate: Optional[object] = None,
         keyring: Optional[KeyRing] = None,
         crypto: bool = True,
         verify_deliveries: bool = False,
         attestations: Optional[AttestationStore] = None,
     ) -> None:
-        if wire_version not in (WIRE_V1, WIRE_V2):
-            raise ValueError(f"unknown wire version {wire_version}")
-        if vetting not in ("bank", "nfa"):
-            raise ValueError(f"unknown vetting mode {vetting!r}")
         self.simulator = simulator
         self.network = network
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.mode = mode
         self.enforce_integrity = enforce_integrity
-        self.wire_version = wire_version
-        self.vetting = vetting
         self.certificate = certificate
         self.crypto = crypto and mode is not SemanticsMode.ERASED
         """Attest stamped spine nodes (HMAC over Merkle digests).  Off
@@ -411,7 +390,6 @@ class Middleware:
         message enters the system, since its verdicts only cover the
         analyzed closed system."""
         self.policy = PolicyEngine()
-        self.nfa_matcher = NFAMatcher()
         self.supply = NameSupply()
         self.router = None
         """A shard router (``repro.runtime.shards.ShardRouter``) when
@@ -580,9 +558,8 @@ class Middleware:
             return True
         metrics = self.metrics
         engine = self.policy
-        nfa = self.nfa_matcher
-        transitions_before = engine.transitions_taken + nfa.events_stepped
-        hits_before = engine.run_cache_hits + nfa.decided_hits
+        transitions_before = engine.transitions_taken
+        hits_before = engine.run_cache_hits
         admitted = True
         for pattern, value in zip(patterns, payload):
             metrics.pattern_checks += 1
@@ -590,12 +567,8 @@ class Middleware:
                 metrics.record_rejection(pattern)
                 admitted = False
                 break
-        metrics.vet_transitions += (
-            engine.transitions_taken + nfa.events_stepped - transitions_before
-        )
-        metrics.vet_cache_hits += (
-            engine.run_cache_hits + nfa.decided_hits - hits_before
-        )
+        metrics.vet_transitions += engine.transitions_taken - transitions_before
+        metrics.vet_cache_hits += engine.run_cache_hits - hits_before
         return admitted
 
     def _admits(
@@ -605,19 +578,15 @@ class Middleware:
         bank: Optional[PolicyBank],
     ) -> bool:
         if self.is_sample_pattern(pattern):
-            if self.vetting == "nfa":
-                return self.nfa_matcher.matches(provenance, pattern)
             if bank is not None:
                 return bank.admits(provenance, pattern)
             return self.policy.matches(provenance, pattern)
         return pattern.matches(provenance)
 
     def vetting_stats(self) -> dict[str, int]:
-        """Work counters of the active vetting path (for benches)."""
+        """Work counters of the policy engine (for benches)."""
 
-        stats = self.policy.stats()
-        stats["nfa_events_stepped"] = self.nfa_matcher.events_stepped
-        return stats
+        return self.policy.stats()
 
     # -- node-facing API ---------------------------------------------------
 
@@ -632,9 +601,9 @@ class Middleware:
         Latency never depends on size, so serialization exists only to
         price the message for E13 — the sizer thunk runs when (and only
         when) someone reads a byte metric.  Honest accounting still:
-        provenance bytes are whatever the chosen codec ships beyond the
-        plain parts (under v2 shared subtrees are shipped once, so the
-        metadata tax reflects the DAG size).
+        provenance bytes are whatever the v2 codec ships beyond the
+        plain parts (shared subtrees are shipped once, so the metadata
+        tax reflects the DAG size).
         """
 
         if not isinstance(channel.value, Channel):
@@ -649,14 +618,9 @@ class Middleware:
             return
         metrics = self.metrics
         if metrics.detailed:
-            encode = (
-                encode_payload
-                if self.wire_version == WIRE_V1
-                else encode_payload_v2
-            )
 
             def sizes() -> tuple[int, int]:
-                total_bytes = len(encode(stamped))
+                total_bytes = len(encode_payload_v2(stamped))
                 plain_bytes = len(encode_varint(len(stamped))) + sum(
                     len(encode_plain(value.value)) for value in stamped
                 )

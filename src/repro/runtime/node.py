@@ -13,40 +13,37 @@ approximation and is configurable per runtime.  (The calculus-level
 engine in :mod:`repro.core` remains exact — lazily unfolding — so nothing
 about the formal results depends on this bound.)
 
-Interpretation is **iterative and batched** when ``batch_limit`` is set
-(the default under the run-queue scheduler): one spawned scheduler event
-drains an explicit FIFO worklist of process-tree nodes, so deploying a
-wide parallel composition costs one event rather than one heap push per
-tree node.  The worklist is breadth-first, matching the order the seed's
-per-node scheduler executed the same tree in, and every interpreted node
-still counts as one spawned thread, so ``threads_spawned`` /
-``blocked_threads`` are identical on both interpreters.  A batch yields
-back to the scheduler every ``batch_limit`` nodes (the remaining
-worklist is rescheduled as one zero-delay event), keeping ``max_events``
-a meaningful divergence guard.  ``batch_limit=None`` keeps the seed's
-one-event-per-node interpreter — the reference half of the scheduler
-A/B.  With a positive ``processing_delay`` every tree node pays the
-delay on its own event in both modes (batching only ever fuses
-zero-delay hops).
+Interpretation is **iterative and batched**: one spawned scheduler
+event drains an explicit FIFO worklist of process-tree nodes, so
+deploying a wide parallel composition costs one event rather than one
+heap push per tree node.  The worklist is breadth-first, the order in
+which a one-event-per-node interpreter would run the same tree, and
+every interpreted node still counts as one spawned thread
+(``threads_spawned`` / ``blocked_threads``).  A batch yields back to the
+scheduler every :data:`DEFAULT_BATCH_LIMIT` nodes (the remaining
+worklist is rescheduled as one zero-delay event), keeping
+``max_events`` a meaningful divergence guard.  With a positive
+``processing_delay`` every tree node pays the delay on its own event
+(batching only ever fuses zero-delay hops).
 
 Semantics caveat: batching interprets a thread's whole subtree before
 other events scheduled in between, so when *concurrently enabled*
 rendezvous race for the same message at the same instant (several
 receivers on one channel becoming ready in the same zero-latency
-window), the race can resolve differently than under the per-node
+window), the race can resolve differently than under a per-node
 interpreter — both outcomes are valid reductions of the calculus, and
-each interpreter is individually deterministic, but the A/B
-delivered-trace identity is only guaranteed for race-free programs
-(receivers registered before senders fire, or distinct channels — the
-shape of the gated fan-out workloads).  Per-principal program order and
-per-channel FIFO pairing are preserved unconditionally.
+the run is deterministic per seed, but delivered-trace identity with a
+per-node interpreter is only guaranteed for race-free programs
+(receivers registered before senders fire, or distinct channels).
+Per-principal program order and per-channel FIFO pairing are preserved
+unconditionally.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.errors import OpenTermError, SimulationError
 from repro.core.names import Principal
@@ -73,7 +70,7 @@ DEFAULT_BATCH_LIMIT = 4096
 def _values_equal(left: AnnotatedValue, right: AnnotatedValue) -> bool:
     """The Match rule's value test — the single source of truth.
 
-    Both interpreter paths (the batched worklist's inlined guard and
+    Both guard paths (the batched worklist's inlined test and
     :meth:`Node._match_choose`) decide then/else through this predicate,
     so they cannot drift apart.  Identity short-circuits cover the
     self-comparison and shared-channel cases before any structural
@@ -96,15 +93,11 @@ class Node:
         middleware: Middleware,
         replication_budget: int = 4,
         processing_delay: float = 0.0,
-        batch_limit: Optional[int] = DEFAULT_BATCH_LIMIT,
     ) -> None:
-        if batch_limit is not None and batch_limit < 1:
-            raise ValueError(f"batch_limit must be positive, got {batch_limit}")
         self.principal = principal
         self.middleware = middleware
         self.replication_budget = replication_budget
         self.processing_delay = processing_delay
-        self.batch_limit = batch_limit
         self.threads_spawned = 0
         self.blocked_threads = 0
 
@@ -112,7 +105,7 @@ class Node:
         """Schedule ``process`` for execution on this node."""
 
         self.threads_spawned += 1
-        if self.batch_limit is not None and isinstance(process, Inaction):
+        if isinstance(process, Inaction):
             return  # nil needs no thread: nothing to run, nothing to wait on
         self.middleware.simulator.schedule(
             self.processing_delay, lambda: self._execute(process)
@@ -124,13 +117,12 @@ class Node:
         The deployment layer hands over each principal's consecutive
         normal-form components in one call, so placing a 100k-component
         parallel composition costs one scheduler event rather than one
-        heap push per component.  Under the seed interpreter
-        (``batch_limit=None``) or a positive processing delay this
-        degrades to one :meth:`spawn` per component, preserving the
-        seed's per-node event accounting exactly.
+        heap push per component.  Under a positive processing delay this
+        degrades to one :meth:`spawn` per component, so every component
+        pays the delay on its own event.
         """
 
-        if self.batch_limit is None or self.processing_delay > 0.0:
+        if self.processing_delay > 0.0:
             for process in processes:
                 self.spawn(process)
             return
@@ -145,9 +137,6 @@ class Node:
             )
 
     def _execute(self, process: Process) -> None:
-        if self.batch_limit is None:
-            self._interpret(process, self.spawn)
-            return
         if self.processing_delay > 0.0:
             # every tree node pays the delay on its own event; batching
             # would fuse the per-node processing cost away
@@ -163,7 +152,7 @@ class Node:
             if type(child) is not Inaction:
                 worklist.append(child)
 
-        budget = self.batch_limit
+        budget = DEFAULT_BATCH_LIMIT
         while worklist:
             if budget <= 0:
                 self.middleware.simulator.schedule(
@@ -291,16 +280,13 @@ class Node:
         if not isinstance(channel, AnnotatedValue):
             raise OpenTermError({channel}, f"input at {self.principal}")
         self.blocked_threads += 1
-        batched = self.batch_limit is not None
         # the middleware holds waiting receivers, and this node holds the
         # middleware: the callbacks reach the node weakly, or every
         # receiver still waiting when the run ends would close a cycle
         node = weakref.ref(self)
         branches = []
         for branch in input_sum.branches:
-            nil_continuation = batched and isinstance(
-                branch.continuation, Inaction
-            )
+            nil_continuation = isinstance(branch.continuation, Inaction)
 
             def fire(
                 branch_index: int,
@@ -312,9 +298,9 @@ class Node:
                 owner = node()
                 owner.blocked_threads -= 1
                 if _nil:
-                    # substituting into 0 yields 0: count the thread,
-                    # skip the no-op event (the seed path still pays it)
-                    owner.threads_spawned += 1
+                    # substituting into 0 yields 0: spawn() counts the
+                    # thread and schedules nothing
+                    owner.spawn(_branch.continuation)
                     return
                 mapping = dict(zip(_branch.binders, values))
                 owner.spawn(substitute(_branch.continuation, mapping))

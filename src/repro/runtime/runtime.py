@@ -30,9 +30,8 @@ from repro.runtime.network import (
     Network,
     Topology,
 )
-from repro.runtime.node import DEFAULT_BATCH_LIMIT, Node
+from repro.runtime.node import Node
 from repro.runtime.simulator import SequenceSource, Simulator
-from repro.runtime.wire import WIRE_V2
 
 __all__ = ["DistributedRuntime"]
 
@@ -40,17 +39,10 @@ __all__ = ["DistributedRuntime"]
 class DistributedRuntime:
     """Simulator + network + middleware + nodes, wired together.
 
-    ``scheduler`` selects the substrate: ``"runq"`` (default) uses the
-    two-tier run-queue/heap scheduler with batched process
-    interpretation on the nodes; ``"heap"`` keeps the seed's
-    single-heap, one-event-per-tree-node substrate as the A/B reference.
-    Each is fully deterministic for a given seed, and for race-free
-    programs (no concurrently enabled receives competing for one
-    message in the same zero-latency instant) both execute the same run
-    — identical deliveries, times, and stamped values
-    (``benchmarks/bench_runtime_scaling.py`` gates that differential
-    and the throughput ratio; see :mod:`repro.runtime.node` for the
-    caveat on racy rendezvous).
+    The substrate is the two-tier run-queue/heap scheduler with batched
+    process interpretation on the nodes, fully deterministic for a given
+    seed (see :mod:`repro.runtime.simulator` and
+    :mod:`repro.runtime.node`).
     """
 
     def __init__(
@@ -61,14 +53,10 @@ class DistributedRuntime:
         enforce_integrity: bool = True,
         replication_budget: int = 4,
         processing_delay: float = 0.0,
-        wire_version: int = WIRE_V2,
-        vetting: str = "bank",
         certificate: Optional[object] = None,
         detailed_metrics: bool = True,
-        scheduler: str = "runq",
         topology: Optional[Topology] = None,
         metrics_retention: Optional[int] = None,
-        batch_limit: Optional[int] = None,
         sequence_source: Optional[SequenceSource] = None,
         latency_sampler: Optional[KeyedLatencySampler] = None,
         crypto: bool = True,
@@ -80,9 +68,7 @@ class DistributedRuntime:
         attestation_cache: Optional[int] = None,
         durable_wipe: bool = False,
     ) -> None:
-        self.simulator = Simulator(
-            seed, scheduler=scheduler, sequence_source=sequence_source
-        )
+        self.simulator = Simulator(seed, sequence_source=sequence_source)
         faults = None
         if fault_plan is not None and not fault_plan.is_quiet:
             faults = FaultInjector(fault_plan, seed)
@@ -128,8 +114,6 @@ class DistributedRuntime:
             self.metrics,
             mode=mode,
             enforce_integrity=enforce_integrity,
-            wire_version=wire_version,
-            vetting=vetting,
             certificate=certificate,
             keyring=keyring,
             crypto=crypto,
@@ -150,9 +134,6 @@ class DistributedRuntime:
         runtime's deliveries, once :meth:`attach_query_index` ran."""
         self.replication_budget = replication_budget
         self.processing_delay = processing_delay
-        if batch_limit is None and scheduler == "runq":
-            batch_limit = DEFAULT_BATCH_LIMIT
-        self.batch_limit = batch_limit
         self._nodes: dict[Principal, Node] = {}
         self._fault_plan = fault_plan
         self._config = dict(
@@ -161,9 +142,6 @@ class DistributedRuntime:
             enforce_integrity=enforce_integrity,
             replication_budget=replication_budget,
             processing_delay=processing_delay,
-            wire_version=wire_version,
-            vetting=vetting,
-            scheduler=scheduler,
             crypto=crypto,
             verify_deliveries=verify_deliveries,
             latency_base=latency.base,
@@ -180,7 +158,6 @@ class DistributedRuntime:
                 self.middleware,
                 replication_budget=self.replication_budget,
                 processing_delay=self.processing_delay,
-                batch_limit=self.batch_limit,
             )
             self._nodes[principal] = existing
         return existing
@@ -205,8 +182,7 @@ class DistributedRuntime:
         nf = normalize(system, NameSupply(names))
         # consecutive components of one principal ride one batched
         # event (spawn_group); interleaving stays exactly the normal
-        # form's component order, so heap and run-queue deployments
-        # execute the same run
+        # form's component order
         group_principal: Optional[Principal] = None
         group: list = []
         for component in nf.components:
@@ -369,9 +345,8 @@ class DistributedRuntime:
     def threads_spawned(self) -> int:
         """Logical threads interpreted so far across all nodes.
 
-        One per process-tree node, whichever interpreter ran it — the
-        batched worklist and the seed's one-event-per-node path count
-        identically.
+        One per process-tree node, whether the node ran inside a batched
+        worklist or on an event of its own.
         """
 
         return sum(node.threads_spawned for node in self._nodes.values())

@@ -545,12 +545,8 @@ class _ShardSpec:
     enforce_integrity: bool
     replication_budget: int
     processing_delay: float
-    wire_version: int
-    vetting: str
-    scheduler: str
     detailed_metrics: bool
     metrics_retention: Optional[int]
-    batch_limit: Optional[int]
     crypto: bool
     verify_deliveries: bool
     fault_plan: Optional[FaultPlan]
@@ -596,13 +592,9 @@ def _build_worker_shard(spec: _ShardSpec):
         enforce_integrity=spec.enforce_integrity,
         replication_budget=spec.replication_budget,
         processing_delay=spec.processing_delay,
-        wire_version=spec.wire_version,
-        vetting=spec.vetting,
-        scheduler=spec.scheduler,
         topology=topology,
         detailed_metrics=spec.detailed_metrics,
         metrics_retention=spec.metrics_retention,
-        batch_limit=spec.batch_limit,
         crypto=spec.crypto,
         verify_deliveries=spec.verify_deliveries,
         fault_plan=spec.fault_plan,
@@ -906,12 +898,8 @@ class ShardedRuntime:
         enforce_integrity: bool = True,
         replication_budget: int = 4,
         processing_delay: float = 0.0,
-        wire_version: int = 2,
-        vetting: str = "bank",
-        scheduler: str = "runq",
         detailed_metrics: bool = True,
         metrics_retention: Optional[int] = None,
-        batch_limit: Optional[int] = None,
         crypto: bool = True,
         verify_deliveries: bool = False,
         fault_plan: Optional[FaultPlan] = None,
@@ -953,12 +941,8 @@ class ShardedRuntime:
             enforce_integrity=enforce_integrity,
             replication_budget=replication_budget,
             processing_delay=processing_delay,
-            wire_version=wire_version,
-            vetting=vetting,
-            scheduler=scheduler,
             detailed_metrics=detailed_metrics,
             metrics_retention=metrics_retention,
-            batch_limit=batch_limit,
             crypto=crypto,
             verify_deliveries=verify_deliveries,
             fault_plan=fault_plan,

@@ -11,7 +11,7 @@ randomness (latency jitter) flows from one seeded generator, and
 simultaneous events tie-break on a monotone sequence number, so every
 run is exactly reproducible.
 
-Scheduling is two-tier (``scheduler="runq"``, the default):
+Scheduling is two-tier:
 
 * a FIFO **run queue** holds zero-delay events — the overwhelming
   majority under heavy traffic: every process-tree continuation a node
@@ -24,19 +24,9 @@ the key ``(time, sequence)``; the run queue only ever receives events
 stamped at the *current* clock reading, and both the clock and the
 sequence counter are monotone, so the run queue is itself sorted by that
 key and a single front-vs-top comparison per pop suffices to merge the
-tiers in exact heap order.  ``scheduler="heap"`` keeps the seed's
-single-heap scheduler as the A/B reference
-(``benchmarks/bench_runtime_scaling.py`` gates the throughput ratio and
-a delivered-trace differential).
-
-Determinism contract: each mode is fully deterministic — the same seed
-and the same ``schedule()`` call sequence replay the same callbacks in
-the same order, and given identical call sequences the two modes are
-order-identical (the merge above is exact, not approximate).  Note that
-the *runtime* couples the scheduler choice to the node interpreter
-(batched under ``runq``, per-node under ``heap``), which can issue
-``schedule()`` calls in a different grouping — see
-:mod:`repro.runtime.node` for when that distinction is observable.
+tiers in exact heap order.  The same seed and the same ``schedule()``
+call sequence therefore replay the same callbacks in the same order as a
+single binary heap would.
 """
 
 from __future__ import annotations
@@ -95,13 +85,8 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        scheduler: str = "runq",
         sequence_source: Optional[SequenceSource] = None,
     ) -> None:
-        if scheduler not in ("runq", "heap"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        self.scheduler = scheduler
-        self._use_runq = scheduler == "runq"
         self.now: float = 0.0
         self.rng = Random(seed)
         self._queue: list[_Scheduled] = []
@@ -129,7 +114,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         sequence = self._next_sequence()
         self._live += 1
-        if delay == 0.0 and self._use_runq:
+        if delay == 0.0:
             event = _Scheduled(self.now, sequence, callback, tier=_RUNQ)
             self._runq.append(event)
         else:
@@ -154,7 +139,7 @@ class Simulator:
             )
         sequence = self._next_sequence()
         self._live += 1
-        if time == self.now and self._use_runq:
+        if time == self.now:
             event = _Scheduled(time, sequence, callback, tier=_RUNQ)
             self._runq.append(event)
         else:

@@ -29,11 +29,13 @@ play, and a module-level import here would make package init cyclic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Set, Tuple, Union
 
 from repro.core.errors import StorageError
+from repro.core.semantics import SemanticsMode
 from repro.storage.checkpoint import collect_entries
 from repro.storage.journal import DeliveryEntry, NoteEntry, ZERO_DIGEST
 from repro.storage.segments import DurableStore
@@ -161,6 +163,68 @@ def load_state(store: Union[DurableStore, str, Path]) -> RecoveredState:
     )
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_bool(value) -> bool:
+    return type(value) is bool
+
+
+def _is_delay(value) -> bool:
+    return _is_number(value) and value >= 0
+
+
+_RUNTIME_FIELDS = {
+    "seed": (lambda value: type(value) is int, "an integer"),
+    "mode": (
+        lambda value: type(value) is str and value in SemanticsMode.__members__,
+        f"one of {sorted(SemanticsMode.__members__)}",
+    ),
+    "enforce_integrity": (_is_bool, "a boolean"),
+    "replication_budget": (
+        lambda value: type(value) is int and value >= 0,
+        "a non-negative integer",
+    ),
+    "processing_delay": (_is_delay, "a non-negative number"),
+    "crypto": (_is_bool, "a boolean"),
+    "verify_deliveries": (_is_bool, "a boolean"),
+    "latency_base": (_is_delay, "a non-negative number"),
+    "latency_jitter": (_is_delay, "a non-negative number"),
+}
+"""Every runtime config key a manifest must carry: (check, description)."""
+
+_LEGACY_RUNTIME_KEYS = {"vetting": "bank", "scheduler": "runq", "wire_version": 2}
+"""Options older manifests recorded.  The runtime now has exactly one
+configuration, so a record made under any other value cannot be
+reproduced (a racy system recorded under the old single-heap scheduler
+would replay differently)."""
+
+
+def _runtime_config(manifest: dict) -> dict:
+    """The manifest's runtime config, every field checked."""
+
+    config = manifest.get("runtime")
+    if not isinstance(config, dict):
+        raise StorageError("manifest carries no runtime config to rebuild")
+    for key, (check, kind) in _RUNTIME_FIELDS.items():
+        if key not in config:
+            raise StorageError(f"manifest runtime config lacks {key!r}")
+        if not check(config[key]):
+            raise StorageError(
+                f"manifest runtime {key} must be {kind}, got {config[key]!r}"
+            )
+    for key, only in _LEGACY_RUNTIME_KEYS.items():
+        if key in config and not (
+            type(config[key]) is type(only) and config[key] == only
+        ):
+            raise StorageError(
+                f"manifest runtime {key}={config[key]!r} cannot be "
+                f"reproduced: this runtime only runs {key}={only!r}"
+            )
+    return config
+
+
 def runtime_from_manifest(
     manifest: dict,
     durable=None,
@@ -170,28 +234,24 @@ def runtime_from_manifest(
 
     ``metrics_retention``/``detailed_metrics`` default to full retention
     (the replay comparison needs every delivered record); everything
-    behavioral — seed, mode, vetting, scheduler, wire version, faults,
-    latency, keyring — comes from the manifest.  Keyword ``overrides``
-    win over the manifest.
+    behavioral — seed, mode, faults, latency, keyring — comes from the
+    manifest.  Keyword ``overrides`` win over the manifest.  A field
+    that is missing or of the wrong kind raises :class:`StorageError`.
     """
 
+    from dataclasses import fields
+
     from repro.core.integrity import KeyRing
-    from repro.core.semantics import SemanticsMode
     from repro.runtime.network import FaultPlan, LatencyModel
     from repro.runtime.runtime import DistributedRuntime
 
-    config = manifest.get("runtime")
-    if not isinstance(config, dict):
-        raise StorageError("manifest carries no runtime config to rebuild")
+    config = _runtime_config(manifest)
     kwargs = dict(
         seed=config["seed"],
         mode=SemanticsMode[config["mode"]],
         enforce_integrity=config["enforce_integrity"],
         replication_budget=config["replication_budget"],
         processing_delay=config["processing_delay"],
-        wire_version=config["wire_version"],
-        vetting=config["vetting"],
-        scheduler=config["scheduler"],
         crypto=config["crypto"],
         verify_deliveries=config["verify_deliveries"],
         latency=LatencyModel(
@@ -202,11 +262,26 @@ def runtime_from_manifest(
         durable=durable,
     )
     faults = manifest.get("faults")
-    if faults:
+    if faults is not None:
+        known = {spec.name for spec in fields(FaultPlan)}
+        if not isinstance(faults, dict) or not all(
+            key in known and _is_number(value)
+            for key, value in faults.items()
+        ):
+            raise StorageError(
+                f"manifest faults must map fault kinds {sorted(known)} "
+                f"to numbers, got {faults!r}"
+            )
         kwargs["fault_plan"] = FaultPlan(**faults)
     master = manifest.get("keyring_master")
     if master:
-        kwargs["keyring"] = KeyRing(bytes.fromhex(master))
+        try:
+            kwargs["keyring"] = KeyRing(bytes.fromhex(master))
+        except (TypeError, ValueError):
+            raise StorageError(
+                f"manifest keyring_master must be a hex string, "
+                f"got {master!r}"
+            ) from None
     kwargs.update(overrides)
     return DistributedRuntime(**kwargs)
 
@@ -217,7 +292,8 @@ def rebuild_system(manifest: dict, origin: str = "manifest"):
     A missing source, or one that does not parse, is a damaged record,
     not a caller bug: it raises :class:`StorageError` naming ``origin``
     (the manifest's path, when known) and, for a
-    :class:`~repro.core.errors.ParseError`, its line:column.
+    :class:`~repro.core.errors.ParseError`, its line:column.  So does a
+    source or principal list of the wrong type.
     """
 
     from repro.core.errors import ParseError
@@ -231,8 +307,18 @@ def rebuild_system(manifest: dict, origin: str = "manifest"):
             "replay verification needs the root store or a single-"
             "runtime store"
         )
+    principals = manifest.get("principals", ())
+    if not isinstance(source, str):
+        raise StorageError(f"{origin}: system source must be a string")
+    if not isinstance(principals, (list, tuple)) or not all(
+        isinstance(name, str) for name in principals
+    ):
+        raise StorageError(
+            f"{origin}: principals must be a list of names, "
+            f"got {principals!r}"
+        )
     try:
-        return parse_system(source, principals=manifest.get("principals", ()))
+        return parse_system(source, principals=principals)
     except ParseError as error:
         raise StorageError(
             f"{origin}: system source does not parse: {error}"

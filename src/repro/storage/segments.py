@@ -423,11 +423,16 @@ class DurableStore:
         except FileNotFoundError:
             return None
         try:
-            return json.loads(text)
+            manifest = json.loads(text)
         except json.JSONDecodeError as error:
             raise StorageError(
                 f"manifest {self.manifest_path()} is corrupt: {error}"
             ) from None
+        if not isinstance(manifest, dict):
+            raise StorageError(
+                f"manifest {self.manifest_path()} is not a JSON object"
+            )
+        return manifest
 
     # -- lifecycle -----------------------------------------------------
 

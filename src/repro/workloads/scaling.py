@@ -429,8 +429,9 @@ def wide_fanout(
 
     Receivers are deployed before senders, so registrations land before
     any message arrives under either interpreter — which is what makes
-    the delivered trace bit-identical between ``scheduler="heap"`` and
-    ``scheduler="runq"`` runs of the same seed.
+    the delivered trace of the same seed bit-identical between the
+    runtime and the seed-substrate test oracle (single heap, one event
+    per tree node).
     """
 
     if n_regions < 1:

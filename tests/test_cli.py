@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.vetting_oracle import nfa_vetting
 
 AUDIT = "a[m<v>] || s[m(x).n1<x>] || c[n1(x).keep<x>]"
 
@@ -98,13 +99,18 @@ class TestSim:
         out = capsys.readouterr().out
         assert "deliveries = 2" in out
         assert "vet_transitions" in out
-        assert "vetting[bank]" in out
+        assert "vetting: " in out
 
     def test_sim_nfa_reference_agrees(self, system_file, capsys):
-        assert main(["sim", system_file, "--vetting", "nfa"]) == 0
-        out = capsys.readouterr().out
-        assert "deliveries = 2" in out
-        assert "vetting[nfa]" in out
+        assert main(["sim", system_file]) == 0
+        bank = capsys.readouterr().out.splitlines()
+        with nfa_vetting():
+            assert main(["sim", system_file]) == 0
+        nfa = capsys.readouterr().out.splitlines()
+        assert "  deliveries = 2" in nfa
+        for key in ("deliveries", "pattern_checks", "pattern_rejections"):
+            line = next(l for l in bank if l.startswith(f"  {key} = "))
+            assert line in nfa
 
     def test_sim_erased_mode(self, system_file, capsys):
         assert main(["sim", system_file, "--erased"]) == 0

@@ -322,3 +322,97 @@ class TestHostileManifestSource:
         manifest = json.loads((relay_store / "MANIFEST.json").read_text())
         with pytest.raises(StorageError, match=r"does not parse: nesting"):
             rebuild_system({**manifest, "system": source}, "MANIFEST.json")
+
+
+def _without_crypto(manifest):
+    del manifest["runtime"]["crypto"]
+
+
+DAMAGES = {
+    "missing-runtime-key": _without_crypto,
+    "bogus-mode": lambda m: m["runtime"].update(mode="BOGUS"),
+    "non-hex-keyring": lambda m: m.update(keyring_master="not hex"),
+    "unknown-fault-field": lambda m: m.update(faults={"drop": 0.0, "bogus": 1}),
+    "list-seed": lambda m: m["runtime"].update(seed=[1]),
+    "int-principals": lambda m: m.update(principals=5),
+    "top-level-list": None,
+}
+"""One manifest edit each; ``None`` wraps the whole manifest in a list."""
+
+LEGACY_KEYS = {"vetting": "bank", "scheduler": "runq", "wire_version": 2}
+"""Runtime options parent-era manifests recorded, at the values they ran."""
+
+
+class TestDamagedManifest:
+    """A manifest of the wrong shape or types fails as a StorageError, and
+    ``repro recover`` exits 2 with an ``error:`` line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("manifest")
+        source = base / "system.pi"
+        source.write_text("a[m<v>] || s[m(x).n1<x>] || c[n1(x).keep<x>]")
+        root = base / "store"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sim", str(source), "--durable", str(root)]) == 0
+        return root
+
+    @contextlib.contextmanager
+    def edited(self, root, edit):
+        path = root / "MANIFEST.json"
+        original = path.read_text()
+        manifest = json.loads(original)
+        if edit is None:
+            manifest = [manifest]
+        else:
+            edit(manifest)
+        path.write_text(json.dumps(manifest))
+        try:
+            yield
+        finally:
+            path.write_text(original)
+
+    @staticmethod
+    def recover_cli(root, capsys):
+        status = main(["recover", str(root)])
+        return status, capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damage_is_a_storage_error(self, store, damage, capsys):
+        with self.edited(store, DAMAGES[damage]):
+            with pytest.raises(StorageError):
+                verify_replay(str(store))
+            if damage == "int-principals":
+                # recover_runtime rebuilds the runtime, not the system,
+                # so it never reads the principal list
+                recover_runtime(str(store))
+            else:
+                with pytest.raises(StorageError):
+                    recover_runtime(str(store))
+            status, err = self.recover_cli(store, capsys)
+        assert status == 2
+        assert err.startswith("error: ")
+
+    def test_parent_era_legacy_keys_recover_and_verify(self, store, capsys):
+        with self.edited(store, lambda m: m["runtime"].update(LEGACY_KEYS)):
+            assert verify_replay(str(store)).ok
+            runtime, state = recover_runtime(str(store))
+            assert state.delivered == 2
+            assert main(["recover", str(store)]) == 0
+        assert "verify: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("vetting", "nfa"), ("scheduler", "heap"), ("wire_version", 1),
+         ("wire_version", "2")],
+        ids=["vetting-nfa", "scheduler-heap", "wire-v1", "wire-v2-as-text"],
+    )
+    def test_other_legacy_values_name_the_key(self, store, key, value, capsys):
+        with self.edited(store, lambda m: m["runtime"].update({key: value})):
+            with pytest.raises(StorageError, match=key):
+                verify_replay(str(store))
+            with pytest.raises(StorageError, match=key):
+                recover_runtime(str(store))
+            status, err = self.recover_cli(store, capsys)
+        assert status == 2
+        assert key in err

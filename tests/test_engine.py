@@ -15,6 +15,7 @@ from repro.core.engine import (
 )
 from repro.core.semantics import ReceiveLabel, SemanticsMode, SendLabel
 from repro.lang import parse_system
+from tests.engine_oracle import run_path
 
 A, B = pr("a"), pr("b")
 M, N, V, W = ch("m"), ch("n"), ch("v"), ch("w")
@@ -67,14 +68,17 @@ class TestRun:
         # unconditionally.
         # an always-true predicate fires before the first step, while the
         # system still reduces
-        trace = Engine(incremental=incremental).run(
-            ping_pong(), stop_when=lambda s: True
+        trace = run_path(
+            Engine(), ping_pong(), incremental, stop_when=lambda s: True
         )
         assert trace.status is RunStatus.STOPPED
 
         consumed = lambda s: "m<v>" not in str(s) and "m<<" not in str(s)
-        trace = Engine(incremental=incremental).run(
-            parse_system("a[m<v>] || b[m(x).0]"), stop_when=consumed
+        trace = run_path(
+            Engine(),
+            parse_system("a[m<v>] || b[m(x).0]"),
+            incremental,
+            stop_when=consumed,
         )
         assert trace.status is RunStatus.QUIESCENT
         assert len(trace) == 2

@@ -12,12 +12,19 @@ import gc
 
 import pytest
 
+from repro.core.builder import pr
 from repro.core.heap import settled_heap
+from repro.patterns.dfa import PolicyEngine
+from repro.patterns.nfa import compile_pattern
 from repro.runtime import DistributedRuntime, ShardedRuntime
 from repro.storage import load_state, verify_replay
 from repro.storage.journal import ZERO_DIGEST, chain_digest, delivery_key
 from repro.workloads import vetted_relay_chain, wide_fanout
-from repro.workloads.random_systems import GeneratorConfig, random_system
+from repro.workloads.random_systems import (
+    GeneratorConfig,
+    random_pattern,
+    random_system,
+)
 
 
 @pytest.fixture
@@ -173,6 +180,29 @@ class TestCycleFreeRuntime:
 
         _, left = cyclic_garbage(run)
         assert left == 0
+
+
+class TestCycleFreePatterns:
+    """Compiling a pattern leaves nothing for the collector."""
+
+    @staticmethod
+    def left_after(build) -> int:
+        principals = [pr(f"p{i}") for i in range(4)]
+        samples = [random_pattern(seed, principals) for seed in range(200)]
+        gc.collect()
+        gc.disable()
+        try:
+            for pattern in samples:
+                build(pattern)
+        finally:
+            gc.enable()
+        return gc.collect()
+
+    def test_compile_pattern(self, thawed):
+        assert self.left_after(compile_pattern) == 0
+
+    def test_policy_engine_dfa(self, thawed):
+        assert self.left_after(PolicyEngine().dfa) == 0
 
 
 # -- the collector never shows in a trace ------------------------------------

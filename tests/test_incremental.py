@@ -1,4 +1,4 @@
-"""Differential tests: the incremental engine vs the from-scratch enumerator.
+"""Differential tests: the incremental engine vs the from-scratch oracle.
 
 The incremental reducer promises to be *indistinguishable* from driving
 ``enumerate_steps`` at every state: same redexes, same order, same labels,
@@ -34,6 +34,7 @@ from repro.workloads import (
     relay_chain,
 )
 from repro.patterns.parse import parse_pattern
+from tests.engine_oracle import from_scratch_run, run_path
 
 CONFIGS = [
     GeneratorConfig(),
@@ -127,11 +128,11 @@ class TestTraceDifferential:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     def test_workloads_all_strategies(self, name, strategy):
         system = SCENARIOS[name]()
-        fast = Engine(strategy=STRATEGIES[strategy](), incremental=True).run(
+        fast = Engine(strategy=STRATEGIES[strategy]()).run(
             system, max_steps=60
         )
-        slow = Engine(strategy=STRATEGIES[strategy](), incremental=False).run(
-            system, max_steps=60
+        slow = from_scratch_run(
+            Engine(strategy=STRATEGIES[strategy]()), system, max_steps=60
         )
         assert fast.status is slow.status
         assert fast.labels == slow.labels
@@ -143,15 +144,13 @@ class TestTraceDifferential:
     def test_random_systems_erased_mode(self, seed):
         system = random_system(seed, CONFIGS[1])
         fast = Engine(
-            mode=SemanticsMode.ERASED,
-            strategy=RandomStrategy(seed),
-            incremental=True,
+            mode=SemanticsMode.ERASED, strategy=RandomStrategy(seed)
         ).run(system, max_steps=40)
-        slow = Engine(
-            mode=SemanticsMode.ERASED,
-            strategy=RandomStrategy(seed),
-            incremental=False,
-        ).run(system, max_steps=40)
+        slow = from_scratch_run(
+            Engine(mode=SemanticsMode.ERASED, strategy=RandomStrategy(seed)),
+            system,
+            max_steps=40,
+        )
         assert fast.labels == slow.labels
         assert fast.final == slow.final
         assert fast.status is slow.status
@@ -200,8 +199,8 @@ class TestReducerBehaviour:
     def test_observer_and_monitor_parity(self):
         seen_fast, seen_slow = [], []
         system = relay_chain(3).system
-        Engine(observer=seen_fast.append, incremental=True).run(system)
-        Engine(observer=seen_slow.append, incremental=False).run(system)
+        Engine(observer=seen_fast.append).run(system)
+        from_scratch_run(Engine(observer=seen_slow.append), system)
         assert [s.label for s in seen_fast] == [s.label for s in seen_slow]
         assert [s.target for s in seen_fast] == [s.target for s in seen_slow]
 
@@ -214,8 +213,10 @@ class TestStopWhenStatus:
         from repro.core.system import messages_of
 
         system = parse_system("a[m<v>] || b[m(x).0]")
-        trace = Engine(incremental=incremental).run(
+        trace = run_path(
+            Engine(),
             system,
+            incremental,
             stop_when=lambda s: not list(messages_of(s))
             and "m<" not in str(s),
         )
@@ -227,8 +228,11 @@ class TestStopWhenStatus:
         from repro.core.system import messages_of
 
         system = parse_system("a[m<v>] || b[m(x).0]")
-        trace = Engine(incremental=incremental).run(
-            system, stop_when=lambda s: bool(list(messages_of(s)))
+        trace = run_path(
+            Engine(),
+            system,
+            incremental,
+            stop_when=lambda s: bool(list(messages_of(s))),
         )
         assert trace.status is RunStatus.STOPPED
         assert len(trace) == 1
@@ -236,8 +240,8 @@ class TestStopWhenStatus:
     @pytest.mark.parametrize("incremental", [True, False])
     def test_immediately_true_predicate_on_quiescent_system(self, incremental):
         system = parse_system("a[0]")
-        trace = Engine(incremental=incremental).run(
-            system, stop_when=lambda s: True
+        trace = run_path(
+            Engine(), system, incremental, stop_when=lambda s: True
         )
         assert trace.status is RunStatus.QUIESCENT
         assert len(trace) == 0
@@ -245,8 +249,8 @@ class TestStopWhenStatus:
     @pytest.mark.parametrize("incremental", [True, False])
     def test_immediately_true_predicate_on_live_system(self, incremental):
         system = parse_system("a[m<v>]")
-        trace = Engine(incremental=incremental).run(
-            system, stop_when=lambda s: True
+        trace = run_path(
+            Engine(), system, incremental, stop_when=lambda s: True
         )
         assert trace.status is RunStatus.STOPPED
         assert len(trace) == 0

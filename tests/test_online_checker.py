@@ -23,6 +23,7 @@ from repro.monitor import (
 )
 from repro.workloads import relay_chain
 from repro.workloads.random_systems import GeneratorConfig, random_log, random_system
+from tests.engine_oracle import from_scratch_monitored_run
 
 SMALL = GeneratorConfig(
     n_principals=3, n_channels=4, n_components=4, max_depth=3, n_messages=2
@@ -194,10 +195,10 @@ class TestEnginePathParity:
         fast = MonitoredEngine(
             strategy=RandomStrategy(schedule_seed), max_steps=8
         ).run(monitored)
-        slow = MonitoredEngine(
-            strategy=RandomStrategy(schedule_seed), max_steps=8,
-            incremental=False,
-        ).run(monitored)
+        slow = from_scratch_monitored_run(
+            MonitoredEngine(strategy=RandomStrategy(schedule_seed), max_steps=8),
+            monitored,
+        )
         assert fast.status == slow.status
         assert len(fast) == len(slow)
         for ours, theirs in zip(fast.entries, slow.entries):

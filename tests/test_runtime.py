@@ -1,6 +1,8 @@
 """Tests for the simulated distributed runtime: clock, wire, middleware,
 nodes, adversary, and agreement with the calculus semantics."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,9 +25,20 @@ from repro.runtime import (
     encode_value,
 )
 from tests.conftest import provenances
+from tests.substrate_oracle import HeapSimulator, seed_substrate
+from tests.vetting_oracle import nfa_vetting
 
 A, B = pr("a"), pr("b")
 M, V = ch("m"), ch("v")
+
+SIMULATORS = {"runq": Simulator, "heap": HeapSimulator}
+"""The scheduler and its single-heap oracle, by the name each test id uses."""
+
+
+def substrate(scheduler):
+    """Runtimes built in this context run on the named substrate."""
+
+    return seed_substrate() if scheduler == "heap" else nullcontext()
 
 
 class TestSimulator:
@@ -86,17 +99,13 @@ class TestSimulator:
         sim.schedule(0.0, forever)
         assert sim.run(max_events=10) == 10
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="psychic")
-
 
 @pytest.mark.parametrize("scheduler", ["runq", "heap"])
 class TestTwoTierScheduler:
-    """Both scheduler cores must execute the identical event order."""
+    """The scheduler and its single-heap oracle run the identical event order."""
 
     def test_zero_delay_runs_before_timed(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         order = []
         sim.schedule(1.0, lambda: order.append("timed"))
         sim.schedule(0.0, lambda: order.append("now"))
@@ -108,7 +117,7 @@ class TestTwoTierScheduler:
         # schedules zero-delay C (seq 3).  Exact (time, sequence) order
         # is A, B, C — a scheduler that drained its run queue eagerly
         # would run C before B.
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         order = []
         sim.schedule(2.0, lambda: (order.append("A"),
                                    sim.schedule(0.0, lambda: order.append("C"))))
@@ -117,7 +126,7 @@ class TestTwoTierScheduler:
         assert order == ["A", "B", "C"]
 
     def test_zero_delay_cascade_stays_fifo(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         order = []
 
         def spawn(label, children):
@@ -132,7 +141,7 @@ class TestTwoTierScheduler:
 
     def test_until_advances_clock_to_window_end(self, scheduler):
         # Satellite fix: a windowed run must not leave a stale clock.
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         sim.schedule(5.0, lambda: None)
         sim.run(until=1.0)
         assert sim.now == 1.0
@@ -143,7 +152,7 @@ class TestTwoTierScheduler:
         assert sim.pending == 0
 
     def test_until_clock_stops_at_next_event_on_max_events(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.run(until=10.0, max_events=1) == 1
@@ -153,7 +162,7 @@ class TestTwoTierScheduler:
 
     def test_windowed_runs_compose_like_one_run(self, scheduler):
         def build():
-            sim = Simulator(seed=3, scheduler=scheduler)
+            sim = SIMULATORS[scheduler](seed=3)
             seen = []
 
             def ping(label):
@@ -175,7 +184,7 @@ class TestTwoTierScheduler:
 
     def test_cancelled_events_do_not_leak(self, scheduler):
         # Satellite fix: cancel() corpses must not accumulate.
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         live = sim.schedule(1.0, lambda: None)
         corpses = [
             sim.schedule(1.0, lambda: None) for _ in range(1000)
@@ -189,7 +198,7 @@ class TestTwoTierScheduler:
         assert sim.run() == 0
 
     def test_cancelled_zero_delay_events_compact(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         corpses = [sim.schedule(0.0, lambda: None) for _ in range(1000)]
         keeper = sim.schedule(0.0, lambda: None)
         for event in corpses:
@@ -199,7 +208,7 @@ class TestTwoTierScheduler:
         assert sim.run() == 1
 
     def test_double_cancel_is_idempotent(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = SIMULATORS[scheduler]()
         event = sim.schedule(1.0, lambda: None)
         other = sim.schedule(2.0, lambda: None)
         sim.cancel(event)
@@ -211,7 +220,7 @@ class TestTwoTierScheduler:
         # the classic schedule-timeout-then-cancel pattern: cancelling
         # an event that already ran must not corrupt the live count
         for delay in (0.0, 1.0):
-            sim = Simulator(scheduler=scheduler)
+            sim = SIMULATORS[scheduler]()
             event = sim.schedule(delay, lambda: None)
             assert sim.run() == 1
             sim.cancel(event)
@@ -605,8 +614,9 @@ class TestIncrementalVetting:
 
         workload = vetted_relay_chain(8)
         runs = {}
-        for vetting in ("bank", "nfa"):
-            runtime = DistributedRuntime(seed=5, vetting=vetting)
+        for vetting, engine in (("bank", nullcontext), ("nfa", nfa_vetting)):
+            with engine():
+                runtime = DistributedRuntime(seed=5)
             runtime.deploy(workload.system)
             runtime.run()
             assert runtime.metrics.deliveries == workload.expected_deliveries
@@ -615,6 +625,53 @@ class TestIncrementalVetting:
                 for r in runtime.metrics.delivered
             ]
         assert runs["bank"] == runs["nfa"]
+
+    @pytest.mark.parametrize("crypto", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bank_matches_nfa_oracle_on_random_systems(self, shards, crypto):
+        from repro.core.errors import ReproError
+        from repro.runtime import ShardedRuntime
+        from repro.storage.journal import ZERO_DIGEST, chain_digest, delivery_key
+        from repro.workloads.random_systems import GeneratorConfig, random_system
+
+        config = GeneratorConfig(n_components=6, n_messages=3, p_pattern=0.6)
+        decided = 0
+
+        def outcome(system, seed, engine):
+            nonlocal decided
+            with engine():  # inline shards build their middleware at deploy
+                runtime = ShardedRuntime(shards=shards, seed=seed, crypto=crypto)
+                runtime.deploy(system)
+            try:
+                runtime.run(max_events=4_000)
+            except (TypeError, ReproError) as error:
+                # random systems can be dynamically ill-typed; both
+                # vetting paths must then fail the same way
+                return type(error).__name__, str(error)
+            finally:
+                for index in range(shards):
+                    policy = runtime.shard(index).middleware.policy
+                    decided += getattr(policy, "decisions", 0)
+            digest = ZERO_DIGEST
+            for time, principal, channel, values, branch in (
+                runtime.delivered_trace()
+            ):
+                digest = chain_digest(
+                    digest, delivery_key(time, principal, channel, branch, values)
+                )
+            summary = runtime.metrics_summary()
+            return (
+                digest,
+                summary["pattern_checks"],
+                summary["pattern_rejections"],
+                summary["rejections_by_pattern"],
+            )
+
+        for seed in range(24):
+            system = random_system(seed, config)
+            bank = outcome(system, seed, nullcontext)
+            assert bank == outcome(system, seed, nfa_vetting), seed
+        assert decided > 0  # the oracle really vetted sample patterns
 
     def test_bank_extends_cached_runs_instead_of_replaying(self):
         from repro.workloads import vetted_relay_chain
@@ -626,10 +683,6 @@ class TestIncrementalVetting:
         # two new spine events per hop, one transition each, +1 first hop
         assert runtime.metrics.vet_transitions == 2 * hops + 1
         assert runtime.metrics.vet_cache_hits > 0
-
-    def test_unknown_vetting_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedRuntime(seed=1, vetting="psychic")
 
     def test_pattern_checks_count_components(self):
         runtime = DistributedRuntime(seed=1)
@@ -730,8 +783,9 @@ class TestNodeThreadAccounting:
     """threads_spawned / blocked_threads across both interpreters."""
 
     def _runtime(self, scheduler, source, **kwargs):
-        runtime = DistributedRuntime(seed=2, scheduler=scheduler, **kwargs)
-        runtime.deploy(parse_system(source))
+        with substrate(scheduler):
+            runtime = DistributedRuntime(seed=2, **kwargs)
+            runtime.deploy(parse_system(source))
         runtime.run()
         return runtime
 
@@ -783,10 +837,9 @@ class TestNodeThreadAccounting:
         from repro.workloads import wide_fanout
 
         workload = wide_fanout(2, 3, burst=2, guard_depth=2)
-        runtime = DistributedRuntime(
-            seed=5, scheduler=scheduler, topology=workload.topology
-        )
-        runtime.deploy(workload.system)
+        with substrate(scheduler):
+            runtime = DistributedRuntime(seed=5, topology=workload.topology)
+            runtime.deploy(workload.system)
         runtime.run()
         assert runtime.metrics.deliveries == workload.expected_deliveries
         assert runtime.threads_spawned() == 68
@@ -794,7 +847,7 @@ class TestNodeThreadAccounting:
 
 
 class TestSchedulerDifferential:
-    """The run-queue and heap substrates execute the same run."""
+    """The run-queue substrate and the seed-substrate oracle execute the same run."""
 
     @staticmethod
     def _trace(runtime):
@@ -809,8 +862,9 @@ class TestSchedulerDifferential:
         workload = fan_in_fan_out(12, n_relays=9)
         runs = {}
         for scheduler in ("runq", "heap"):
-            runtime = DistributedRuntime(seed=13, scheduler=scheduler)
-            runtime.deploy(workload.system)
+            with substrate(scheduler):
+                runtime = DistributedRuntime(seed=13)
+                runtime.deploy(workload.system)
             runtime.run()
             runs[scheduler] = (
                 self._trace(runtime),
@@ -825,10 +879,11 @@ class TestSchedulerDifferential:
         workload = wide_fanout(3, 5, burst=2, guard_depth=3)
         runs = {}
         for scheduler in ("runq", "heap"):
-            runtime = DistributedRuntime(
-                seed=17, scheduler=scheduler, topology=workload.topology
-            )
-            runtime.deploy(workload.system)
+            with substrate(scheduler):
+                runtime = DistributedRuntime(
+                    seed=17, topology=workload.topology
+                )
+                runtime.deploy(workload.system)
             runtime.run()
             assert runtime.network.messages_in_flight == 0
             runs[scheduler] = (self._trace(runtime), runtime.metrics.summary())
@@ -840,10 +895,11 @@ class TestSchedulerDifferential:
         workload = wide_fanout(2, 10, burst=4, guard_depth=4)
         events = {}
         for scheduler in ("runq", "heap"):
-            runtime = DistributedRuntime(
-                seed=5, scheduler=scheduler, topology=workload.topology
-            )
-            runtime.deploy(workload.system)
+            with substrate(scheduler):
+                runtime = DistributedRuntime(
+                    seed=5, topology=workload.topology
+                )
+                runtime.deploy(workload.system)
             runtime.run()
             events[scheduler] = runtime.simulator.events_processed
         # the whole point: same run, far fewer scheduler events
