@@ -1,10 +1,10 @@
 """E23: durable provenance — crash recovery priced and gated.
 
-PR 9 grew a durability layer under the runtime (:mod:`repro.storage`):
-an append-only, CRC-framed segment store the middleware streams every
-delivery and attestation into, atomic-rename checkpoints that compact
-the journal, and deterministic-replay recovery.  This bench gates the
-three claims that make the layer worth its disk:
+The durability layer under the runtime (:mod:`repro.storage`): an
+append-only, CRC-framed journal the middleware streams every delivery
+and attestation into, atomic-rename checkpoints that seal a journal
+generation, and deterministic-replay recovery.  This bench gates the
+claims that make the layer worth its disk:
 
 * **capture overhead** — journaling every delivery of a 512-hop relay
   gauntlet costs at most **1.5×** the in-memory wall-clock (best of
@@ -20,6 +20,9 @@ three claims that make the layer worth its disk:
   mid-record and flipping bits must be caught **100%** of the time:
   every surviving record decodes intact (CRC + length framing), the
   damage is confined to the tail, and repair leaves a clean prefix.
+* **flat checkpoints** — a checkpoint seals a journal generation and
+  copies none of it, so the bytes ``write_checkpoint`` writes at
+  ``GATE_HOPS`` and at twice that must be **equal**.
 
 Usage::
 
@@ -111,6 +114,22 @@ def run_capture_gate(hops=GATE_HOPS, lanes=LANES, repeats=3):
         f"(gate: ≤ {MAX_CAPTURE_RATIO}×)"
     )
     return memory_best, durable_best, ratio
+
+
+def run_seal_gate(hops=GATE_HOPS, lanes=LANES):
+    """Seal bytes at ``hops`` and ``2 × hops``: equal, or the gate fails."""
+
+    sizes = []
+    for size in (hops, 2 * hops):
+        with tempfile.TemporaryDirectory() as root:
+            _, runtime = _timed_gauntlet(size, lanes, durable=root)
+            sizes.append(runtime.checkpoint().stat().st_size)
+            runtime.durability.close()
+    assert sizes[0] == sizes[1], (
+        f"checkpoint bytes grew with the record: {sizes[0]} B at {hops} "
+        f"hops, {sizes[1]} B at {2 * hops}"
+    )
+    return sizes
 
 
 def run_recovery_gate(hops, lanes):
@@ -240,6 +259,15 @@ def test_capture_overhead_gate():
     )
 
 
+def test_seal_size_gate():
+    small, large = run_seal_gate()
+    record_row(
+        "E23-durability",
+        f"SEAL {small} B at {GATE_HOPS} hops, {large} B at "
+        f"{2 * GATE_HOPS} hops (gate: equal)",
+    )
+
+
 def test_recovery_bit_identity_gate():
     persisted = run_recovery_gate(SMOKE_HOPS, LANES)
     record_row(
@@ -324,6 +352,11 @@ def main(argv=None) -> int:
         f"{memory_best * 1e3:.1f}ms = {ratio:.2f}x at {GATE_HOPS} hops "
         f"(gate <= {MAX_CAPTURE_RATIO}x)"
     )
+    seal_bytes = run_seal_gate()
+    print(
+        f"E23 seal: {seal_bytes[0]} B at {GATE_HOPS} hops, "
+        f"{seal_bytes[1]} B at {2 * GATE_HOPS} hops (gate: equal)"
+    )
     persisted = run_recovery_gate(hops, LANES)
     print(f"E23 recovery: {persisted} deliveries replay bit-identical")
     reason = multiprocessing_skip_reason()
@@ -345,6 +378,8 @@ def main(argv=None) -> int:
             "capture_memory_ms": round(memory_best * 1e3, 2),
             "capture_durable_ms": round(durable_best * 1e3, 2),
             "recovery_persisted": persisted,
+            "seal_bytes_at_capture_hops": seal_bytes[0],
+            "seal_bytes_at_2x_capture_hops": seal_bytes[1],
             "kill_differential_deliveries": kill_deliveries,
             "kill_differential_skipped": reason,
             "torn_detected": detected,

@@ -1,17 +1,18 @@
 #!/usr/bin/env python
 """Crash recovery: checkpoint, SIGKILL, recover, trace differential.
 
-PR 9's durability layer in one demo.  A parent process runs the same
+The durability layer in one demo.  A parent process runs the same
 relay workload three ways:
 
 1. **reference**: an uninterrupted in-memory run — the delivered trace
    every other arm must reproduce bit for bit;
-2. **crashed**: a child process journals to a durable store, cuts a
-   checkpoint partway, keeps running — then SIGKILLs *itself*
-   mid-stride, leaving a checkpoint plus a journal suffix (and
-   whatever torn tail the kill produced);
-3. **recovered**: the parent loads the child's store, repairs any torn
-   tail, rebuilds the runtime from the manifest, replays
+2. **crashed**: a child process journals to a durable store, seals the
+   journal's first generation with a checkpoint partway — then
+   SIGKILLs *itself*, leaving that sealed generation and the fresh one
+   it rolled to;
+3. **recovered**: the parent loads the child's store — every journal
+   generation through one codec, the sealed one checked against its
+   seal — rebuilds the runtime from the manifest, replays
    deterministically, and checks the persisted record is a
    bit-identical prefix of the reference trace — then finishes the
    run to the exact same trace.
@@ -52,7 +53,7 @@ def child(root: str) -> None:
     crashed = {"sent": False}
 
     # interpose on the middleware's journal hook: after CRASH_AFTER
-    # deliveries, checkpoint whatever is flushed and SIGKILL ourselves —
+    # deliveries, seal what is journaled and SIGKILL ourselves —
     # no atexit, no flush, no goodbye, exactly like a power cut
     sink = runtime.durability
 
@@ -126,7 +127,7 @@ def main() -> None:
         "recovered run diverged from the reference trace"
     )
     print(
-        "\nCrash recovery demo OK: the journal+checkpoint record is a "
+        "\nCrash recovery demo OK: the sealed journal record is a "
         "bit-identical\nprefix of the crash-free trace, and replay "
         "finishes the run to the same end."
     )

@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="with --durable: compact the journal into an atomic "
+        help="with --durable: seal the journal's generation with a "
         "checkpoint every N events (N barrier windows when sharded)",
     )
     sim_p.add_argument(
@@ -410,8 +410,8 @@ def _cmd_recover(args) -> int:
             )
             return 0
         # one line, naming the first generation whose persisted
-        # deliveries the replay contradicts — that segment (journal
-        # generation or checkpoint) is where recovery should look
+        # deliveries the replay contradicts — that journal generation
+        # is where recovery should look
         where = ""
         if report.divergence_index is not None:
             generation = state.generation_of(report.divergence_index)
@@ -829,8 +829,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {o.attack:10s} {verdict}")
             print(f"  detection: {detected}/{len(outcomes)}")
         if args.durable:
-            # end the store on a complete, self-contained checkpoint so
-            # `repro recover` needs no journal suffix for a clean exit
+            # seal the last generation, so a clean exit leaves every
+            # journal checked against a seal and a query snapshot to resume
             runtime.checkpoint()
         summary = runtime.metrics.summary()
         if args.stats_json:

@@ -1,8 +1,8 @@
 """Persist / reload a :class:`ProvenanceIndex` per checkpoint generation.
 
 A snapshot deliberately does **not** re-serialize the delivered record —
-the durable store already holds it (checkpoint + journal suffix), and
-the interned spines decode straight back out of it.  What the snapshot
+the durable store's journals already hold it, and the interned spines
+decode straight back out of them.  What the snapshot
 saves is the *derived* work the index spent building its graphs:
 
 * the happens-before edge lists (pure ordinals);
@@ -19,10 +19,12 @@ and resuming after new deliveries costs only the journal suffix:
 ``repro recover`` / ``repro query`` pick up where the crashed run's
 index left off instead of re-deriving the full history.
 
-Snapshots live beside the checkpoints they mirror
+Snapshots live beside the generation seals they mirror
 (``queryindex-<gen>.seg``, CRC-framed); a corrupt or stale snapshot
 falls back to the next older one, and ultimately to a fresh build —
-the snapshot is an accelerator, never a source of truth.
+the snapshot is an accelerator, never a source of truth.  Unlike a
+seal, a snapshot is still O(history): each one rewrites every node row,
+because ``latest_root`` changes on old rows as the record grows.
 """
 
 from __future__ import annotations

@@ -221,7 +221,6 @@ class DistributedRuntime:
         from repro.lang import pretty_system
 
         return {
-            "format": 1,
             "runtime": dict(self._config),
             "keyring_master": self.middleware.keyring.master.hex(),
             "checkpoint_every": self.checkpoint_every,
@@ -257,16 +256,16 @@ class DistributedRuntime:
         return index
 
     def checkpoint(self):
-        """Snapshot the durable record; returns the checkpoint path.
+        """Seal the durable record's current generation; returns the
+        seal's path.
 
-        The checkpoint header captures simulated time, events
-        processed, the metrics summary, and the quarantine set; the
-        body compacts every journaled delivery into one self-contained,
-        atomically renamed segment (see :mod:`repro.storage.checkpoint`).
-        With a query index attached, the index commits the generation
-        and persists a snapshot beside the checkpoint so a later
-        ``repro recover`` / ``repro query`` resumes it without a full
-        rebuild (see :mod:`repro.query.persist`).
+        The journal is fsynced and a fixed-size seal (generation,
+        delivered count, trace digest) is written beside it; nothing is
+        re-encoded (see :mod:`repro.storage.checkpoint`).  With a query
+        index attached, the index commits the generation and persists a
+        snapshot beside the seal so a later ``repro recover`` /
+        ``repro query`` resumes it without a full rebuild (see
+        :mod:`repro.query.persist`).
         """
 
         if self.durability is None:
@@ -275,25 +274,12 @@ class DistributedRuntime:
             raise StorageError(
                 "checkpoint() requires a durable runtime (pass durable=DIR)"
             )
-        middleware = self.middleware
-        state = {
-            "time": self.simulator.now,
-            "events": self.simulator.events_processed,
-            "summary": self.metrics.summary(),
-            "quarantined": sorted(
-                p.name for p in middleware.quarantined
-            ),
-            "revoked": bool(
-                middleware.certificate is None
-                and self.metrics.certificates_revoked
-            ),
-        }
-        path = self.durability.checkpoint(state)
+        path = self.durability.checkpoint()
         if self.query_index is not None:
             from repro.query.persist import save_index
 
-            # the sink already rolled to generation+1; the checkpoint
-            # just written carries the previous generation number
+            # the sink already rolled to generation+1; the seal just
+            # written carries the previous generation number
             save_index(
                 self.durable, self.query_index, self.durability.generation - 1
             )

@@ -737,7 +737,6 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
             if runtime.durable.read_manifest() is None:
                 runtime.durable.write_manifest(
                     {
-                        "format": 1,
                         "shard": spec.index,
                         "shards": spec.n_shards,
                         "seed": spec.seed,
@@ -1032,7 +1031,6 @@ class ShardedRuntime:
         # earlier run left so `repro recover` reads *this* run's shape
         store.write_manifest(
             {
-                "format": 1,
                 "sharded": True,
                 "shards": self.n_shards,
                 "shard_mode": self.shard_mode,
@@ -1064,7 +1062,6 @@ class ShardedRuntime:
             ):
                 runtime.durable.write_manifest(
                     {
-                        "format": 1,
                         "shard": index,
                         "shards": self.n_shards,
                         "seed": self.seed,

@@ -2,24 +2,26 @@
 
 The runtime's in-memory record — interned spines, attestation tags, the
 delivered-event log — dies with the process that built it.  This package
-makes the record survive:
+makes the record survive.  The write-ahead journal is the record's only
+encoding; everything else is a commitment to it or an accelerator:
 
 * :mod:`repro.storage.segments` — append-only, CRC-framed record files
   with torn-tail detection, the attestation spill file, and the
   :class:`~repro.storage.segments.DurableStore` directory layout
-  (manifest, generation-stamped journals and checkpoints).
+  (manifest stamped with :data:`RECORD_FORMAT`, generation-stamped
+  journals and seals).
 * :mod:`repro.storage.journal` — the write-ahead delivery journal
   :class:`~repro.storage.journal.DurabilitySink` the middleware streams
   delivered events and attestations into (deferred encoding, flushed in
-  batches), plus the per-shard window WAL used for kill recovery.
-* :mod:`repro.storage.checkpoint` — atomic, generation-stamped
-  checkpoints that compact the journal prefix into one self-contained
-  segment (runtime state header, re-encoded delivery records, chained
-  trace digest footer).
-* :mod:`repro.storage.recover` — load the newest valid checkpoint plus
-  the journal suffix, and deterministically re-execute the manifest's
-  system to verify the persisted record is a bit-identical prefix of
-  the crash-free run.
+  batches, one codec across every generation), plus the per-shard
+  window WAL used for kill recovery.
+* :mod:`repro.storage.checkpoint` — a checkpoint seals a generation:
+  a fixed-size, atomically written record of its generation, delivered
+  count and chained trace digest.  Reading the record back decodes the
+  journals in order and checks each sealed generation.
+* :mod:`repro.storage.recover` — load the record, and deterministically
+  re-execute the manifest's system to verify the persisted record is a
+  bit-identical prefix of the crash-free run.
 
 Import order note: :mod:`repro.storage.recover` builds runtimes, so it
 imports :mod:`repro.runtime` lazily inside functions; the runtime side
@@ -28,8 +30,9 @@ Nothing here may import :mod:`repro.runtime` at module level.
 """
 
 from repro.storage.checkpoint import (
-    Checkpoint,
-    load_latest_checkpoint,
+    RecordView,
+    Seal,
+    collect_entries,
     read_checkpoint,
     write_checkpoint,
 )
@@ -52,6 +55,7 @@ from repro.storage.recover import (
     verify_replay,
 )
 from repro.storage.segments import (
+    RECORD_FORMAT,
     AttestationSpill,
     DurableStore,
     SegmentView,

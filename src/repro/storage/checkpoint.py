@@ -1,25 +1,28 @@
-"""Atomic, generation-stamped checkpoints of the delivered record.
+"""Generation seals, and reading the record back through them.
 
-A checkpoint is itself a CRC-framed segment, written whole to a temp
-file and published with an atomic rename — readers see a complete
-checkpoint or none.  Layout::
+The journal is the record: every generation is one segment of a single
+streaming codec (:mod:`repro.storage.journal`).  A checkpoint copies
+none of it.  It *seals* a generation: once the generation's journal is
+flushed and fsynced, a one-record segment is published by atomic
+rename::
 
-    record 0    0x10 ‖ json header      (generation, time, events,
-                                         summary, quarantined, notes,
-                                         trace_digest, ...)
-    record 1..n 0x01 delivery records   (re-encoded with one fresh
-                                         streaming codec — full spine
-                                         table, no external refs)
-    record n+1  0x11 ‖ varint count ‖ digest16   (footer)
+    checkpoint-<g>.ck   0x12 ‖ u64 generation ‖ u64 delivered
+                             ‖ trace digest16          (CRC-framed)
 
-Because the deliveries are re-encoded against a *fresh* codec, the
-checkpoint is self-contained: every spine node any journal generation
-ever introduced is reachable from it, which is what licenses
-:meth:`~repro.storage.segments.DurableStore.compact` to delete the
-journals it subsumes.  The footer's chained trace digest must match a
-recomputation over the decoded records *and* the header's claim, so a
-bit flip anywhere in the segment fails validation and recovery falls
-back to the next older checkpoint.
+A seal commits to the delivered count and the chained trace digest at
+the end of generation *g*.  Its size does not depend on how many
+deliveries it covers, and writing it costs O(1).
+
+:func:`collect_entries` decodes generations ``1..N`` in order through
+one codec and checks each sealed generation against its seal:
+
+* a valid seal that disagrees with the running count or digest is a
+  :class:`StorageError` naming the generation;
+* a corrupt seal is skipped — it commits nothing, and the journal it
+  sealed still holds every delivery;
+* a torn or missing generation ends the record there.  Later
+  generations back-reference what it held, so they are reported in
+  ``torn`` and never decoded.
 
 The runtime's live scheduler state (closures, blocked receivers) is
 deliberately *not* snapshotted — it cannot be pickled and does not need
@@ -30,23 +33,19 @@ rather than resumes (see :mod:`repro.storage.recover`).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
-from repro.runtime.wire import Codec, decode_varint, encode_varint
+from repro.runtime.wire import Codec
 from repro.storage.journal import (
-    K_DELIVERY,
-    K_FOOTER,
-    K_HEADER,
     ZERO_DIGEST,
     DeliveryEntry,
     NoteEntry,
     chain_digest,
-    decode_entry,
-    encode_delivery_entry,
+    read_journal,
 )
 from repro.storage.segments import (
     DurableStore,
@@ -56,43 +55,43 @@ from repro.storage.segments import (
 )
 
 __all__ = [
-    "Checkpoint",
     "RecordView",
+    "Seal",
     "collect_entries",
-    "load_latest_checkpoint",
     "read_checkpoint",
     "write_checkpoint",
 ]
 
+K_SEAL = 0x12
 
-@dataclass(frozen=True, slots=True)
-class Checkpoint:
-    """A validated checkpoint: header state plus the full record."""
+_SEAL = struct.Struct("<QQ16s")
+
+
+class Seal(NamedTuple):
+    """What a checkpoint commits to at the end of its generation."""
 
     generation: int
-    header: dict
-    entries: Tuple[DeliveryEntry, ...]
+    delivered: int
     trace_digest: bytes
-    path: Path
 
 
 @dataclass(frozen=True, slots=True)
 class RecordView:
-    """The store's full delivered record: checkpoint + journal suffix."""
+    """The store's delivered record, decoded from its journals."""
 
-    checkpoint: Optional[Checkpoint]
     entries: List[DeliveryEntry]
     notes: List[NoteEntry]
-    torn: List[str] = field(default_factory=list)
-    """Names of journal segments whose tails were torn (and truncated
-    from the view)."""
-    trace_digest: bytes = ZERO_DIGEST
-    segments: List[Tuple[int, int]] = field(default_factory=list)
-    """``(generation, cumulative delivery count)`` per source segment,
-    in record order: the checkpoint first (if any), then each decoded
-    journal generation.  Maps a delivery index back to the generation
-    that persisted it — the diagnostic ``repro recover`` names when a
-    replay diverges."""
+    torn: List[str]
+    """Names of journal segments the record lost: the first torn or
+    missing generation (its valid prefix is kept) and every later one."""
+    trace_digest: bytes
+    segments: List[Tuple[int, int]]
+    """``(generation, cumulative delivery count)`` per decoded journal
+    generation, in record order.  Maps a delivery index back to the
+    generation that persisted it — the diagnostic ``repro recover``
+    names when a replay diverges."""
+    checkpoint_generation: int
+    """The newest generation whose seal matched the record (0: none)."""
 
     def generation_of(self, index: int) -> Optional[int]:
         """The generation whose segment holds delivery ``index``."""
@@ -106,162 +105,61 @@ class RecordView:
 def write_checkpoint(
     store: DurableStore,
     generation: int,
-    header: dict,
-    entries,
+    delivered: int,
+    trace_digest: bytes,
 ) -> Path:
-    """Write one self-contained checkpoint segment atomically.
+    """Seal ``generation`` atomically; returns the seal's path.
 
-    ``entries`` is the complete delivery record in order; each entry's
-    ``(new_nodes, tags)`` pairs seed the tag table so the re-encoded
-    records carry the same attestations.  If the header claims a
-    ``trace_digest``, the recomputed chain must agree — a mismatch
-    means the caller's record diverged from what it journaled.
+    The caller has fsynced the generation's journal: the seal claims
+    ``delivered`` deliveries and ``trace_digest`` at its end.
     """
 
-    codec = Codec()
-    tag_by_node: dict = {}
-    chunks = [
-        frame_record(
-            bytes((K_HEADER,))
-            + json.dumps(header, sort_keys=True).encode("utf-8")
-        )
-    ]
-    digest = ZERO_DIGEST
-    count = 0
-    for entry in entries:
-        for node, tag in zip(entry.new_nodes, entry.tags):
-            if tag is not None:
-                tag_by_node[node] = tag
-        payload, _, _ = encode_delivery_entry(
-            codec,
-            entry.time,
-            entry.principal,
-            entry.channel,
-            entry.branch_index,
-            entry.latency,
-            entry.values,
-            tag_by_node.get,
-        )
-        chunks.append(frame_record(payload))
-        digest = chain_digest(digest, entry.key())
-        count += 1
-    claimed = header.get("trace_digest")
-    if claimed is not None and claimed != digest.hex():
-        raise StorageError(
-            f"checkpoint {generation}: journaled trace digest "
-            f"{claimed} != recomputed {digest.hex()}"
-        )
-    chunks.append(
-        frame_record(bytes((K_FOOTER,)) + encode_varint(count) + digest)
+    payload = bytes((K_SEAL,)) + _SEAL.pack(
+        generation, delivered, trace_digest
     )
     return atomic_write_bytes(
-        store.checkpoint_path(generation), b"".join(chunks)
+        store.checkpoint_path(generation), frame_record(payload)
     )
 
 
-def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
-    """Read and validate one checkpoint; :class:`StorageError` if bad."""
+def read_checkpoint(path: Union[str, Path]) -> Seal:
+    """Read one seal; :class:`StorageError` if it is not a valid one."""
 
-    path = Path(path)
     view = read_segment(path)
-    if view.torn:
-        raise StorageError(f"checkpoint {path} is torn: {view.reason}")
-    if len(view.records) < 2:
-        raise StorageError(f"checkpoint {path} is missing header/footer")
-    head = view.records[0]
-    if not head or head[0] != K_HEADER:
-        raise StorageError(f"checkpoint {path} does not start with a header")
-    try:
-        header = json.loads(head[1:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise StorageError(
-            f"checkpoint {path} header is corrupt: {error}"
-        ) from None
-    foot = view.records[-1]
-    if not foot or foot[0] != K_FOOTER:
-        raise StorageError(f"checkpoint {path} does not end with a footer")
-    count, offset = decode_varint(foot, 1)
-    stored_digest = foot[offset : offset + 16]
-    if len(stored_digest) != 16 or offset + 16 != len(foot):
-        raise StorageError(f"checkpoint {path} footer is malformed")
-    codec = Codec()
-    entries: List[DeliveryEntry] = []
-    digest = ZERO_DIGEST
-    for payload in view.records[1:-1]:
-        if not payload or payload[0] != K_DELIVERY:
-            raise StorageError(
-                f"checkpoint {path} holds a non-delivery body record"
-            )
-        entry = decode_entry(payload, codec)
-        entries.append(entry)
-        digest = chain_digest(digest, entry.key())
-    if count != len(entries):
-        raise StorageError(
-            f"checkpoint {path} footer claims {count} records, "
-            f"found {len(entries)}"
-        )
-    if digest != stored_digest:
-        raise StorageError(
-            f"checkpoint {path} trace digest mismatch: footer "
-            f"{stored_digest.hex()}, recomputed {digest.hex()}"
-        )
-    generation = int(header.get("generation", 0))
-    return Checkpoint(
-        generation=generation,
-        header=header,
-        entries=tuple(entries),
-        trace_digest=digest,
-        path=path,
-    )
+    payload = view.records[0] if len(view.records) == 1 else b""
+    if view.torn or len(payload) != 1 + _SEAL.size or payload[0] != K_SEAL:
+        raise StorageError(f"checkpoint {path} is not a valid seal")
+    return Seal._make(_SEAL.unpack_from(payload, 1))
 
 
-def load_latest_checkpoint(store: DurableStore) -> Optional[Checkpoint]:
-    """Newest checkpoint that validates; older generations are the
-    fallback when the newest is corrupt (e.g. a bit flip post-write)."""
+def collect_entries(
+    store: DurableStore, view: type = RecordView, /, **fields
+) -> RecordView:
+    """The full delivered record: journal generations 1..N, one codec.
 
-    for generation in reversed(store.checkpoint_generations()):
-        try:
-            return read_checkpoint(store.checkpoint_path(generation))
-        except StorageError:
-            continue
-    return None
-
-
-def collect_entries(store: DurableStore) -> RecordView:
-    """The full delivered record: newest valid checkpoint + suffix.
-
-    Journal generations at or below the checkpoint's are skipped (they
-    are subsumed, whether or not compaction already deleted them);
-    newer generations are decoded in order, their torn tails truncated
-    and reported.  The returned trace digest chains the checkpoint's
-    digest through every suffix delivery.
+    Returns a ``view`` (a :class:`RecordView` or a subclass built with
+    the extra ``fields``).  See the module docstring for how seals,
+    torn and missing generations shape it.
     """
 
-    from repro.storage.journal import read_journal
-
-    checkpoint = load_latest_checkpoint(store)
-    entries: List[DeliveryEntry] = (
-        list(checkpoint.entries) if checkpoint else []
-    )
+    journals = set(store.journal_generations())
+    seals = set(store.checkpoint_generations())
+    codec = Codec()
+    entries: List[DeliveryEntry] = []
     notes: List[NoteEntry] = []
-    if checkpoint:
-        notes.extend(
-            NoteEntry(kind, detail)
-            for kind, detail in checkpoint.header.get("notes", [])
-        )
     torn: List[str] = []
-    digest = checkpoint.trace_digest if checkpoint else ZERO_DIGEST
-    base = checkpoint.generation if checkpoint else 0
     segments: List[Tuple[int, int]] = []
-    if checkpoint is not None:
-        segments.append((base, len(entries)))
-    for generation in store.journal_generations():
-        if generation <= base:
-            continue
+    digest = ZERO_DIGEST
+    sealed = 0
+    for generation in sorted(journals | seals):
         path = store.journal_path(generation)
-        decoded, was_torn = read_journal(path)
-        if was_torn:
+        expected = len(segments) + 1
+        if torn or generation != expected or generation not in journals:
+            # later generations back-reference what a torn or missing
+            # one held: the record ends at the first of them
             torn.append(path.name)
+            continue
+        decoded, was_torn = read_journal(path, codec)
         for entry in decoded:
             if isinstance(entry, DeliveryEntry):
                 entries.append(entry)
@@ -269,11 +167,30 @@ def collect_entries(store: DurableStore) -> RecordView:
             else:
                 notes.append(entry)
         segments.append((generation, len(entries)))
-    return RecordView(
-        checkpoint=checkpoint,
+        if was_torn:
+            torn.append(path.name)
+            continue
+        if generation not in seals:
+            continue
+        try:
+            seal = read_checkpoint(store.checkpoint_path(generation))
+        except StorageError:
+            continue
+        if seal != (generation, len(entries), digest):
+            raise StorageError(
+                f"generation {generation} disagrees with its seal: the "
+                f"seal claims generation {seal.generation}, "
+                f"{seal.delivered} deliveries, digest "
+                f"{seal.trace_digest.hex()}; the journal holds "
+                f"{len(entries)} deliveries, digest {digest.hex()}"
+            )
+        sealed = generation
+    return view(
         entries=entries,
         notes=notes,
         torn=torn,
         trace_digest=digest,
         segments=segments,
+        checkpoint_generation=sealed,
+        **fields,
     )

@@ -4,9 +4,12 @@ Two record streams live here:
 
 * The **delivery journal** (``journal-<gen>.seg``): every delivery the
   middleware hands to a receiver, in delivery order, encoded with the
-  v2 wire codec in streaming mode so each generation's spine table is
-  shared across records (first occurrence inline, back-references
-  after — the same delta encoding the cross-shard wire uses).  Each
+  v2 wire codec in streaming mode so one spine table is shared across
+  every record of every generation (first occurrence inline,
+  back-references after — the same delta encoding the cross-shard wire
+  uses).  This is the only encoding of the record: a checkpoint seals
+  a generation (:mod:`repro.storage.checkpoint`), and a reader decodes
+  generations in order through one codec.  Each
   delivery record also carries the attestation tags of the spine nodes
   it introduced, so a recovered :class:`AttestationStore` can answer
   verify queries without the signing keys ever leaving the manifest.
@@ -17,7 +20,8 @@ Two record streams live here:
 
 * The **window WAL** (``windows.seg``): shard workers journal each
   barrier window *before* executing it — boundary, event budget, and
-  the cross-shard envelopes the conductor routed in.  Because the
+  the cross-shard envelopes the conductor routed in, as plain fields
+  (reading one runs no code it carries).  Because the
   engine is deterministic, this WAL is a complete recipe for rebuilding
   a killed shard: a replacement process replays the journaled windows
   from ``t = 0`` and arrives at the exact pre-crash state.
@@ -27,23 +31,27 @@ Journal entry payloads (inside the CRC framing of
 
     delivery  0x01 ‖ f64 time ‖ name principal ‖ name channel
                    ‖ varint branch ‖ f64 latency ‖ v2 frame(values)
-                   ‖ varint n_new ‖ n_new × (0x00 | 0x01 ‖ tag16)
+                   ‖ varint n_new ‖ n_new × tag
     note      0x02 ‖ name kind ‖ name detail
     window    0x03 ‖ f64 boundary ‖ varint budget
-                   ‖ varint len ‖ pickle(envelopes)
+                   ‖ varint n_envelopes ‖ n_envelopes × envelope
+    envelope       varint source ‖ varint target ‖ varint seq
+                   ‖ name channel ‖ f64 send_time ‖ f64 arrival_time
+                   ‖ varint lamport ‖ varint len ‖ data
+                   ‖ varint n_tags ‖ n_tags × tag
+    tag            0x00 (never attested) | 0x01 ‖ tag16
 
 The chained **trace digest** commits to the delivery order: starting
 from sixteen zero bytes, each delivery folds in as
 ``blake2b(prev ‖ key, 16)`` where *key* binds time, principal, channel,
-branch, and every stamped value with its provenance digest.  Checkpoint
-footers carry it; recovery recomputes it; the E23 gate compares it
-across the crashed and crash-free runs.
+branch, and every stamped value with its provenance digest.  Seals
+carry it; recovery recomputes it; the E23 gate compares it across the
+crashed and crash-free runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,12 +95,11 @@ K_DELIVERY = 0x01
 _K_DELIVERY_BYTE = bytes((K_DELIVERY,))
 K_NOTE = 0x02
 K_WINDOW = 0x03
-K_HEADER = 0x10
-K_FOOTER = 0x11
 
 ZERO_DIGEST = b"\x00" * 16
 
 _F64 = struct.Struct("<d")
+_TIMES = struct.Struct("<dd")
 
 
 def chain_digest(previous: bytes, key: bytes) -> bytes:
@@ -212,11 +219,36 @@ def encode_delivery_entry(
         encode_varint(branch_index),
         _F64.pack(latency),
         body,
-        encode_varint(len(tags)),
     ]
+    _append_tags(parts, tags)
+    return b"".join(parts), new_nodes, tags
+
+
+def _append_tags(parts: list, tags: Sequence[Optional[bytes]]) -> None:
+    parts.append(encode_varint(len(tags)))
     for tag in tags:
         parts.append(b"\x01" + tag if tag is not None else b"\x00")
-    return b"".join(parts), new_nodes, tags
+
+
+def _decode_tags(
+    payload: bytes, offset: int
+) -> Tuple[Tuple[Optional[bytes], ...], int]:
+    count, offset = decode_varint(payload, offset)
+    tags: List[Optional[bytes]] = []
+    for _ in range(count):
+        marker = payload[offset]
+        offset += 1
+        if marker == 0x01:
+            tag = payload[offset : offset + 16]
+            if len(tag) != 16:
+                raise StorageError("truncated attestation tag")
+            tags.append(tag)
+            offset += 16
+        elif marker == 0x00:
+            tags.append(None)
+        else:
+            raise StorageError(f"bad tag marker 0x{marker:02x}")
+    return tuple(tags), offset
 
 
 def encode_note_entry(kind: str, detail: str) -> bytes:
@@ -262,23 +294,12 @@ def _decode_entry(payload: bytes, codec: Codec):
     constructed = len(decoder._spines)
     values, offset = codec.decode_payload(payload, offset)
     new_nodes = tuple(decoder._spines[constructed:])
-    n_tags, offset = decode_varint(payload, offset)
-    if n_tags != len(new_nodes):
+    tags, offset = _decode_tags(payload, offset)
+    if len(tags) != len(new_nodes):
         raise StorageError(
-            f"journal record carries {n_tags} tags for "
+            f"journal record carries {len(tags)} tags for "
             f"{len(new_nodes)} new spine nodes"
         )
-    tags: List[Optional[bytes]] = []
-    for _ in range(n_tags):
-        marker = payload[offset]
-        offset += 1
-        if marker == 0x01:
-            tags.append(payload[offset : offset + 16])
-            offset += 16
-        elif marker == 0x00:
-            tags.append(None)
-        else:
-            raise StorageError(f"bad tag marker 0x{marker:02x}")
     if offset != len(payload):
         raise StorageError("trailing bytes after delivery record")
     return DeliveryEntry(
@@ -289,28 +310,30 @@ def _decode_entry(payload: bytes, codec: Codec):
         latency=latency,
         values=values,
         new_nodes=new_nodes,
-        tags=tuple(tags),
+        tags=tags,
     )
 
 
 def read_journal(
-    path: Union[str, Path],
+    path: Union[str, Path], codec: Optional[Codec] = None
 ) -> Tuple[list, bool]:
     """Decode one journal generation; returns ``(entries, torn)``.
 
-    A torn tail (crash mid-append) truncates the view to the valid
-    prefix — entries past the tear are gone, which is exactly the
-    write-ahead contract: nothing past the last complete record was
-    ever acknowledged.  CRC-valid records that fail to *decode* raise
+    ``codec`` carries the stream's tables in from the generations before
+    this one (:func:`~repro.storage.checkpoint.collect_entries` passes
+    one codec through them all); a fresh codec reads generation 1.  A
+    torn tail (crash mid-append) truncates the view to the valid prefix
+    — entries past the tear are gone, which is exactly the write-ahead
+    contract: nothing past the last complete record was ever
+    acknowledged.  CRC-valid records that fail to *decode* raise
     :class:`StorageError` instead: that is corruption the frame check
     cannot explain, not a torn tail.
     """
 
     view = read_segment(path)
-    codec = Codec()
-    entries = []
-    for payload in view.records:
-        entries.append(decode_entry(payload, codec))
+    if codec is None:
+        codec = Codec()
+    entries = [decode_entry(payload, codec) for payload in view.records]
     return entries, view.torn
 
 
@@ -319,10 +342,10 @@ class DurabilitySink:
 
     The middleware calls :meth:`record_delivery` (hot path: one list
     append) and :meth:`note`; the sink encodes pending entries in
-    batches of :data:`FLUSH_BOUND` through one streaming codec per
-    journal generation.  :meth:`checkpoint` compacts everything
-    journaled so far into an atomic, generation-stamped snapshot and
-    rolls to a fresh generation (and codec table).
+    batches of :data:`FLUSH_BOUND` through one streaming codec that
+    lives as long as the store.  :meth:`checkpoint` seals the current
+    journal generation and rolls to the next one; it decodes and
+    re-encodes nothing.
 
     A durable runtime passes its attestation ``spill`` too: it is
     flushed with the journal, fsynced with it (on checkpoints and on
@@ -337,7 +360,6 @@ class DurabilitySink:
         "generation",
         "trace_digest",
         "delivered_count",
-        "notes_count",
         "_lookup",
         "_spill",
         "_codec",
@@ -369,7 +391,6 @@ class DurabilitySink:
         self.generation = 1
         self.trace_digest = ZERO_DIGEST
         self.delivered_count = 0
-        self.notes_count = 0
         self._lookup = attestation_lookup
         self._spill = spill
         self._codec = Codec()
@@ -411,7 +432,6 @@ class DurabilitySink:
             for entry in self._pending:
                 if len(entry) == 2:
                     writer.append(encode_note_entry(*entry))
-                    self.notes_count += 1
                     continue
                 time, principal, channel, values, branch, latency = entry
                 payload, _, _ = encode_delivery_entry(
@@ -436,35 +456,28 @@ class DurabilitySink:
             self._spill.flush(sync=sync)
         self._writer.flush(sync=sync)
 
-    def checkpoint(self, state: dict, compact: bool = True):
-        """Compact the record into a new checkpoint and roll generations.
+    def checkpoint(self) -> Path:
+        """Seal the current generation and roll to the next one.
 
-        ``state`` is the runtime's snapshot header (time, event count,
-        summary, quarantined principals, ...); the sink adds its own
-        generation, counters, and trace digest.  Returns the checkpoint
-        path.  Journals subsumed by the new checkpoint (and superseded
-        older checkpoints) are deleted unless ``compact=False``.
+        The journal is flushed and fsynced, then the generation's seal
+        — its number, the delivered count and the trace digest — is
+        written atomically; nothing is decoded or re-encoded, and the
+        codec carries on into the next generation.  Superseded
+        query-index snapshots are pruned.  Returns the seal's path.
         """
 
-        from repro.storage.checkpoint import collect_entries, write_checkpoint
+        from repro.storage.checkpoint import write_checkpoint
 
         self.flush(sync=True)
-        self._writer.close()
-        record = collect_entries(self.store)
-        header = dict(state)
-        header["generation"] = self.generation
-        header["delivered"] = self.delivered_count
-        header["notes"] = [
-            [note.kind, note.detail] for note in record.notes
-        ]
-        header["trace_digest"] = self.trace_digest.hex()
+        self._writer.close(sync=False)
         path = write_checkpoint(
-            self.store, self.generation, header, record.entries
+            self.store,
+            self.generation,
+            self.delivered_count,
+            self.trace_digest,
         )
-        if compact:
-            self.store.compact()
+        self.store.compact()
         self.generation += 1
-        self._codec = Codec()
         self._writer = SegmentWriter(
             self.store.journal_path(self.generation)
         )
@@ -497,15 +510,25 @@ class WindowJournal:
     def record(
         self, boundary: float, budget: int, envelopes: Sequence
     ) -> None:
-        blob = pickle.dumps(list(envelopes), pickle.HIGHEST_PROTOCOL)
-        payload = (
-            bytes((K_WINDOW,))
-            + _F64.pack(boundary)
-            + encode_varint(budget)
-            + encode_varint(len(blob))
-            + blob
-        )
-        self._writer.append(payload)
+        parts = [
+            bytes((K_WINDOW,)),
+            _F64.pack(boundary),
+            encode_varint(budget),
+            encode_varint(len(envelopes)),
+        ]
+        for envelope in envelopes:
+            parts += (
+                encode_varint(envelope.source),
+                encode_varint(envelope.target),
+                encode_varint(envelope.seq),
+                _encode_name(envelope.channel),
+                _TIMES.pack(envelope.send_time, envelope.arrival_time),
+                encode_varint(envelope.lamport),
+                encode_varint(len(envelope.data)),
+                envelope.data,
+            )
+            _append_tags(parts, envelope.tags)
+        self._writer.append(b"".join(parts))
         self._writer.flush(sync=True)
 
     def close(self) -> None:
@@ -515,23 +538,55 @@ class WindowJournal:
 def read_window_journal(
     path: Union[str, Path],
 ) -> Tuple[List[WindowEntry], bool]:
-    """Decode a shard's window WAL; returns ``(windows, torn)``."""
+    """Decode a shard's window WAL; returns ``(windows, torn)``.
+
+    Records are plain fields, so reading one runs no code it carries; a
+    malformed or crafted record raises :class:`StorageError`.
+    """
 
     view = read_segment(path)
     windows: List[WindowEntry] = []
     for payload in view.records:
-        if not payload or payload[0] != K_WINDOW:
+        try:
+            windows.append(_decode_window(payload))
+        except (
+            StorageError, WireFormatError, struct.error, IndexError, ValueError
+        ) as error:
             raise StorageError(
-                f"window WAL {path} holds a non-window record"
-            )
-        offset = 1
-        (boundary,) = _F64.unpack_from(payload, offset)
-        offset += _F64.size
-        budget, offset = decode_varint(payload, offset)
-        length, offset = decode_varint(payload, offset)
-        blob = payload[offset : offset + length]
-        if len(blob) != length or offset + length != len(payload):
-            raise StorageError(f"window WAL {path} record length mismatch")
-        envelopes = tuple(pickle.loads(blob))
-        windows.append(WindowEntry(boundary, budget, envelopes))
+                f"window WAL {path} holds a malformed record: {error}"
+            ) from error
     return windows, view.torn
+
+
+def _decode_window(payload: bytes) -> WindowEntry:
+    from repro.runtime.shards import WireEnvelope
+
+    if not payload or payload[0] != K_WINDOW:
+        raise StorageError("not a window record")
+    (boundary,) = _F64.unpack_from(payload, 1)
+    budget, offset = decode_varint(payload, 1 + _F64.size)
+    count, offset = decode_varint(payload, offset)
+    envelopes = []
+    for _ in range(count):
+        source, offset = decode_varint(payload, offset)
+        target, offset = decode_varint(payload, offset)
+        seq, offset = decode_varint(payload, offset)
+        channel, offset = _decode_name(payload, offset)
+        Channel(channel)  # ingest builds it; reject a bad name here
+        send_time, arrival_time = _TIMES.unpack_from(payload, offset)
+        offset += _TIMES.size
+        lamport, offset = decode_varint(payload, offset)
+        length, offset = decode_varint(payload, offset)
+        data = payload[offset : offset + length]
+        if len(data) != length:
+            raise StorageError("truncated envelope data")
+        tags, offset = _decode_tags(payload, offset + length)
+        envelopes.append(
+            WireEnvelope(
+                source, target, seq, channel, data,
+                send_time, arrival_time, lamport, tags,
+            )
+        )
+    if offset != len(payload):
+        raise StorageError("trailing bytes after window record")
+    return WindowEntry(boundary, budget, tuple(envelopes))

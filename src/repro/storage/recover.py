@@ -2,10 +2,11 @@
 
 Recovery has two halves:
 
-* :func:`load_state` is pure reading — newest valid checkpoint, journal
-  suffix decoded on top, notes folded into quarantine/revocation state,
-  attestation tags collected.  No runtime is built; this is what
-  ``repro recover DIR`` prints and what audits consume.
+* :func:`load_state` is pure reading — every journal generation decoded
+  through one codec and checked against its seal, journaled notes
+  giving the quarantine/revocation state, attestation tags collected.
+  No runtime is built; this is what ``repro recover DIR`` prints and
+  what audits consume.
 
 * :func:`verify_replay` is the paper's determinism contract cashed in:
   rebuild the runtime from the manifest's config, re-parse the
@@ -30,14 +31,13 @@ play, and a module-level import here would make package init cyclic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Set, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.core.semantics import SemanticsMode
-from repro.storage.checkpoint import collect_entries
-from repro.storage.journal import DeliveryEntry, NoteEntry, ZERO_DIGEST
+from repro.storage.checkpoint import RecordView, collect_entries
 from repro.storage.segments import DurableStore
 
 __all__ = [
@@ -50,35 +50,34 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class RecoveredState:
-    """Everything the durable store knows about the crashed run."""
+@dataclass(frozen=True, slots=True)
+class RecoveredState(RecordView):
+    """Everything the durable store knows about the crashed run: its
+    delivered record plus the manifest that re-executes it.
+
+    Quarantine, revocation and tamper detections derive from the
+    journaled notes alone."""
 
     store: DurableStore
     manifest: dict
-    entries: List[DeliveryEntry]
-    notes: List[NoteEntry]
-    quarantined: Set[str]
-    revoked: bool
-    tampered: int
-    trace_digest: bytes
-    checkpoint_generation: int
-    torn: List[str] = field(default_factory=list)
-    segments: List[Tuple[int, int]] = field(default_factory=list)
-    """``(generation, cumulative delivery count)`` per source segment —
-    see :attr:`repro.storage.checkpoint.RecordView.segments`."""
-
-    def generation_of(self, index: int) -> Optional[int]:
-        """The generation whose segment persisted delivery ``index``."""
-
-        for generation, end in self.segments:
-            if index < end:
-                return generation
-        return None
 
     @property
     def delivered(self) -> int:
         return len(self.entries)
+
+    @property
+    def quarantined(self) -> Set[str]:
+        return {
+            note.detail for note in self.notes if note.kind == "quarantine"
+        }
+
+    @property
+    def revoked(self) -> bool:
+        return any(note.kind == "revoke" for note in self.notes)
+
+    @property
+    def tampered(self) -> int:
+        return sum(note.kind == "tamper" for note in self.notes)
 
     def attestation_pairs(self) -> List[Tuple[object, bytes]]:
         """All journaled ``(spine node, tag)`` pairs, first-write order."""
@@ -132,34 +131,8 @@ def load_state(store: Union[DurableStore, str, Path]) -> RecoveredState:
             f"(for sharded runs, point at a shard-N subdirectory or the "
             f"root)"
         )
-    record = collect_entries(store)
-    header = (
-        record.checkpoint.header if record.checkpoint is not None else {}
-    )
-    quarantined = set(header.get("quarantined", []))
-    revoked = bool(header.get("revoked", False))
-    tampered = 0
-    for note in record.notes:
-        if note.kind == "quarantine":
-            quarantined.add(note.detail)
-        elif note.kind == "revoke":
-            revoked = True
-        elif note.kind == "tamper":
-            tampered += 1
-    return RecoveredState(
-        store=store,
-        manifest=manifest,
-        entries=record.entries,
-        notes=record.notes,
-        quarantined=quarantined,
-        revoked=revoked,
-        tampered=tampered,
-        trace_digest=record.trace_digest,
-        checkpoint_generation=(
-            record.checkpoint.generation if record.checkpoint else 0
-        ),
-        torn=record.torn,
-        segments=record.segments,
+    return collect_entries(
+        store, RecoveredState, store=store, manifest=manifest
     )
 
 

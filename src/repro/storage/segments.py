@@ -35,6 +35,7 @@ from repro.core.errors import StorageError, WireFormatError
 from repro.runtime.wire import decode_varint, encode_varint
 
 __all__ = [
+    "RECORD_FORMAT",
     "AttestationSpill",
     "DurableStore",
     "SegmentView",
@@ -48,6 +49,12 @@ __all__ = [
 ]
 
 _CRC_SIZE = 4
+
+RECORD_FORMAT = 2
+"""The layout of a store's record, stamped into every manifest.  Format
+2: one codec streams every journal generation, and a checkpoint is a
+fixed-size seal.  (Format 1 restarted the codec per generation and
+re-encoded the whole record into each checkpoint; it is not readable.)"""
 
 
 def frame_record(payload: bytes) -> bytes:
@@ -64,8 +71,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically (temp file + fsync + rename).
 
     Readers never observe a partially written file: they see either the
-    old content or the new, complete content.  Used for checkpoints and
-    manifests; journals are append-only and rely on CRC framing instead.
+    old content or the new, complete content.  Used for seals, snapshots
+    and manifests; journals are append-only and rely on CRC framing instead.
     """
 
     path = Path(path)
@@ -336,17 +343,16 @@ class DurableStore:
         <root>/
           MANIFEST.json          # config needed to re-execute the run
           journal-00000001.seg   # delivery journal, generation 1
-          checkpoint-00000001.ck # compacted snapshot through gen 1
-          journal-00000002.seg   # suffix journaled after the checkpoint
+          checkpoint-00000001.ck # seal: generation 1 ends here
+          journal-00000002.seg   # generation 2, same codec stream
+          queryindex-00000002.seg # query-index snapshot (accelerator)
           windows.seg            # shard-only: write-ahead window WAL
           attest.spill           # spilled attestation tags
           shard-0/ shard-1/ ...  # sharded runs: one store per shard
 
-    Generations monotonically increase; checkpoint *g* subsumes journal
-    generations ``≤ g``, which :meth:`compact` garbage-collects (their
-    spine nodes are unreachable from any live checkpoint — the newest
-    checkpoint re-encodes the full record, so older segments pin
-    nothing).
+    Generations monotonically increase.  The journals are the record,
+    so nothing here deletes one while the run lives; :meth:`compact`
+    only drops superseded query-index snapshots.
     """
 
     MANIFEST = "MANIFEST.json"
@@ -411,6 +417,9 @@ class DurableStore:
     # -- manifest ------------------------------------------------------
 
     def write_manifest(self, manifest: dict) -> Path:
+        """Write ``manifest``, stamped with :data:`RECORD_FORMAT`."""
+
+        manifest = {**manifest, "format": RECORD_FORMAT}
         return atomic_write_bytes(
             self.manifest_path(),
             json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
@@ -418,19 +427,27 @@ class DurableStore:
         )
 
     def read_manifest(self) -> Optional[dict]:
+        """The manifest, or ``None`` if there is none; a corrupt one, or
+        one of another record format, raises :class:`StorageError`."""
+
+        path = self.manifest_path()
         try:
-            text = self.manifest_path().read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
         try:
             manifest = json.loads(text)
         except json.JSONDecodeError as error:
             raise StorageError(
-                f"manifest {self.manifest_path()} is corrupt: {error}"
+                f"manifest {path} is corrupt: {error}"
             ) from None
         if not isinstance(manifest, dict):
+            raise StorageError(f"manifest {path} is not a JSON object")
+        if manifest.get("format") != RECORD_FORMAT:
             raise StorageError(
-                f"manifest {self.manifest_path()} is not a JSON object"
+                f"manifest {path} declares record format "
+                f"{manifest.get('format')!r}; this reader reads format "
+                f"{RECORD_FORMAT} only"
             )
         return manifest
 
@@ -444,37 +461,17 @@ class DurableStore:
         )
 
     def compact(self) -> List[Path]:
-        """Drop journals and checkpoints subsumed by the newest checkpoint.
+        """Drop every query-index snapshot but the newest.
 
-        Checkpoint *g* carries the complete delivery record through
-        journal generation *g*, so journals ``≤ g`` and checkpoints
-        ``< g`` pin no reachable spine nodes.  Returns the deleted
-        paths.
+        A snapshot is only an accelerator, and the newest one subsumes
+        the older ones.  Returns the deleted paths.
         """
 
-        checkpoints = self.checkpoint_generations()
-        if not checkpoints:
-            return []
-        newest = checkpoints[-1]
         removed = []
-        for generation in self.journal_generations():
-            if generation <= newest:
-                path = self.journal_path(generation)
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        for generation in checkpoints:
-            if generation < newest:
-                path = self.checkpoint_path(generation)
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        snapshots = self.query_index_generations()
-        if snapshots:
-            # a query-index snapshot is only an accelerator: keep the
-            # newest, drop the ones older snapshots already subsume
-            for generation in snapshots[:-1]:
-                path = self.query_index_path(generation)
-                path.unlink(missing_ok=True)
-                removed.append(path)
+        for generation in self.query_index_generations()[:-1]:
+            path = self.query_index_path(generation)
+            path.unlink(missing_ok=True)
+            removed.append(path)
         return removed
 
     def reset_record(self) -> List[Path]:

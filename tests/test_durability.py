@@ -81,7 +81,7 @@ class TestDurableCapture:
         for key in ("deliveries", "messages_sent", "vet_transitions"):
             assert dur_summary[key] == ref_summary[key], key
 
-    def test_checkpoint_cadence_compacts_journals(self, tmp_path):
+    def test_checkpoint_cadence_seals_every_generation(self, tmp_path):
         root = tmp_path / "store"
         runtime, workload = run_gauntlet(
             durable=str(root), checkpoint_every=8
@@ -90,12 +90,11 @@ class TestDurableCapture:
         store = DurableStore(root)
         generations = store.checkpoint_generations()
         assert generations, "cadenced run cut no checkpoint"
-        # compaction ran at each checkpoint: subsumed journals are gone,
-        # yet the loadable record is still the complete run
-        assert all(
-            journal > generations[-1]
-            for journal in store.journal_generations()
-        )
+        # every generation keeps its journal; each but the last is sealed
+        assert generations == list(range(1, generations[-1] + 1))
+        assert store.journal_generations() == generations + [
+            generations[-1] + 1
+        ]
         state = load_state(store)
         assert len(state.entries) == workload.expected_deliveries
         assert state.checkpoint_generation == generations[-1]
@@ -167,11 +166,109 @@ class TestRecovery:
         runtime.deploy(parse_system("a[m<u>] || b[m(x).0]"))
         runtime.run()
         run_threat_suite(runtime.middleware, attacks=("forge",))
-        runtime.checkpoint()  # quarantine lands in the header
+        runtime.checkpoint()  # the first quarantine note is sealed
         run_threat_suite(runtime.middleware, attacks=("replay",))
-        runtime.durability.close()  # second one stays in the journal suffix
+        runtime.durability.close()  # the second lands in the next generation
         state = load_state(DurableStore(root))
         assert {"intruder_forge", "intruder_replay"} <= state.quarantined
+
+
+class TestSealedRecord:
+    """The journal is the record; a checkpoint only seals a generation."""
+
+    HOPS = 24
+
+    def _store(self, root, seed=13):
+        workload = relay_gauntlet(hops=self.HOPS, lanes=LANES)
+        runtime = DistributedRuntime(
+            seed=seed, durable=str(root), checkpoint_every=16
+        )
+        runtime.deploy(workload.system)
+        runtime.run()
+        runtime.durability.close()
+        store = DurableStore(root)
+        assert len(store.checkpoint_generations()) >= 3
+        return store, workload.expected_deliveries
+
+    def test_corrupt_newest_seal_loses_no_delivery(self, tmp_path):
+        store, expected = self._store(tmp_path / "store")
+        *older, newest = store.checkpoint_generations()
+        path = store.checkpoint_path(newest)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        state = load_state(store)
+        assert len(state.entries) == expected == 50
+        assert state.checkpoint_generation == older[-1]
+        assert not state.torn
+        report = verify_replay(store, state)
+        assert report.ok and report.persisted == expected, report.detail
+
+    @pytest.mark.parametrize("damage", ["bit flip", "deleted"])
+    def test_damaged_middle_journal_ends_the_record(self, tmp_path, damage):
+        store, expected = self._store(tmp_path / "store")
+        journals = store.journal_generations()
+        middle = journals[len(journals) // 2]
+        path = store.journal_path(middle)
+        if damage == "deleted":
+            path.unlink()
+        else:
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+        state = load_state(store)
+        assert state.torn == [
+            store.journal_path(generation).name
+            for generation in journals
+            if generation >= middle
+        ]
+        assert state.checkpoint_generation == middle - 1
+        sealed = dict(state.segments)[middle - 1]
+        assert 0 < sealed <= len(state.entries) < expected
+        report = verify_replay(store, state)
+        assert report.ok and report.persisted == len(state.entries)
+
+    def test_another_runs_seal_is_a_storage_error(self, tmp_path, capsys):
+        store, _ = self._store(tmp_path / "store")
+        other, _ = self._store(tmp_path / "other", seed=14)
+        generation = store.checkpoint_generations()[-2]
+        foreign = other.checkpoint_path(generation).read_bytes()
+        assert foreign != store.checkpoint_path(generation).read_bytes()
+        store.checkpoint_path(generation).write_bytes(foreign)
+        with pytest.raises(StorageError, match=f"generation {generation} "):
+            load_state(store)
+        assert main(["recover", str(store.root)]) == 2
+        assert f"generation {generation} " in capsys.readouterr().err
+
+    def test_seals_are_flat_and_checkpoints_decode_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.storage.journal as journal
+
+        decoded = []
+        real = journal.decode_entry
+        monkeypatch.setattr(
+            journal,
+            "decode_entry",
+            lambda *args: decoded.append(1) or real(*args),
+        )
+        store, _ = self._store(tmp_path / "store")
+        assert not decoded
+        sizes = {
+            store.checkpoint_path(generation).stat().st_size
+            for generation in store.checkpoint_generations()
+        }
+        assert len(sizes) == 1
+
+    def test_format_1_store_is_refused(self, tmp_path, capsys):
+        store, _ = self._store(tmp_path / "store")
+        manifest = json.loads(store.manifest_path().read_text())
+        manifest["format"] = 1
+        store.manifest_path().write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="record format 1"):
+            load_state(store)
+        assert main(["recover", str(store.root)]) == 2
+        assert "record format 1" in capsys.readouterr().err
 
 
 class TestKillRecovery:

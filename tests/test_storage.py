@@ -1,14 +1,17 @@
 """Tests for the durable segment store: framing, torn tails, spill,
-generations, the delivery journal, and checkpoint compaction.
+generations, the delivery journal, generation seals and the window WAL.
 
 The load-bearing contracts: a torn tail (crash mid-append) always
 truncates to the last valid record and never surfaces garbage; the
 attestation spill changes *where* tags live, never verify verdicts;
-and a checkpoint is a complete, self-contained substitute for the
-journals it compacts away.
+a checkpoint seals a generation without copying it; and every decoder
+of stored bytes fails only with StorageError.
 """
 
+import json
+import pickle
 import random
+import struct
 
 import pytest
 
@@ -21,19 +24,21 @@ from repro.lang import parse_system
 from repro.runtime import DistributedRuntime, FaultPlan
 from repro.runtime.wire import Codec
 from repro.storage import (
+    RECORD_FORMAT,
     AttestationSpill,
     DurableStore,
     DurabilitySink,
     NoteEntry,
+    WindowJournal,
     chain_digest,
-    load_latest_checkpoint,
+    collect_entries,
     read_checkpoint,
     read_journal,
     read_segment,
+    read_window_journal,
     repair_segment,
     torn_truncate,
 )
-from repro.storage.checkpoint import collect_entries
 from repro.storage.journal import (
     ZERO_DIGEST,
     DeliveryEntry,
@@ -238,15 +243,17 @@ class TestDurableStore:
         assert store.checkpoint_generations() == [2]
         assert not store.is_empty_record()
 
-    def test_compact_drops_subsumed_generations(self, tmp_path):
+    def test_compact_keeps_journals_and_seals(self, tmp_path):
         store = DurableStore(tmp_path / "store")
         for generation in (1, 2, 3):
             store.journal_path(generation).write_bytes(b"")
+            store.query_index_path(generation).write_bytes(b"")
         store.checkpoint_path(1).write_bytes(b"")
         store.checkpoint_path(2).write_bytes(b"")
         store.compact()
-        assert store.journal_generations() == [3]
-        assert store.checkpoint_generations() == [2]
+        assert store.journal_generations() == [1, 2, 3]
+        assert store.checkpoint_generations() == [1, 2]
+        assert store.query_index_generations() == [3]
 
     def test_reset_keeps_wal_and_manifest(self, tmp_path):
         store = DurableStore(tmp_path / "store")
@@ -254,22 +261,30 @@ class TestDurableStore:
         store.checkpoint_path(1).write_bytes(b"")
         store.spill_path().write_bytes(b"")
         store.windows_path().write_bytes(b"wal")
-        store.write_manifest({"format": 1})
+        store.write_manifest({"seed": 1})
         store.reset_record()
         assert store.is_empty_record()
         assert not store.spill_path().exists()
         assert store.windows_path().read_bytes() == b"wal"
-        assert store.read_manifest() == {"format": 1}
+        assert store.read_manifest() == {"seed": 1, "format": RECORD_FORMAT}
 
     def test_wipe_removes_everything(self, tmp_path):
         store = DurableStore(tmp_path / "store")
         store.journal_path(1).write_bytes(b"")
         store.windows_path().write_bytes(b"wal")
-        store.write_manifest({"format": 1})
+        store.write_manifest({})
         store.wipe()
         assert store.is_empty_record()
         assert not store.windows_path().exists()
         assert store.read_manifest() is None
+
+    @pytest.mark.parametrize("declared", [1, None, "2"])
+    def test_other_record_formats_are_refused(self, tmp_path, declared):
+        store = DurableStore(tmp_path / "store")
+        manifest = {} if declared is None else {"format": declared}
+        store.manifest_path().write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match=f"format {declared!r}"):
+            store.read_manifest()
 
     def test_corrupt_manifest_raises(self, tmp_path):
         store = DurableStore(tmp_path / "store")
@@ -327,37 +342,145 @@ class TestDurabilitySink:
         sink = DurabilitySink(DurableStore(root), wipe=True)
         sink.close()
 
-    def test_checkpoint_roundtrip_and_compaction(self, tmp_path):
+    def test_checkpoint_seals_without_compaction(self, tmp_path):
         root = tmp_path / "store"
         runtime = self._run(root, checkpoint_every=3)
         runtime.durability.close()
         store = DurableStore(root)
-        checkpoint = load_latest_checkpoint(store)
-        assert checkpoint is not None
-        # compaction: no journal at or below the checkpoint generation
-        assert all(
-            generation > checkpoint.generation
-            for generation in store.journal_generations()
-        )
-        reread = read_checkpoint(checkpoint.path)
-        assert reread.trace_digest == checkpoint.trace_digest
+        seals = store.checkpoint_generations()
+        assert seals
+        # every generation's journal survives beside its seal
+        assert store.journal_generations() == list(range(1, seals[-1] + 2))
         record = collect_entries(store)
+        assert record.checkpoint_generation == seals[-1]
+        assert not record.torn
         assert len(record.entries) == len(runtime.metrics.delivered)
         assert record.trace_digest == runtime.durability.trace_digest
+        seal = read_checkpoint(store.checkpoint_path(seals[-1]))
+        assert seal.generation == seals[-1]
+        assert seal.delivered == dict(record.segments)[seals[-1]]
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         root = tmp_path / "store"
         runtime = self._run(root, checkpoint_every=3)
         runtime.durability.close()
         store = DurableStore(root)
-        checkpoint = load_latest_checkpoint(store)
-        data = bytearray(checkpoint.path.read_bytes())
+        seals = store.checkpoint_generations()
+        path = store.checkpoint_path(seals[-1])
+        data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x10
-        checkpoint.path.write_bytes(bytes(data))
+        path.write_bytes(bytes(data))
         with pytest.raises(StorageError):
-            read_checkpoint(checkpoint.path)
-        # load_latest skips the bad one instead of failing the world
-        assert load_latest_checkpoint(store) is None
+            read_checkpoint(path)
+        # a corrupt seal commits nothing and loses no delivery
+        record = collect_entries(store)
+        assert len(record.entries) == len(runtime.metrics.delivered)
+        assert record.checkpoint_generation == (
+            seals[-2] if len(seals) > 1 else 0
+        )
+
+    def test_seal_truncations_and_bit_flips_raise_storage_error(
+        self, tmp_path
+    ):
+        root = tmp_path / "store"
+        self._run(root, checkpoint_every=3).durability.close()
+        store = DurableStore(root)
+        pristine = store.checkpoint_path(1).read_bytes()
+        target = tmp_path / "seal.ck"
+        damaged = [pristine[:cut] for cut in range(len(pristine))]
+        for position in range(len(pristine)):
+            for bit in range(8):
+                flipped = bytearray(pristine)
+                flipped[position] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        for data in damaged:
+            target.write_bytes(data)
+            with pytest.raises(StorageError):
+                read_checkpoint(target)
+
+
+PICKLE_RAN = False
+"""Set by :func:`_flip`: proof that a crafted record executed code."""
+
+
+def _flip():
+    global PICKLE_RAN
+    PICKLE_RAN = True
+
+
+class _Reducer:
+    def __reduce__(self):
+        return (_flip, ())
+
+
+def envelopes():
+    from repro.runtime.shards import WireEnvelope
+
+    return [
+        WireEnvelope(0, 1, 0, "m", b"\x01\x02frame", 0.5, 1.75, 3),
+        WireEnvelope(
+            1, 0, 7, "n", b"", 2.0, 2.5, 9, (b"t" * 16, None, b"u" * 16)
+        ),
+    ]
+
+
+class TestWindowJournal:
+    def _record(self, tmp_path, windows):
+        journal = WindowJournal(tmp_path / "windows.seg")
+        for boundary, budget, batch in windows:
+            journal.record(boundary, budget, batch)
+        journal.close()
+        return tmp_path / "windows.seg"
+
+    def test_roundtrip(self, tmp_path):
+        windows = [
+            (1.0, 64, envelopes()),
+            (2.5, 0, []),
+            (4.0, 10**9, envelopes()[:1]),
+        ]
+        read, torn = read_window_journal(self._record(tmp_path, windows))
+        assert not torn
+        assert [
+            (w.boundary, w.budget, list(w.envelopes)) for w in read
+        ] == windows
+
+    def test_crafted_pickle_runs_no_code(self, tmp_path):
+        """A parent-era window record carried a pickle: reading one must
+        neither unpickle it nor fail untyped."""
+
+        blob = pickle.dumps([_Reducer()], pickle.HIGHEST_PROTOCOL)
+        payload = (
+            bytes((0x03,))
+            + struct.pack("<d", 1.0)
+            + bytes((8,))
+            + bytes((len(blob),))
+            + blob
+        )
+        path = tmp_path / "windows.seg"
+        path.write_bytes(frame_record(payload))
+        with pytest.raises(StorageError, match="window WAL"):
+            read_window_journal(path)
+        assert not PICKLE_RAN
+
+    def test_damage_decodes_or_raises_storage_error(self, tmp_path):
+        path = self._record(tmp_path, [(1.0, 64, envelopes())])
+        [payload] = read_segment(path).records
+        target = tmp_path / "damaged.seg"
+        rejected = 0
+        variants = [payload[:cut] for cut in range(len(payload))]
+        for position in range(len(payload)):
+            for bit in range(8):
+                flipped = bytearray(payload)
+                flipped[position] ^= 1 << bit
+                variants.append(bytes(flipped))
+        for variant in variants:
+            # re-framed so the CRC passes: the decoder itself is tested
+            target.write_bytes(frame_record(variant))
+            try:
+                read_window_journal(target)
+            except StorageError:
+                rejected += 1
+        assert rejected >= len(payload)
 
 
 def delivery_payload(values, tag_lookup=None):
