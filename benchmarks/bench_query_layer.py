@@ -16,9 +16,9 @@ three claims that make an *index* the right shape:
   spine answers from the index's forever-cache at least **10×** faster
   than re-deciding the sweep with a fresh DFA engine each time (the
   uncached baseline), median-of-N wall-clock.
-* **bit-identical differential** — attaching the index's delivery
-  observer to a live runtime never perturbs the run: the delivered
-  trace with the observer on equals the trace with it off, bit for bit.
+* **bit-identical differential** — attaching the index as a sink on a
+  live runtime's middleware never perturbs the run: the delivered
+  trace with the index on equals the trace with it off, bit for bit.
 
 Usage::
 
@@ -156,7 +156,7 @@ def run_warm_query_gate(events=SWEEP_EVENTS, reps=WARM_REPS):
 
 
 def run_differential_gate(hops=DIFFERENTIAL_HOPS, seed=17):
-    """Delivered trace bit-identical with the observer on and off."""
+    """Delivered trace bit-identical with the index sink on and off."""
 
     def trace(attach):
         runtime = DistributedRuntime(seed=seed)
@@ -172,7 +172,7 @@ def run_differential_gate(hops=DIFFERENTIAL_HOPS, seed=17):
     baseline, _ = trace(False)
     observed, index = trace(True)
     assert baseline == observed, (
-        f"query-index observer perturbed the run: "
+        f"query-index sink perturbed the run: "
         f"{len(observed)} vs {len(baseline)} deliveries"
     )
     index.commit()

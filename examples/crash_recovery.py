@@ -52,22 +52,22 @@ def child(root: str) -> None:
     runtime, _ = build_runtime(durable=root)
     crashed = {"sent": False}
 
-    # interpose on the middleware's journal hook: after CRASH_AFTER
-    # deliveries, seal what is journaled and SIGKILL ourselves —
-    # no atexit, no flush, no goodbye, exactly like a power cut
+    # a sink after the journal on the middleware's delivery pipeline:
+    # after CRASH_AFTER deliveries, seal what is journaled and SIGKILL
+    # ourselves — no atexit, no flush, no goodbye, exactly like a
+    # power cut
     sink = runtime.durability
 
     class DieAfter:
-        def record_delivery(self, *args, **kwargs):
-            sink.record_delivery(*args, **kwargs)
+        def record_delivery(self, *args):
             if sink.delivered_count + len(sink._pending) == CRASH_AFTER:
                 runtime.checkpoint()
                 os.kill(os.getpid(), signal.SIGKILL)
 
         def note(self, kind, detail):
-            sink.note(kind, detail)
+            pass
 
-    runtime.middleware.journal = DieAfter()
+    runtime.middleware.sinks.append(DieAfter())
     runtime.run()
     raise SystemExit("child was supposed to die mid-run")
 

@@ -2,9 +2,9 @@
 
 Capture (PRs 1–9) made provenance cheap to *carry*; this module makes it
 cheap to *consult*.  A :class:`ProvenanceIndex` absorbs the delivered
-trace — live, through the middleware's delivery-observer hook, or after
-the fact from a merged shard trace or a durable store — and derives two
-graphs over it:
+trace — live, as the last sink on the middleware's delivery pipeline,
+or after the fact from a merged shard trace or a durable store — and
+derives two graphs over it:
 
 * **happens-before**: delivery *i* → *j* when *j* is the next delivery
   to the same receiving principal (program order), the next delivery on
@@ -170,10 +170,10 @@ class IndexedDelivery:
 class ProvenanceIndex:
     """Happens-before + dataflow graphs over the delivered trace.
 
-    Feed it deliveries through :meth:`observe_delivery` (the middleware
-    observer signature), :meth:`extend_trace` (a merged trace or a
-    decoded durable record), then ask where/why questions.  See the
-    module docstring for the cost model.
+    Feed it deliveries as a middleware sink, through
+    :meth:`observe_delivery`, or with :meth:`extend_trace` (a merged
+    trace or a decoded durable record), then ask where/why questions.
+    See the module docstring for the cost model.
     """
 
     def __init__(self, engine: Optional[PolicyEngine] = None) -> None:
@@ -211,9 +211,25 @@ class ProvenanceIndex:
         values: tuple,
         branch_index: int,
     ) -> None:
-        """Middleware observer hook: O(1) append; indexed at commit."""
+        """O(1) append; indexed at commit."""
 
         self._pending.append((time, principal, channel, values, branch_index))
+
+    def record_delivery(
+        self,
+        time: float,
+        principal: Principal,
+        channel: Channel,
+        values: tuple,
+        branch_index: int,
+        latency: float,
+    ) -> None:
+        """The sink delivery call: :meth:`observe_delivery`."""
+
+        self.observe_delivery(time, principal, channel, values, branch_index)
+
+    def note(self, kind: str, detail: str) -> None:
+        """The sink note call: trust notes carry no provenance."""
 
     @property
     def pending(self) -> int:

@@ -194,11 +194,19 @@ class RuntimeMetrics:
             self.attack_attempts.get(adversary, 0) + 1
         )
 
-    def record_tamper(self, kind: str) -> None:
-        """Count one detected tampering, attributed to an attack kind."""
+    def note(self, kind: str, detail: str) -> None:
+        """Count one trust transition (see ``Middleware.note``) — the
+        only writer of the trust counters.  A poisoned link (``poison``)
+        counts as a quarantine."""
 
-        self.tamper_detected += 1
-        self.tamper_by_kind[kind] = self.tamper_by_kind.get(kind, 0) + 1
+        if kind == "tamper":
+            self.tamper_detected += 1
+            by_kind = self.tamper_by_kind
+            by_kind[detail] = by_kind.get(detail, 0) + 1
+        elif kind == "quarantine" or kind == "poison":
+            self.principals_quarantined += 1
+        elif kind == "revoke":
+            self.certificates_revoked += 1
 
     def record_verify(self, nodes_checked: int, cache_hits: int) -> None:
         """Fold one verification's cost deltas into the counters."""
@@ -247,42 +255,36 @@ class RuntimeMetrics:
 
         return len(self._pending_sizers)
 
-    @property
-    def keep_delivered(self) -> bool:
-        """Whether per-delivery records are retained at all.
+    def record_delivery(
+        self,
+        time: float,
+        principal: Principal,
+        channel: Channel,
+        values: tuple[AnnotatedValue, ...],
+        branch_index: int,
+        latency: float,
+    ) -> None:
+        """Count one delivery — the metrics sink's delivery call.
 
-        ``retain=0`` callers (throughput benches, soak runs) skip even
-        constructing the :class:`DeliveryRecord` — see
-        :meth:`record_delivery_streaming`."""
+        The series (and the :class:`DeliveryRecord`) are kept only when
+        records are retained; ``retain=0`` runs (throughput benches,
+        soak runs) update the aggregates alone."""
 
-        return self.retain != 0
-
-    def record_delivery(self, record: DeliveryRecord, latency: float) -> None:
-        # one pass per value: the aggregate updates mirror
-        # record_delivery_streaming with the series appends fused in
-        # (tests pin the two paths to identical summaries)
-        self.delivery_latencies.append(latency)
-        self.delivered.append(record)
-        self.deliveries += 1
-        self._sum_latency += latency
-        if latency > self._max_latency:
-            self._max_latency = latency
-        for value in record.values:
-            spine = len(value.provenance)
-            events = value.provenance.total_events()
-            self.provenance_spine_lengths.append(spine)
-            self.provenance_event_counts.append(events)
-            if spine > self._max_provenance_spine:
-                self._max_provenance_spine = spine
-            if events > self._max_provenance_events:
-                self._max_provenance_events = events
-            self._sum_provenance_events += events
-            self._count_provenance_events += 1
+        if self.retain != 0:
+            self.delivery_latencies.append(latency)
+            self.delivered.append(
+                DeliveryRecord(time, principal, channel, values, branch_index)
+            )
+            for value in values:
+                provenance = value.provenance
+                self.provenance_spine_lengths.append(len(provenance))
+                self.provenance_event_counts.append(provenance.total_events())
+        self.record_delivery_streaming(values, latency)
 
     def record_delivery_streaming(
         self, values: tuple[AnnotatedValue, ...], latency: float
     ) -> None:
-        """The aggregate-only half of :meth:`record_delivery`.
+        """The aggregate half of :meth:`record_delivery`.
 
         Every counter :meth:`summary` and :meth:`aggregates` read is
         updated here, so a ``retain=0`` run reports identically to a

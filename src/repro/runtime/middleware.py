@@ -19,6 +19,11 @@ Architecture:
   ``receive`` registers branch patterns and a continuation, and the
   manager fires the first branch whose patterns admit an available
   message, stamping the input event before handing the values over;
+* one ordered sink list (``Middleware.sinks``): the metrics, then the
+  durable journal and query indexes a runtime appends.  Each delivery
+  goes to every sink in order, and so does every trust transition
+  (:meth:`Middleware.note`) — the metrics are the only place that
+  counts them, and the journal persists them for recovery;
 * ``inject_raw`` — the unchecked path an adversary would use; with
   integrity enforcement on (the default) unsigned injections are dropped,
   modelling the digital-signature scheme the paper appeals to.
@@ -43,10 +48,10 @@ re-verified later in O(new hops) via the cached
 history, or forged/tampered chain — and detected tampering degrades
 gracefully: the presenting principal is quarantined (its subsequent
 sends/injections drop silently), any static certificate is revoked so
-full vetting resumes, and every decision lands in
-:class:`RuntimeMetrics`.  ``verify_deliveries=True`` additionally
-re-verifies each payload at its rendezvous before it can match a
-receiver — the paranoid mode the E22 bench uses to price verification.
+full vetting resumes, and every decision goes down the sink list as a
+note.  ``verify_deliveries=True`` additionally re-verifies each payload
+at its rendezvous before it can match a receiver — the paranoid mode
+the E22 bench uses to price verification.
 Link-level faults (:class:`~repro.runtime.network.FaultPlan`) are
 consulted on the send path: drops/duplicates/reorders manifest in
 scheduling, and a *corrupt* fault garbles the stamped spine — which is
@@ -68,7 +73,7 @@ from repro.core.semantics import SemanticsMode
 from repro.core.values import AnnotatedValue
 from repro.patterns.ast import SamplePattern
 from repro.patterns.dfa import PolicyBank, PolicyEngine
-from repro.runtime.metrics import DeliveryRecord, RuntimeMetrics
+from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 from repro.runtime.wire import encode_payload_v2, encode_plain, encode_varint
@@ -208,7 +213,7 @@ class ChannelManager:
             # reaches a receiver.  No quarantine — at the rendezvous the
             # presenter is unknown (link corruption looks the same as a
             # garbling sender), so the message is just discarded.
-            middleware.record_tamper("chain")
+            middleware.note("tamper", "chain")
             return
         self._messages.append(_StoredMessage(payload, posted_at))
         self._match(middleware)
@@ -296,41 +301,17 @@ class ChannelManager:
                 values = middleware.stamp_input(
                     waiter.principal, waiter.channel_provenance, stored.payload
                 )
-                metrics = middleware.metrics
                 now = middleware.simulator.now
-                if metrics.keep_delivered:
-                    record = DeliveryRecord(
-                        now, waiter.principal, self.channel, values, branch_index
-                    )
-                    metrics.record_delivery(record, now - stored.posted_at)
-                else:
-                    metrics.record_delivery_streaming(
-                        values, now - stored.posted_at
-                    )
-                journal = middleware.journal
-                if journal is not None:
-                    journal.record_delivery(
+                latency = now - stored.posted_at
+                for sink in middleware.sinks:
+                    sink.record_delivery(
                         now,
                         waiter.principal,
                         self.channel,
                         values,
                         branch_index,
-                        now - stored.posted_at,
+                        latency,
                     )
-                observers = middleware.delivery_observers
-                if observers:
-                    # pure consumers (query indexing): they see exactly
-                    # what the journal sees and touch no runtime state,
-                    # so the delivered trace is bit-identical with or
-                    # without them (gated by E24)
-                    for observe in observers:
-                        observe(
-                            now,
-                            waiter.principal,
-                            self.channel,
-                            values,
-                            branch_index,
-                        )
                 branch.callback(branch_index, values)
                 return True
         return False
@@ -358,6 +339,11 @@ class Middleware:
         self.mode = mode
         self.enforce_integrity = enforce_integrity
         self.certificate = certificate
+        """A :class:`~repro.analysis.static_flow.StaticCertificate` (any
+        object with ``branch_action``) authorizing check elision, or
+        ``None``.  Revoked (set to ``None``) the moment an unanalyzed
+        message enters the system, since its verdicts only cover the
+        analyzed closed system."""
         self.crypto = crypto and mode is not SemanticsMode.ERASED
         """Attest stamped spine nodes (HMAC over Merkle digests).  Off
         for erased runs — there is no provenance to protect — and for
@@ -372,23 +358,15 @@ class Middleware:
         :class:`~repro.core.integrity.AttestationStore`) to bound its
         in-RAM footprint on durable runs."""
         self.verifier = SpineVerifier(self.keyring, self.attestations)
-        self.journal = None
-        """A :class:`~repro.storage.journal.DurabilitySink` (or ``None``):
-        when set, every delivery and every trust transition (quarantine,
-        revocation, tamper detection) is streamed into the durable
-        write-ahead journal."""
-        self.delivery_observers: list = []
-        """Callbacks ``(time, principal, channel, values, branch_index)``
-        invoked on every delivery, after metrics and journal recording —
-        the hook a :class:`~repro.query.ProvenanceIndex` streams from
-        (see ``DistributedRuntime.attach_query_index``).  Observers must
-        not mutate runtime state."""
+        self.sinks: list = [self.metrics]
+        """The delivery pipeline, in order: metrics first, then the
+        durable journal and query indexes their runtime appends.  Every
+        sink takes ``record_delivery(time, principal, channel, values,
+        branch_index, latency)`` for each delivery and ``note(kind,
+        detail)`` for each trust transition (:meth:`note`).  Sinks after
+        the metrics are pure consumers: they touch no runtime state, so
+        the delivered trace is bit-identical with or without them."""
         self.quarantined: set[Principal] = set()
-        """A :class:`~repro.analysis.static_flow.StaticCertificate` (any
-        object with ``branch_action``) authorizing check elision, or
-        ``None``.  Revoked (set to ``None``) the moment an unanalyzed
-        message enters the system, since its verdicts only cover the
-        analyzed closed system."""
         self.policy = PolicyEngine()
         self.supply = NameSupply()
         self.router = None
@@ -521,21 +499,22 @@ class Middleware:
 
         if offender is not None and offender not in self.quarantined:
             self.quarantined.add(offender)
-            self.metrics.principals_quarantined += 1
-            if self.journal is not None:
-                self.journal.note("quarantine", offender.name)
+            self.note("quarantine", offender.name)
         if self.certificate is not None:
             self.certificate = None
-            self.metrics.certificates_revoked += 1
-            if self.journal is not None:
-                self.journal.note("revoke", "certificate")
+            self.note("revoke", "certificate")
 
-    def record_tamper(self, kind: str) -> None:
-        """Count a tamper detection and journal it when durable."""
+    def note(self, kind: str, detail: str) -> None:
+        """Hand one trust transition to every sink, in order.
 
-        self.metrics.record_tamper(kind)
-        if self.journal is not None:
-            self.journal.note("tamper", kind)
+        The kinds: ``tamper`` (detail: the attack/fault kind),
+        ``quarantine`` (a principal), ``poison`` (a retired cross-shard
+        link) and ``revoke`` (the certificate).  The metrics turn them
+        into counters; the journal persists them for recovery.
+        """
+
+        for sink in self.sinks:
+            sink.note(kind, detail)
 
     def vet(
         self,
@@ -769,13 +748,13 @@ class Middleware:
                 ):
                     if self.payload_verifies(payload):
                         metrics.replays_blocked += 1
-                        self.record_tamper("replay")
+                        self.note("tamper", "replay")
                     else:
-                        self.record_tamper("forge")
+                        self.note("tamper", "forge")
                     self._punish(presenter)
                 return False
             if self.crypto and not self.payload_verifies(payload):
-                self.record_tamper("chain")
+                self.note("tamper", "chain")
                 self._punish(presenter)
                 return False
         self.metrics.forgeries_accepted += 1

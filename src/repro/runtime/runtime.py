@@ -8,15 +8,20 @@ clock.  It is the entry point examples and benchmarks use::
     runtime.deploy(parse_system("a[m<v>] || b[m(x).0]"))
     runtime.run()
     print(runtime.metrics.summary())
+
+A durable runtime appends its journal to the middleware's sink list
+after the metrics, and :meth:`~DistributedRuntime.attach_query_index`
+a query index after that.  :func:`place_components` is the one
+deployment walk, shared with the sharded runtime.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.core.congruence import all_system_names, normalize
+from repro.core.congruence import NormalForm, all_system_names, normalize
 from repro.core.heap import settled_heap
-from repro.core.names import NameSupply, Principal
+from repro.core.names import Channel, NameSupply, Principal
 from repro.core.semantics import SemanticsMode
 from repro.core.system import Located, Message, System
 from repro.runtime.metrics import RuntimeMetrics
@@ -34,6 +39,53 @@ from repro.runtime.node import Node
 from repro.runtime.simulator import SequenceSource, Simulator
 
 __all__ = ["DistributedRuntime"]
+
+
+def place_components(
+    nf: NormalForm,
+    principal_host: Callable[[Principal], Optional["DistributedRuntime"]],
+    channel_host: Callable[[Channel], Optional["DistributedRuntime"]],
+) -> None:
+    """Place a normal form's components on the runtimes hosting them.
+
+    Consecutive components of one principal ride one batched event
+    (``spawn_group``); a group breaks wherever another principal's
+    component or a message intervenes, even one hosted elsewhere, so
+    every shard partition deploys with the single-runtime boundaries
+    (part of the inline bit-identity argument).  A host callable
+    returns ``None`` for components this caller does not host.
+    """
+
+    group_principal: Optional[Principal] = None
+    group: list = []
+
+    def flush() -> None:
+        nonlocal group
+        if group:
+            host = principal_host(group_principal)
+            if host is not None:
+                host.node(group_principal).spawn_group(group)
+        group = []
+
+    for component in nf.components:
+        if isinstance(component, Located):
+            if component.principal != group_principal:
+                flush()
+                group_principal = component.principal
+            group.append(component.process)
+        elif isinstance(component, Message):
+            flush()
+            group_principal = None
+            host = channel_host(component.channel)
+            if host is not None:
+                # deploy-time message literals carry histories the
+                # middleware itself vouches for: attest them so chain
+                # verification accepts what enforcement already did
+                host.middleware.adopt(component.payload)
+                host.middleware.manager(component.channel).post(
+                    component.payload, host.simulator.now
+                )
+    flush()
 
 
 class DistributedRuntime:
@@ -83,9 +135,9 @@ class DistributedRuntime:
             detailed=detailed_metrics, retain=metrics_retention
         )
         # durable mode: the attestation store spills to disk (bounded
-        # RAM) and the middleware streams deliveries into a write-ahead
-        # journal.  Imported lazily — repro.storage pulls in recovery
-        # machinery most runs never need.
+        # RAM) and a write-ahead journal joins the middleware's sinks.
+        # Imported lazily — repro.storage pulls in recovery machinery
+        # most runs never need.
         self.durable = None
         self.durability = None
         self.checkpoint_every = checkpoint_every
@@ -128,7 +180,7 @@ class DistributedRuntime:
                 attestation_lookup=self.middleware.attestations.tag,
                 spill=spill,
             )
-            self.middleware.journal = self.durability
+            self.middleware.sinks.append(self.durability)
         self.query_index = None
         """A :class:`~repro.query.ProvenanceIndex` streaming this
         runtime's deliveries, once :meth:`attach_query_index` ran."""
@@ -180,32 +232,7 @@ class DistributedRuntime:
         names = all_system_names(system)
         self.middleware.supply.reserve(names)
         nf = normalize(system, NameSupply(names))
-        # consecutive components of one principal ride one batched
-        # event (spawn_group); interleaving stays exactly the normal
-        # form's component order
-        group_principal: Optional[Principal] = None
-        group: list = []
-        for component in nf.components:
-            if isinstance(component, Located):
-                if component.principal != group_principal:
-                    if group:
-                        self.node(group_principal).spawn_group(group)
-                    group_principal = component.principal
-                    group = []
-                group.append(component.process)
-            elif isinstance(component, Message):
-                if group:
-                    self.node(group_principal).spawn_group(group)
-                    group_principal, group = None, []
-                # deploy-time message literals carry histories the
-                # middleware itself vouches for: attest them so chain
-                # verification accepts what enforcement already did
-                self.middleware.adopt(component.payload)
-                self.middleware.manager(component.channel).post(
-                    component.payload, self.simulator.now
-                )
-        if group:
-            self.node(group_principal).spawn_group(group)
+        place_components(nf, lambda principal: self, lambda channel: self)
 
     def _manifest_for(self, system: System) -> dict:
         """Everything a later process needs to re-execute this run.
@@ -236,13 +263,13 @@ class DistributedRuntime:
     def attach_query_index(self, index=None):
         """Stream every delivery into a provenance query index.
 
-        Registers a delivery observer on the middleware; the index sees
-        exactly what the journal sees, in delivery order, and absorbs
-        batches at generation boundaries (each :meth:`checkpoint`, or
-        on demand at query time).  Observers are pure consumers — the
-        delivered trace is bit-identical with or without one attached
-        (the E24 differential).  Pass an existing index to resume it;
-        returns the attached index.
+        Appends the index to the middleware's sinks, after the journal:
+        it sees exactly what the journal sees, in delivery order, and
+        absorbs batches at generation boundaries (each
+        :meth:`checkpoint`, or on demand at query time).  The index is
+        a pure consumer — the delivered trace is bit-identical with or
+        without one attached (the E24 differential).  Pass an existing
+        index to resume it; returns the attached index.
         """
 
         if self.query_index is not None:
@@ -252,7 +279,7 @@ class DistributedRuntime:
 
             index = ProvenanceIndex()
         self.query_index = index
-        self.middleware.delivery_observers.append(index.observe_delivery)
+        self.middleware.sinks.append(index)
         return index
 
     def checkpoint(self):

@@ -79,7 +79,7 @@ from math import floor
 from time import perf_counter
 from typing import Any, Callable, Optional
 
-from repro.core.congruence import NormalForm, all_system_names, normalize
+from repro.core.congruence import all_system_names, normalize
 from repro.core.errors import (
     ShardLostError,
     SimulationError,
@@ -89,7 +89,7 @@ from repro.core.errors import (
 from repro.core.heap import freeze_for_process, settled_heap
 from repro.core.names import Channel, NameSupply, Principal
 from repro.core.semantics import SemanticsMode
-from repro.core.system import Located, Message, System
+from repro.core.system import System
 from repro.runtime.metrics import DeliveryRecord, RuntimeMetrics
 from repro.runtime.network import (
     FaultInjector,
@@ -98,7 +98,7 @@ from repro.runtime.network import (
     LatencyModel,
     Topology,
 )
-from repro.runtime.runtime import DistributedRuntime
+from repro.runtime.runtime import DistributedRuntime, place_components
 from repro.runtime.simulator import SequenceSource
 from repro.runtime.wire import Codec, encode_plain, encode_varint
 
@@ -380,8 +380,9 @@ class ShardRouter:
 
         if source not in self._poisoned:
             self._poisoned.add(source)
-            self.runtime.metrics.record_tamper("wire")
-            self.runtime.metrics.principals_quarantined += 1
+            middleware = self.runtime.middleware
+            middleware.note("tamper", "wire")
+            middleware.note("poison", f"{source}->{self.index}: {reason}")
 
     def ingest(self, envelopes: list[WireEnvelope]) -> None:
         """Decode, verify, and schedule a batch of arrivals.
@@ -413,7 +414,7 @@ class ShardRouter:
                 # an exact repeat of history the link already carried:
                 # decoding it again would desync the stream — block it
                 metrics.replays_blocked += 1
-                metrics.record_tamper("replay")
+                middleware.note("tamper", "replay")
                 continue
             if envelope.seq > expected:
                 self._poison_link(source, "sequence gap")
@@ -450,7 +451,6 @@ class ShardRouter:
                 pair[0].seq,
             )
         )
-        middleware = self.runtime.middleware
         network = self.runtime.network
         for envelope, payload in decoded:
             manager = middleware.manager(Channel(envelope.channel))
@@ -461,59 +461,18 @@ class ShardRouter:
             self.cross_shard_received += 1
 
 
-# ---------------------------------------------------------------------------
-# Deployment: one normal-form walk, single-shard group boundaries
-# ---------------------------------------------------------------------------
+def _shard_manifest(index: int, mesh) -> dict:
+    """Shard ``index``'s store manifest; ``mesh`` is the
+    :class:`ShardedRuntime` or a worker's :class:`_ShardSpec`."""
 
-
-def _deploy_partitioned(
-    nf: NormalForm,
-    partitioner: Partitioner,
-    shard_lookup: Callable[[int], Optional[DistributedRuntime]],
-) -> None:
-    """Place a normal form's components on their owning shards.
-
-    The walk preserves the *single-shard* grouping exactly: consecutive
-    components of one principal form one ``spawn_group``, and a group
-    breaks wherever the unsharded walk would have broken it — even when
-    the interrupting component belongs to another shard.  Group
-    boundaries decide how many scheduler events deployment costs, so
-    keeping them identical is part of the inline bit-identity argument.
-    ``shard_lookup`` returns ``None`` for shards this caller does not
-    host (process-mode workers walk the full normal form and deploy
-    only their slice).
-    """
-
-    group_principal: Optional[Principal] = None
-    group: list = []
-
-    def flush() -> None:
-        nonlocal group
-        if group_principal is not None and group:
-            runtime = shard_lookup(partitioner.shard_of(group_principal))
-            if runtime is not None:
-                runtime.node(group_principal).spawn_group(group)
-        group = []
-
-    for component in nf.components:
-        if isinstance(component, Located):
-            if component.principal != group_principal:
-                flush()
-                group_principal = component.principal
-            group.append(component.process)
-        elif isinstance(component, Message):
-            flush()
-            group_principal = None
-            runtime = shard_lookup(partitioner.home_of(component.channel))
-            if runtime is not None:
-                # deploy-time message literals are the middleware's own
-                # construction: adopt (attest) their histories so
-                # integrity verification treats them as genuine
-                runtime.middleware.adopt(component.payload)
-                runtime.middleware.manager(component.channel).post(
-                    component.payload, runtime.simulator.now
-                )
-    flush()
+    return {
+        "shard": index,
+        "shards": mesh.n_shards,
+        "seed": mesh.seed,
+        "window": mesh.window,
+        "lookahead": mesh.lookahead,
+        "checkpoint_every": mesh.checkpoint_every,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +657,12 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
 
     try:
         runtime, router, partitioner, nf = _build_worker_shard(spec)
-        _deploy_partitioned(
+        # walk the whole normal form, deploying only this shard's slice
+        mine = spec.index
+        place_components(
             nf,
-            partitioner,
-            lambda shard: runtime if shard == spec.index else None,
+            lambda p: runtime if partitioner.shard_of(p) == mine else None,
+            lambda c: runtime if partitioner.home_of(c) == mine else None,
         )
         # the worker lives for one run: its deployed heap stays frozen
         # until exit (a forked worker inherits the conductor's
@@ -736,14 +697,7 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
 
             if runtime.durable.read_manifest() is None:
                 runtime.durable.write_manifest(
-                    {
-                        "shard": spec.index,
-                        "shards": spec.n_shards,
-                        "seed": spec.seed,
-                        "window": spec.window,
-                        "lookahead": spec.lookahead,
-                        "checkpoint_every": spec.checkpoint_every,
-                    }
+                    _shard_manifest(spec.index, spec)
                 )
             replay_count = 0
             replayed_reply = None
@@ -1060,16 +1014,7 @@ class ShardedRuntime:
             if runtime.durable is not None and (
                 runtime.durable.read_manifest() is None
             ):
-                runtime.durable.write_manifest(
-                    {
-                        "shard": index,
-                        "shards": self.n_shards,
-                        "seed": self.seed,
-                        "window": self.window,
-                        "lookahead": self.lookahead,
-                        "checkpoint_every": self.checkpoint_every,
-                    }
-                )
+                runtime.durable.write_manifest(_shard_manifest(index, self))
             # lockstep execution makes one shared supply safe and keeps
             # runtime-fresh names (restrictions) identical to shards=1
             runtime.middleware.supply = supply
@@ -1082,8 +1027,11 @@ class ShardedRuntime:
             )
             self._shards.append(runtime)
         nf = normalize(self._system, NameSupply(names))
-        _deploy_partitioned(
-            nf, self.partitioner, lambda shard: self._shards[shard]
+        partitioner = self.partitioner
+        place_components(
+            nf,
+            lambda p: self._shards[partitioner.shard_of(p)],
+            lambda c: self._shards[partitioner.home_of(c)],
         )
 
     # -- execution ---------------------------------------------------------

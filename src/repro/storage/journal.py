@@ -166,9 +166,11 @@ class NoteEntry:
     """A journaled state transition that is not a delivery.
 
     ``kind`` is one of ``quarantine`` (detail: principal name),
-    ``revoke`` (detail: certificate scope), or ``tamper`` (detail: the
-    metrics tamper kind) — the punishments and detections recovery must
-    re-apply so a restored runtime distrusts whom the crashed one did.
+    ``revoke`` (detail: certificate scope), ``tamper`` (detail: the
+    metrics tamper kind) or ``poison`` (detail: the retired cross-shard
+    link and why) — the punishments and detections the middleware's
+    sinks receive as notes.  Recovery re-applies quarantine and
+    revocation so a restored runtime distrusts whom the crashed one did.
     """
 
     kind: str
@@ -340,10 +342,11 @@ def read_journal(
 class DurabilitySink:
     """Streams the middleware's delivered record into a durable store.
 
-    The middleware calls :meth:`record_delivery` (hot path: one list
-    append) and :meth:`note`; the sink encodes pending entries in
-    batches of :data:`FLUSH_BOUND` through one streaming codec that
-    lives as long as the store.  :meth:`checkpoint` seals the current
+    A sink on the middleware's delivery pipeline: the middleware calls
+    :meth:`record_delivery` (hot path: one list append) and
+    :meth:`note`; the sink encodes pending entries in batches of
+    :data:`FLUSH_BOUND` through one streaming codec that lives as long
+    as the store.  :meth:`checkpoint` seals the current
     journal generation and rolls to the next one; it decodes and
     re-encodes nothing.
 

@@ -282,10 +282,10 @@ class TestFaultInjection:
 class TestMetricsMerge:
     def test_dict_counters_merge_by_key(self):
         left, right = RuntimeMetrics(), RuntimeMetrics()
-        left.record_tamper("forge")
+        left.note("tamper", "forge")
         left.record_attack("splice")
-        right.record_tamper("forge")
-        right.record_tamper("replay")
+        right.note("tamper", "forge")
+        right.note("tamper", "replay")
         right.record_attack("splice")
         merged = RuntimeMetrics.merge(left.summary(), right.summary())
         assert merged["tamper_detected"] == 3

@@ -606,6 +606,50 @@ class TestScalingWorkload:
         assert sinks_served(workload, trace.final) == 5
 
 
+def _sink_streams(runtime):
+    """Check a durable runtime's sinks saw one stream; its digest.
+
+    The metrics' retained records, the journal's decoded entries and
+    the query index's absorbed deliveries are the same sequence (with
+    ``retain=0``: the same count, and the journal's trace digest over
+    what the index absorbed), and the journal's notes, counted by kind,
+    are the metrics' trust counters.
+    """
+
+    from collections import Counter
+
+    from repro.storage import load_state
+    from repro.storage.journal import ZERO_DIGEST, chain_digest, delivery_key
+
+    state = load_state(runtime.durable)
+    runtime.query_index.commit()
+    indexed = [d.trace_tuple() for d in runtime.query_index.deliveries()]
+    metrics = runtime.metrics
+    assert metrics.deliveries == len(state.entries) == len(indexed)
+    if metrics.retain != 0:
+        retained = [
+            (r.time, r.principal, r.channel, r.values, r.branch_index)
+            for r in metrics.delivered
+        ]
+        assert retained == state.delivered_trace() == indexed
+    digest = ZERO_DIGEST
+    for time, principal, channel, values, branch in indexed:
+        digest = chain_digest(
+            digest, delivery_key(time, principal, channel, branch, values)
+        )
+    assert digest == state.trace_digest
+    kinds = Counter(note.kind for note in state.notes)
+    assert kinds["tamper"] == metrics.tamper_detected
+    assert dict(
+        Counter(note.detail for note in state.notes if note.kind == "tamper")
+    ) == metrics.tamper_by_kind
+    assert kinds["quarantine"] + kinds["poison"] == (
+        metrics.principals_quarantined
+    )
+    assert kinds["revoke"] == metrics.certificates_revoked
+    return digest
+
+
 class TestIncrementalVetting:
     """The lazy-DFA policy bank and the vetting metrics surface."""
 
@@ -628,20 +672,35 @@ class TestIncrementalVetting:
 
     @pytest.mark.parametrize("crypto", [True, False])
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_bank_matches_nfa_oracle_on_random_systems(self, shards, crypto):
+    def test_bank_matches_nfa_oracle_on_random_systems(
+        self, shards, crypto, tmp_path
+    ):
+        """Bank and oracle vetting agree on durable, indexed shards with
+        records retained and not, and every shard's sinks (metrics,
+        journal, query index) saw one delivery stream and one set of
+        trust transitions."""
+
         from repro.core.errors import ReproError
         from repro.runtime import ShardedRuntime
-        from repro.storage.journal import ZERO_DIGEST, chain_digest, delivery_key
         from repro.workloads.random_systems import GeneratorConfig, random_system
 
         config = GeneratorConfig(n_components=6, n_messages=3, p_pattern=0.6)
-        decided = 0
+        decided = delivered = 0
 
-        def outcome(system, seed, engine):
-            nonlocal decided
+        def outcome(system, seed, engine, retention):
+            nonlocal decided, delivered
+            store = tmp_path / f"{seed}-{engine.__name__}-{retention}"
             with engine():  # inline shards build their middleware at deploy
-                runtime = ShardedRuntime(shards=shards, seed=seed, crypto=crypto)
+                runtime = ShardedRuntime(
+                    shards=shards,
+                    seed=seed,
+                    crypto=crypto,
+                    metrics_retention=retention,
+                    durable_dir=store,
+                )
                 runtime.deploy(system)
+            for index in range(shards):
+                runtime.shard(index).attach_query_index()
             try:
                 runtime.run(max_events=4_000)
             except (TypeError, ReproError) as error:
@@ -652,16 +711,10 @@ class TestIncrementalVetting:
                 for index in range(shards):
                     policy = runtime.shard(index).middleware.policy
                     decided += getattr(policy, "decisions", 0)
-            digest = ZERO_DIGEST
-            for time, principal, channel, values, branch in (
-                runtime.delivered_trace()
-            ):
-                digest = chain_digest(
-                    digest, delivery_key(time, principal, channel, branch, values)
-                )
             summary = runtime.metrics_summary()
+            delivered += summary["deliveries"]
             return (
-                digest,
+                [_sink_streams(runtime.shard(i)) for i in range(shards)],
                 summary["pattern_checks"],
                 summary["pattern_rejections"],
                 summary["rejections_by_pattern"],
@@ -669,9 +722,14 @@ class TestIncrementalVetting:
 
         for seed in range(24):
             system = random_system(seed, config)
-            bank = outcome(system, seed, nullcontext)
-            assert bank == outcome(system, seed, nfa_vetting), seed
+            runs = [
+                outcome(system, seed, engine, retention)
+                for engine in (nullcontext, nfa_vetting)
+                for retention in (None, 0)
+            ]
+            assert all(run == runs[0] for run in runs), seed
         assert decided > 0  # the oracle really vetted sample patterns
+        assert delivered > 0
 
     def test_bank_extends_cached_runs_instead_of_replaying(self):
         from repro.workloads import vetted_relay_chain

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from repro.core.builder import ch, inp, located, nil, out, pr, sys_par, var
 from repro.core.errors import SimulationError
 from repro.lang import parse_system
-from repro.runtime import LatencyModel, ShardedRuntime
+from repro.runtime import FaultPlan, LatencyModel, ShardedRuntime
 from repro.runtime import shards as shards_module
+from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.shards import Partitioner, ShardPlan
-from repro.workloads import wide_fanout
+from repro.storage import load_state
+from repro.workloads import fan_in_fan_out, wide_fanout
 from repro.workloads.random_systems import GeneratorConfig, random_system
 
 RACY_EXAMPLE = parse_system(
@@ -345,6 +347,58 @@ def _answers(index, principals):
         [index.taint(p) for p in principals],
         [index.derived_from_sends(p) for p in principals],
     )
+
+
+def _assert_trust_journaled(root, summaries):
+    """Each shard's journal holds exactly the trust transitions its
+    metrics counted; a retired link is never a principal quarantine."""
+
+    for index, summary in enumerate(summaries):
+        state = load_state(root / f"shard-{index}")
+        kinds = [note.kind for note in state.notes]
+        assert state.tampered == summary["tamper_detected"], index
+        assert kinds.count("poison") == summary["principals_quarantined"]
+        assert not state.quarantined
+    return sum(summary["tamper_detected"] for summary in summaries)
+
+
+class TestRouterTrustNotes:
+    def test_inline_wire_tampering_reaches_every_shard_journal(
+        self, tmp_path
+    ):
+        detected = 0
+        for seed in range(1, 6):
+            runtime = ShardedRuntime(
+                shards=2,
+                seed=seed,
+                durable_dir=tmp_path / str(seed),
+                fault_plan=FaultPlan(corrupt=0.3),
+            )
+            runtime.deploy(fan_in_fan_out(8).system)
+            runtime.run()
+            detected += _assert_trust_journaled(
+                tmp_path / str(seed), runtime.shard_summaries()
+            )
+        assert detected > 0
+
+    def test_process_wire_tampering_and_replays_reach_the_journal(
+        self, tmp_path
+    ):
+        system, plan = _deep_relay(2, 16)
+        runtime = ShardedRuntime(
+            shards=2,
+            shard_mode="process",
+            seed=2,
+            plan=plan,
+            durable_dir=tmp_path,
+            fault_plan=FaultPlan(corrupt=0.3, duplicate=0.5),
+        )
+        runtime.deploy(system)
+        runtime.run()
+        summaries = runtime.shard_summaries()
+        assert _assert_trust_journaled(tmp_path, summaries) > 0
+        kinds = RuntimeMetrics.merge(*summaries)["tamper_by_kind"]
+        assert kinds.get("wire") and kinds.get("replay")
 
 
 class TestProcessResultFrames:
