@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Provenance queries end to end: capture, ask, export, resume.
+"""Provenance queries end to end: capture, ask, export, rebuild.
 
 PR 10's analytics layer in one deterministic walkthrough.  A vetted
 relay chain runs with the query index attached to the middleware's
 delivery hook and the journal going to a durable store:
 
 1. **capture** — every delivery streams into a live
-   :class:`~repro.query.ProvenanceIndex`; a checkpoint cuts a
-   snapshot of the index next to the durable record;
+   :class:`~repro.query.ProvenanceIndex`; a checkpoint seals the
+   journal's generation and commits the index's;
 2. **ask** — where/why queries over the happens-before and dataflow
    graphs: who touched the payload (``derived_from_sends``), what the
    producer's output influenced (``taint``), why the final delivery
@@ -15,9 +15,9 @@ delivery hook and the journal going to a durable store:
    proving the relay guard held;
 3. **export** — the trace as W3C PROV-JSON and graphviz DOT, plus the
    final value's spine as its own DOT graph;
-4. **resume** — a second index loads the snapshot + journal suffix
-   from the store and must answer every query identically to the live
-   one (exit 1 if anything diverges).
+4. **rebuild** — a second index is built from the store's journal,
+   one generation per seal, and must answer every query identically
+   to the live one (exit 1 if anything diverges).
 
 Run:  PYTHONPATH=src python examples/provenance_queries.py [OUTDIR]
 
@@ -49,7 +49,7 @@ def capture(store_dir: Path):
     live = runtime.attach_query_index()
     runtime.deploy(vetted_relay_chain(HOPS).system)
     runtime.run()
-    runtime.checkpoint()  # durable record + queryindex snapshot
+    runtime.checkpoint()  # seals the journal; the index commits
     live.commit()
     return runtime, live
 
@@ -63,7 +63,8 @@ def ask(index) -> dict:
         index.delivery(last).roots[0], relay_guard()
     )
     return {
-        "summary_delivered": index.summary()["delivered"],
+        "summary": index.summary(),
+        "generation_marks": index.generation_marks,
         "edge_counts": index.edge_counts(),
         "trace": [d.trace_tuple() for d in index.deliveries()],
         "where_producer": index.derived_from_sends(producer),
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
     )
     # the relay shape makes every answer predictable — pin it
     expected_deliveries = HOPS + 1
-    assert answers["summary_delivered"] == expected_deliveries
+    assert answers["summary"]["delivered"] == expected_deliveries
     assert len(answers["where_producer"]) == expected_deliveries
     assert answers["cone_last"] == tuple(range(last))
     assert answers["witness_len"] == 1  # the producer's original send
@@ -124,23 +125,22 @@ def main(argv=None) -> int:
         f"[export  ] {prov_path.name}, {dot_path.name}, {spine_path.name}"
     )
 
-    resumed, info = resume_index(store_dir)
+    rebuilt, info = resume_index(store_dir)
     print(
-        f"[resume  ] snapshot generation {info['snapshot_generation']}, "
-        f"{info['resumed_deliveries']} deliveries resumed + "
-        f"{info['extended_deliveries']} extended "
-        f"(in-process indexing work: {info['extended_work']} events)"
+        f"[rebuild ] {info['extended_deliveries']} deliveries in "
+        f"{rebuilt.generation} generation(s) from the journal "
+        f"(indexing work: {info['extended_work']} events)"
     )
 
-    if ask(resumed) != answers:
+    if ask(rebuilt) != answers:
         print(
-            "MISMATCH: resumed index answered differently from the "
+            "MISMATCH: the rebuilt index answered differently from the "
             "live one",
             file=sys.stderr,
         )
         return 1
     print(
-        "\nProvenance query demo OK: the index resumed from the durable "
+        "\nProvenance query demo OK: the index rebuilt from the durable "
         "store\nanswers every where/why query identically to the live "
         "capture."
     )

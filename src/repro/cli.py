@@ -244,10 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     query_p = sub.add_parser(
         "query",
         help="where/why provenance queries over a durable store's record",
-        description="Build (or resume, from the snapshot persisted at "
-        "the last checkpoint) the provenance query index over a durable "
-        "store's delivery record, and answer where/why queries against "
-        "it.  With no query flags, prints the index summary.",
+        description="Build the provenance query index from a durable "
+        "store's journal, one generation per checkpoint (a sharded "
+        "store's merged record is one generation), and answer where/why "
+        "queries against it.  With no query flags, prints the index "
+        "summary.",
     )
     query_p.add_argument("dir", help="store directory from --durable")
     query_p.add_argument(
@@ -454,7 +455,12 @@ def _cmd_query(args) -> int:
 
     from repro.core.errors import StorageError
     from repro.core.names import Principal
-    from repro.query import resume_index, to_dot, write_prov_json
+    from repro.query import (
+        ProvenanceIndex,
+        resume_index,
+        to_dot,
+        write_prov_json,
+    )
     from repro.storage import DurableStore, load_state
 
     store = DurableStore(args.dir)
@@ -464,28 +470,18 @@ def _cmd_query(args) -> int:
             print(f"error: no manifest in {args.dir}", file=sys.stderr)
             return 2
         if manifest.get("sharded"):
-            # per-shard records merge canonically; no per-shard snapshot
-            # exists, so the index is built fresh over the merged record
-            from repro.query import ProvenanceIndex
-
+            # per-shard records merge canonically into one generation
             index = ProvenanceIndex()
             index.extend_entries(
                 _shard_merged_entries(store, load_state, DurableStore)
             )
-            info = {"snapshot_generation": None}
         else:
-            index, info = resume_index(store)
+            index, _ = resume_index(store)
         summary = index.summary()
-        resumed = info.get("resumed_deliveries", 0)
-        if info.get("snapshot_generation"):
-            print(
-                f"index: resumed snapshot generation "
-                f"{info['snapshot_generation']} "
-                f"({resumed} deliveries reloaded, "
-                f"{info.get('extended_deliveries', 0)} indexed fresh)"
-            )
-        else:
-            print(f"index: built fresh ({summary['delivered']} deliveries)")
+        print(
+            "index: built from the journal ({delivered} deliveries, "
+            "{generation} generations)".format(**summary)
+        )
         print(
             "deliveries={delivered} spine_nodes={spine_nodes} "
             "hb_edges={hb_edges} generations={generation}".format(**summary)
@@ -803,10 +799,6 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint_every=args.checkpoint_every,
             durable_wipe=args.durable is not None,
         )
-        if args.durable:
-            # stream deliveries into a query index so each checkpoint
-            # persists a snapshot `repro query` can resume in O(new)
-            runtime.attach_query_index()
         deploy_start = perf_counter()
         runtime.deploy(system)
         events = runtime.run(max_events=args.max_events)
@@ -830,7 +822,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  detection: {detected}/{len(outcomes)}")
         if args.durable:
             # seal the last generation, so a clean exit leaves every
-            # journal checked against a seal and a query snapshot to resume
+            # journal checked against a seal
             runtime.checkpoint()
         summary = runtime.metrics.summary()
         if args.stats_json:

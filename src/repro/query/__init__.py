@@ -13,9 +13,9 @@ slicing:
   informed by the log's :meth:`~repro.logs.order.LogIndex.
   signature_buckets` when available;
 * :mod:`repro.query.export` — W3C PROV-JSON and graphviz DOT;
-* :mod:`repro.query.persist` — snapshot/resume per checkpoint
-  generation so ``repro recover`` and ``repro query`` pick up an index
-  without re-deriving the full history.
+* :mod:`repro.query.persist` — the index over a durable store, rebuilt
+  from its journal one generation at a time; nothing about the index is
+  written to disk.
 
 Feed an index live (``runtime.attach_query_index()``), from a sharded
 run (``sharded.build_query_index()``), or from a durable store
@@ -40,12 +40,7 @@ from repro.query.index import (
     default_index,
     suffix_decider,
 )
-from repro.query.persist import (
-    enumerate_nodes,
-    load_index,
-    resume_index,
-    save_index,
-)
+from repro.query.persist import resume_index, save_index
 from repro.query.planner import QueryPlan, plan_where, run_where
 
 __all__ = [
@@ -58,8 +53,6 @@ __all__ = [
     "ProvenanceIndex",
     "QueryPlan",
     "default_index",
-    "enumerate_nodes",
-    "load_index",
     "plan_where",
     "resume_index",
     "run_where",

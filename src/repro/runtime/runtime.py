@@ -289,10 +289,9 @@ class DistributedRuntime:
         The journal is fsynced and a fixed-size seal (generation,
         delivered count, trace digest) is written beside it; nothing is
         re-encoded (see :mod:`repro.storage.checkpoint`).  With a query
-        index attached, the index commits the generation and persists a
-        snapshot beside the seal so a later ``repro recover`` /
-        ``repro query`` resumes it without a full rebuild (see
-        :mod:`repro.query.persist`).
+        index attached, the index commits the generation and writes
+        nothing: ``repro query`` rebuilds the same generations from the
+        journal (see :mod:`repro.query.persist`).
         """
 
         if self.durability is None:
@@ -305,8 +304,8 @@ class DistributedRuntime:
         if self.query_index is not None:
             from repro.query.persist import save_index
 
-            # the sink already rolled to generation+1; the seal just
-            # written carries the previous generation number
+            # commits the generation the seal just closed (the sink
+            # already rolled to generation+1)
             save_index(
                 self.durable, self.query_index, self.durability.generation - 1
             )

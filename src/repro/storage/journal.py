@@ -465,8 +465,9 @@ class DurabilitySink:
         The journal is flushed and fsynced, then the generation's seal
         — its number, the delivered count and the trace digest — is
         written atomically; nothing is decoded or re-encoded, and the
-        codec carries on into the next generation.  Superseded
-        query-index snapshots are pruned.  Returns the seal's path.
+        codec carries on into the next generation.  Nothing else is
+        written: a query index is rebuilt from the journal, one
+        generation per seal.  Returns the seal's path.
         """
 
         from repro.storage.checkpoint import write_checkpoint
@@ -479,7 +480,6 @@ class DurabilitySink:
             self.delivered_count,
             self.trace_digest,
         )
-        self.store.compact()
         self.generation += 1
         self._writer = SegmentWriter(
             self.store.journal_path(self.generation)

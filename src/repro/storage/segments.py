@@ -71,8 +71,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically (temp file + fsync + rename).
 
     Readers never observe a partially written file: they see either the
-    old content or the new, complete content.  Used for seals, snapshots
-    and manifests; journals are append-only and rely on CRC framing instead.
+    old content or the new, complete content.  Used for seals and
+    manifests; journals are append-only and rely on CRC framing instead.
     """
 
     path = Path(path)
@@ -332,7 +332,6 @@ class AttestationSpill:
 
 _JOURNAL_PATTERN = re.compile(r"journal-(\d{8})\.seg$")
 _CHECKPOINT_PATTERN = re.compile(r"checkpoint-(\d{8})\.ck$")
-_QUERY_INDEX_PATTERN = re.compile(r"queryindex-(\d{8})\.seg$")
 
 
 class DurableStore:
@@ -345,14 +344,14 @@ class DurableStore:
           journal-00000001.seg   # delivery journal, generation 1
           checkpoint-00000001.ck # seal: generation 1 ends here
           journal-00000002.seg   # generation 2, same codec stream
-          queryindex-00000002.seg # query-index snapshot (accelerator)
           windows.seg            # shard-only: write-ahead window WAL
           attest.spill           # spilled attestation tags
           shard-0/ shard-1/ ...  # sharded runs: one store per shard
 
     Generations monotonically increase.  The journals are the record,
-    so nothing here deletes one while the run lives; :meth:`compact`
-    only drops superseded query-index snapshots.
+    so nothing here deletes one while the run lives.  Nothing derived
+    from the record is stored: the query index is rebuilt from the
+    journals (:mod:`repro.query.persist`).
     """
 
     MANIFEST = "MANIFEST.json"
@@ -373,12 +372,6 @@ class DurableStore:
 
     def checkpoint_path(self, generation: int) -> Path:
         return self.root / f"checkpoint-{generation:08d}.ck"
-
-    def query_index_path(self, generation: int) -> Path:
-        """The provenance-query-index snapshot beside checkpoint
-        ``generation`` (see :mod:`repro.query.persist`)."""
-
-        return self.root / f"queryindex-{generation:08d}.seg"
 
     def windows_path(self) -> Path:
         return self.root / "windows.seg"
@@ -402,9 +395,6 @@ class DurableStore:
 
     def checkpoint_generations(self) -> List[int]:
         return self._generations(_CHECKPOINT_PATTERN)
-
-    def query_index_generations(self) -> List[int]:
-        return self._generations(_QUERY_INDEX_PATTERN)
 
     def _generations(self, pattern) -> List[int]:
         found = []
@@ -460,20 +450,6 @@ class DurableStore:
             self.checkpoint_generations()
         )
 
-    def compact(self) -> List[Path]:
-        """Drop every query-index snapshot but the newest.
-
-        A snapshot is only an accelerator, and the newest one subsumes
-        the older ones.  Returns the deleted paths.
-        """
-
-        removed = []
-        for generation in self.query_index_generations()[:-1]:
-            path = self.query_index_path(generation)
-            path.unlink(missing_ok=True)
-            removed.append(path)
-        return removed
-
     def reset_record(self) -> List[Path]:
         """Delete the delivery record (journals, checkpoints, spill).
 
@@ -493,10 +469,6 @@ class DurableStore:
             path = self.checkpoint_path(generation)
             path.unlink(missing_ok=True)
             removed.append(path)
-        for generation in self.query_index_generations():
-            path = self.query_index_path(generation)
-            path.unlink(missing_ok=True)
-            removed.append(path)
         spill = self.spill_path()
         if spill.exists():
             spill.unlink()
@@ -509,11 +481,17 @@ class DurableStore:
         Used when a *fresh* run reuses an existing directory: unlike
         :meth:`reset_record`, nothing from the previous run survives —
         a stale window WAL or manifest would otherwise poison a later
-        recovery with another run's history.
+        recovery with another run's history.  Query-index snapshots left
+        by stores written before the index was rebuilt from the journal
+        go too.
         """
 
         removed = self.reset_record()
-        for path in (self.windows_path(), self.manifest_path()):
+        for path in (
+            self.windows_path(),
+            self.manifest_path(),
+            *self.root.glob("queryindex-*.seg"),
+        ):
             if path.exists():
                 path.unlink()
                 removed.append(path)

@@ -231,14 +231,17 @@ class TestQueryCommand:
         assert main(["sim", system_file, "--durable", str(store)]) == 0
         return str(store)
 
-    def test_summary_resumes_the_checkpoint_snapshot(
+    def test_summary_builds_the_index_from_the_journal(
         self, system_file, tmp_path, capsys
     ):
         store = self.captured(system_file, tmp_path)
         capsys.readouterr()
         assert main(["query", store]) == 0
         out = capsys.readouterr().out
-        assert "resumed snapshot generation 1" in out
+        assert (
+            "index: built from the journal (2 deliveries, 1 generations)"
+            in out
+        )
         assert "deliveries=2" in out
 
     def test_where_and_why_queries(self, system_file, tmp_path, capsys):
@@ -317,7 +320,7 @@ class TestQueryCommand:
         capsys.readouterr()
         assert main(["query", str(store), "--taint", "a"]) == 0
         out = capsys.readouterr().out
-        assert "built fresh (2 deliveries)" in out
+        assert "built from the journal (2 deliveries, 1 generations)" in out
         assert "tainted by a: 2" in out
 
     def test_missing_store_exits_two(self, tmp_path, capsys):

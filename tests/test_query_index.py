@@ -3,8 +3,9 @@
 Covers the generation-indexed query engine end to end: hand-built
 traces pin the happens-before edge semantics; live runtimes exercise
 the delivery-observer hook and the bit-identical differential; durable
-stores exercise snapshot save/load/resume (including the O(new events)
-resume property); sharded runs pin partition invariance.
+stores pin that the index rebuilt from the journal equals the live one
+and that checkpoints write nothing but the record; sharded runs pin
+partition invariance.
 """
 
 import pytest
@@ -18,11 +19,9 @@ from repro.query import (
     DERIVES,
     PROGRAM,
     ProvenanceIndex,
-    load_index,
     plan_where,
     resume_index,
     run_where,
-    save_index,
     spine_to_dot,
     to_dot,
     to_prov_json,
@@ -350,59 +349,80 @@ class TestPersistence:
             runtime.checkpoint()
         return runtime, index
 
-    def test_snapshot_roundtrip_preserves_everything(self, tmp_path):
-        from repro.storage import load_state
-
-        _, index = self.run_durable(tmp_path)
-        state = load_state(tmp_path)
-        loaded, generation = load_index(tmp_path, state.entries)
-        assert generation == 1
-        assert loaded.summary() == index.summary()
-        for ordinal in range(index.delivered):
-            assert loaded.predecessors(ordinal) == index.predecessors(ordinal)
-        for principal in index.known_principals():
-            assert loaded.received_by(principal) == index.received_by(
+    @staticmethod
+    def assert_same_answers(rebuilt, live):
+        assert rebuilt.summary() == live.summary()
+        assert rebuilt.generation_marks == live.generation_marks
+        for ordinal in range(live.delivered):
+            assert rebuilt.predecessors(ordinal) == live.predecessors(ordinal)
+            assert rebuilt.cone_of_influence(
+                ordinal
+            ) == live.cone_of_influence(ordinal)
+        for principal in live.known_principals():
+            assert rebuilt.derived_from_sends(
                 principal
-            )
-            assert loaded.derived_from_sends(
-                principal
-            ) == index.derived_from_sends(principal)
+            ) == live.derived_from_sends(principal)
+            assert rebuilt.taint(principal) == live.taint(principal)
 
     def test_resume_without_snapshot_rebuilds(self, tmp_path):
         _, index = self.run_durable(tmp_path, checkpoint=False)
         index.commit()
         resumed, info = resume_index(tmp_path)
-        assert info["snapshot_generation"] == 0
+        assert info["extended_deliveries"] == resumed.delivered
         assert resumed.delivered == index.delivered
 
-    def test_resume_extends_only_the_journal_suffix(self, tmp_path):
-        runtime, index = self.run_durable(tmp_path)
-        # more deliveries after the checkpoint land journal-only
+    @pytest.mark.parametrize(
+        "every", [None, 7, 40], ids=["none", "small", "large"]
+    )
+    def test_rebuild_matches_the_live_index_at_every_cadence(
+        self, tmp_path, every
+    ):
+        """One rebuilt generation per journal generation: the rebuilt
+        index equals the live one, generation marks included."""
+
+        runtime = DistributedRuntime(
+            seed=3, durable=tmp_path, checkpoint_every=every
+        )
+        live = runtime.attach_query_index()
+        runtime.deploy(vetted_relay_chain(24).system)
+        runtime.run()
+        if every is not None:
+            runtime.checkpoint()
+        # more deliveries after the last checkpoint land journal-only
         runtime.deploy(parse_system("a[t1<v>] || b[t1(x).0]"))
         runtime.run()
-        runtime.durability.flush()
-        index.commit()
-        resumed, info = resume_index(tmp_path)
-        assert info["snapshot_generation"] == 1
-        assert info["extended_deliveries"] == 1
-        assert resumed.delivered == index.delivered
-        assert resumed.summary() == index.summary()
-        # O(new events): this process walked just the journal suffix —
-        # a full rebuild would have spent the whole events_indexed total
-        assert 0 < info["extended_work"] < resumed.events_indexed
+        live.commit()
+        rebuilt, info = resume_index(tmp_path)
+        marks = len(live.generation_marks)
+        assert marks == 1 if every is None else marks >= 3, marks
+        self.assert_same_answers(rebuilt, live)
+        assert info == {
+            "extended_deliveries": live.delivered,
+            "extended_work": live.events_indexed,
+        }
 
-    def test_corrupt_snapshot_falls_back_to_rebuild(self, tmp_path):
-        from repro.storage.segments import DurableStore
+    def test_checkpoint_writes_only_the_record(self, tmp_path):
+        runtime = DistributedRuntime(
+            seed=3, durable=tmp_path, checkpoint_every=5
+        )
+        runtime.attach_query_index()
+        runtime.deploy(vetted_relay_chain(24).system)
+        runtime.run()
+        runtime.checkpoint()
+        names = {path.name for path in tmp_path.iterdir()}
+        record = {"MANIFEST.json", "attest.spill"}
+        assert record <= names
+        assert sum(name.startswith("checkpoint-") for name in names) > 2
+        assert all(
+            name in record or name.startswith(("journal-", "checkpoint-"))
+            for name in names
+        ), sorted(names)
 
-        self.run_durable(tmp_path)
-        store = DurableStore(tmp_path)
-        [generation] = store.query_index_generations()
-        path = store.query_index_path(generation)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        resumed, info = resume_index(tmp_path)
-        assert info["snapshot_generation"] == 0
-        assert resumed.delivered == 7  # 6 relays + the final consume
-
+    # Stores written before the index was rebuilt from the journal hold
+    # ``queryindex-<g>.seg`` snapshots: a header, an edge table and a
+    # node table, each a CRC-framed JSON record.  These mutations were
+    # the hostile shapes their reader had to refuse; today nothing reads
+    # them at all.
     CRAFTED = {
         "set id out of range": lambda h, e, n: n["rows"][0].__setitem__(
             0, len(n["sets"])
@@ -421,74 +441,86 @@ class TestPersistence:
         "forward edge": lambda h, e, n: e.__setitem__(1, [[0, 2]]),
     }
 
-    @pytest.mark.parametrize("craft", sorted(CRAFTED))
-    def test_crafted_snapshot_falls_back_to_a_fresh_build(
-        self, tmp_path, craft, capsys
-    ):
-        """CRC-valid snapshots with bad content are refused, not followed."""
+    def plant_old_snapshots(self, store_dir):
+        """One crafted snapshot per ``CRAFTED`` case; returns their paths."""
 
         import json
 
-        from repro.cli import main
-        from repro.query.persist import _read_snapshot
-        from repro.storage import load_state
-        from repro.storage.segments import (
-            DurableStore,
-            atomic_write_bytes,
-            frame_record,
-        )
+        from repro.storage.segments import atomic_write_bytes, frame_record
 
-        self.run_durable(tmp_path)
-        store = DurableStore(tmp_path)
-        [generation] = store.query_index_generations()
-        path = store.query_index_path(generation)
-        parts = _read_snapshot(path)
-        self.CRAFTED[craft](*parts)
-        atomic_write_bytes(
-            path,
-            b"".join(
-                frame_record(bytes((kind,)) + json.dumps(part).encode())
-                for kind, part in zip((0x20, 0x21, 0x22), parts)
-            ),
-        )
-        resumed, info = resume_index(tmp_path)
-        assert info["snapshot_generation"] == 0
+        paths = []
+        for generation, craft in enumerate(sorted(self.CRAFTED), start=1):
+            header = {
+                "format": 1,
+                "delivered": 7,
+                "generation": 1,
+                "marks": [7],
+                "work": [28],
+                "events_indexed": 28,
+                "principals": ["a", "b"],
+            }
+            edges = [[]] + [[[0, ordinal - 1]] for ordinal in range(1, 7)]
+            nodes = {"sets": [[0], [0, 1]], "rows": [[0, 1, 0]]}
+            self.CRAFTED[craft](header, edges, nodes)
+            path = store_dir / f"queryindex-{generation:08d}.seg"
+            atomic_write_bytes(
+                path,
+                b"".join(
+                    frame_record(bytes((kind,)) + json.dumps(part).encode())
+                    for kind, part in zip(
+                        (0x20, 0x21, 0x22), (header, edges, nodes)
+                    )
+                ),
+            )
+            paths.append(path)
+        return paths
+
+    def test_old_snapshot_files_are_never_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A store holding hostile snapshots from before the index was
+        rebuilt from the journal answers exactly like a fresh build."""
+
+        import builtins
+        import io
+
+        from repro.cli import main
+        from repro.storage import load_state
+
+        _, live = self.run_durable(tmp_path)
+        planted = self.plant_old_snapshots(tmp_path)
         fresh = ProvenanceIndex()
         fresh.extend_entries(load_state(tmp_path).entries)
-        assert resumed.summary() == fresh.summary()
-        for ordinal in range(fresh.delivered):
-            assert resumed.predecessors(ordinal) == fresh.predecessors(ordinal)
-            assert resumed.cone_of_influence(
-                ordinal
-            ) == fresh.cone_of_influence(ordinal)
-        for principal in fresh.known_principals():
-            assert resumed.derived_from_sends(
-                principal
-            ) == fresh.derived_from_sends(principal)
-            assert resumed.taint(principal) == fresh.taint(principal)
-        assert main(["query", str(tmp_path)]) == 0
-        assert "deliveries=7" in capsys.readouterr().out
 
-    def test_checkpoint_writes_one_snapshot_per_generation(self, tmp_path):
-        from repro.storage.segments import DurableStore
+        def guard(opener):
+            def open_(file, *args, **kwargs):
+                assert "queryindex-" not in str(file), f"opened {file}"
+                return opener(file, *args, **kwargs)
 
-        runtime, _ = self.run_durable(tmp_path)
-        runtime.deploy(parse_system("a[t1<v>] || b[t1(x).0]"))
+            return open_
+
+        monkeypatch.setattr(io, "open", guard(io.open))
+        monkeypatch.setattr(builtins, "open", guard(builtins.open))
+        resumed, _ = resume_index(tmp_path)
+        self.assert_same_answers(resumed, fresh)
+        self.assert_same_answers(resumed, live)
+        assert main(["query", str(tmp_path), "--taint", "a"]) == 0
+        out = capsys.readouterr().out
+        assert "built from the journal (7 deliveries, 1 generations)" in out
+        assert f"tainted by a: {len(fresh.taint(A))}" in out
+        assert all(path.exists() for path in planted)
+
+    def test_wipe_removes_old_snapshot_files(self, tmp_path):
+        self.run_durable(tmp_path)
+        self.plant_old_snapshots(tmp_path)
+        runtime = DistributedRuntime(
+            seed=3, durable=tmp_path, durable_wipe=True
+        )
+        runtime.deploy(vetted_relay_chain(3).system)
         runtime.run()
         runtime.checkpoint()
-        generations = DurableStore(tmp_path).query_index_generations()
-        assert generations == [1, 2]
-
-    def test_compact_keeps_only_newest_snapshot(self, tmp_path):
-        from repro.storage.segments import DurableStore
-
-        runtime, _ = self.run_durable(tmp_path)
-        runtime.deploy(parse_system("a[t1<v>] || b[t1(x).0]"))
-        runtime.run()
-        runtime.checkpoint()
-        store = DurableStore(tmp_path)
-        store.compact()
-        assert store.query_index_generations() == [2]
+        assert not list(tmp_path.glob("queryindex-*"))
+        assert resume_index(tmp_path)[0].delivered == 4
 
 
 class TestPlanner:

@@ -243,18 +243,6 @@ class TestDurableStore:
         assert store.checkpoint_generations() == [2]
         assert not store.is_empty_record()
 
-    def test_compact_keeps_journals_and_seals(self, tmp_path):
-        store = DurableStore(tmp_path / "store")
-        for generation in (1, 2, 3):
-            store.journal_path(generation).write_bytes(b"")
-            store.query_index_path(generation).write_bytes(b"")
-        store.checkpoint_path(1).write_bytes(b"")
-        store.checkpoint_path(2).write_bytes(b"")
-        store.compact()
-        assert store.journal_generations() == [1, 2, 3]
-        assert store.checkpoint_generations() == [1, 2]
-        assert store.query_index_generations() == [3]
-
     def test_reset_keeps_wal_and_manifest(self, tmp_path):
         store = DurableStore(tmp_path / "store")
         store.journal_path(1).write_bytes(b"")
