@@ -441,15 +441,17 @@ class TestPersistence:
         "forward edge": lambda h, e, n: e.__setitem__(1, [[0, 2]]),
     }
 
-    def plant_old_snapshots(self, store_dir):
-        """One crafted snapshot per ``CRAFTED`` case; returns their paths."""
+    def plant_old_snapshots(self, store_dir, crafts=None):
+        """One crafted snapshot per ``CRAFTED`` case in ``crafts`` (all of
+        them by default); returns their paths."""
 
         import json
 
         from repro.storage.segments import atomic_write_bytes, frame_record
 
         paths = []
-        for generation, craft in enumerate(sorted(self.CRAFTED), start=1):
+        crafts = sorted(self.CRAFTED) if crafts is None else crafts
+        for generation, craft in enumerate(crafts, start=1):
             header = {
                 "format": 1,
                 "delivered": 7,
@@ -475,11 +477,13 @@ class TestPersistence:
             paths.append(path)
         return paths
 
-    def test_old_snapshot_files_are_never_read(
-        self, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("craft", sorted(CRAFTED))
+    def test_crafted_snapshot_falls_back_to_a_fresh_build(
+        self, tmp_path, craft, monkeypatch, capsys
     ):
-        """A store holding hostile snapshots from before the index was
-        rebuilt from the journal answers exactly like a fresh build."""
+        """A store holding a hostile snapshot from before the index was
+        rebuilt from the journal never opens it and answers exactly like
+        a fresh build."""
 
         import builtins
         import io
@@ -488,7 +492,7 @@ class TestPersistence:
         from repro.storage import load_state
 
         _, live = self.run_durable(tmp_path)
-        planted = self.plant_old_snapshots(tmp_path)
+        planted = self.plant_old_snapshots(tmp_path, [craft])
         fresh = ProvenanceIndex()
         fresh.extend_entries(load_state(tmp_path).entries)
 
