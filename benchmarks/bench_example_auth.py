@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.builder import pr
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent, Provenance
-from repro.patterns.nfa import NFAMatcher
+from repro.patterns.dfa import PolicyEngine
 from repro.patterns.parse import parse_pattern
 
 from conftest import record_row
@@ -42,11 +42,11 @@ HOPS = [1, 8, 32, 128]
 def test_vetting_cost(benchmark, pattern_name, hops):
     pattern = DIRECT if pattern_name == "direct" else ORIGIN
     provenance = relayed_history(hops, direct_ok=True)
-    matcher = NFAMatcher()
+    engine = PolicyEngine()
 
     def vet():
-        matcher.clear()
-        return matcher.matches(provenance, pattern)
+        engine.clear()  # cold: measure the spine walk, not a cache hit
+        return engine.matches(provenance, pattern)
 
     result = benchmark(vet)
     assert result is True

@@ -62,10 +62,17 @@ def test_routing_pattern_evaluation(benchmark):
     (how much of the run is spent in ⊨ queries)."""
 
     workload = competition(12, 4)
-    from repro.patterns.nfa import default_matcher
+    from repro.patterns.dfa import default_engine
+
+    def queries() -> int:
+        stats = default_engine().stats()
+        return stats["run_cache_hits"] + stats["run_cache_misses"]
 
     def routed_run():
         return run_to_served(workload)
 
+    before = queries()
     trace = benchmark(routed_run)
     assert trace.status.value == "stopped"
+    # the run's ⊨ queries are decided by the process-wide policy engine
+    assert queries() > before

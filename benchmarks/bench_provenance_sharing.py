@@ -11,8 +11,8 @@ memoizes every observation at intern time.
 Three measurements:
 
 * **deep-relay lifecycle A/B** — replay exactly the per-hop provenance
-  work of a ``relay_chain(n)`` run (R-Send stamp, R-Recv stamp, the NFA
-  matcher's memo-key hash/equality, the metrics queries, the final
+  work of a ``relay_chain(n)`` run (R-Send stamp, R-Recv stamp, a
+  matcher cache's key hash/equality, the metrics queries, the final
   audit) against the interned representation and against a faithful
   in-file port of the legacy tuple representation.  The legacy cost is
   Θ(n²); interned is Θ(n).  **Gate: ≥ 5× at the largest size** (the
@@ -24,8 +24,10 @@ Three measurements:
   system's provenance.
 * **wire bytes, v1 vs v2** — the E13 byte-count curve on
   ``channel_relay_chain``, whose semantic trees grow Θ(n²) while the
-  DAG stays Θ(n): v1 (tree format) bytes go superlinear, v2
-  (back-reference format) bytes track the DAG.  **Gate: the v1/v2 ratio
+  DAG stays Θ(n): v1 (tree format, the encoder kept as the test oracle
+  ``tests/wire_oracle.py``) bytes go superlinear, v2 (the
+  back-reference format of :class:`~repro.runtime.wire.Codec`) bytes
+  track the DAG.  **Gate: the v1/v2 ratio
   at the largest size must exceed twice the ratio at the smallest** —
   i.e. v2 really does grow asymptotically slower.
 
@@ -47,27 +49,12 @@ from repro.core.engine import Engine, RunStatus
 from repro.core.names import Principal
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent, dag_event_count
 from repro.core.system import system_annotated_values
-from repro.runtime.wire import (
-    Codec,
-    decode_payload_v2,
-    encode_payload,
-    encode_payload_v2,
-)
+from repro.runtime.wire import Codec
 from repro.workloads import channel_relay_chain, relay_chain
 
-try:
-    from conftest import record_row, record_sharing
-except ImportError:  # standalone invocation
-    def record_row(experiment: str, row: str) -> None:
-        print(f"[{experiment}] {row}")
+from conftest import load_oracle, record_row, record_sharing, write_snapshot
 
-    def record_sharing(experiment: str, label: str, tree: int, dag: int) -> None:
-        ratio = tree / dag if dag else 1.0
-        record_row(
-            experiment,
-            f"{label}: tree={tree} events, dag={dag} unique, "
-            f"sharing={ratio:.1f}x",
-        )
+encode_payload_v1 = load_oracle("wire_oracle").encode_payload
 
 
 EXPERIMENT = "E17-provenance-sharing"
@@ -221,9 +208,10 @@ def _wire_curve(sizes) -> list[tuple[int, int, int, int, int]]:
         trace = _run_engine(workload.system)
         values = tuple(system_annotated_values(trace.final))
         tree, dag = _system_provenance_sizes(trace.final)
-        v1 = len(encode_payload(values))
-        v2 = len(encode_payload_v2(values))
-        decoded, _ = decode_payload_v2(encode_payload_v2(values))
+        v1 = len(encode_payload_v1(values))
+        body, _ = Codec().encode_payload(values)
+        v2 = len(body)
+        decoded, _, _ = Codec().decode_payload(body)
         assert decoded == values, "v2 round-trip diverged"
         rows.append((size, tree, dag, v1, v2))
     return rows
@@ -233,27 +221,25 @@ def _codec_stream_ab(size) -> tuple[int, int, int]:
     """(messages, reset bytes, resumed bytes) over one value stream.
 
     Sends each of a finished channel-relay run's values as its own
-    message through two codecs: one reset per message (every payload
-    re-ships its full provenance — the pre-codec baseline) and one
-    resumed across the stream (each payload back-references everything
-    the link has already carried, as the sharded runtime's per-link
-    codecs do).  Round-trips through a resumed decoder to keep the A/B
-    honest.
+    message: through a fresh codec per message (every payload re-ships
+    its full provenance — the pre-codec baseline) and through one codec
+    across the stream (each payload back-references everything the link
+    has already carried, as the sharded runtime's per-link codecs do).
+    Round-trips through one decoding codec to keep the A/B honest.
     """
 
     workload = channel_relay_chain(size)
     trace = _run_engine(workload.system)
     values = tuple(system_annotated_values(trace.final))
-    per_message = Codec(streaming=False)
     resumed = Codec()
     decoder = Codec()
     reset_bytes = 0
     resumed_bytes = 0
     for value in values:
-        reset_bytes += len(per_message.encode_payload((value,)))
-        data = resumed.encode_payload((value,))
+        reset_bytes += len(Codec().encode_payload((value,))[0])
+        data, _ = resumed.encode_payload((value,))
         resumed_bytes += len(data)
-        decoded, _ = decoder.decode_payload(data)
+        decoded, _, _ = decoder.decode_payload(data)
         assert decoded == (value,), "resumed codec round-trip diverged"
     return len(values), reset_bytes, resumed_bytes
 
@@ -423,11 +409,12 @@ def main(argv=None) -> int:
         f"\nlifecycle speedup at n={max(lifecycle_sizes)}: {worst:.1f}x; "
         f"v1/v2 byte ratio {first_ratio:.2f}x -> {last_ratio:.2f}x"
     )
-    from conftest import write_snapshot
-
     write_snapshot(
         "E17-provenance-sharing",
         {
+            "lifecycle_sizes": lifecycle_sizes,
+            "wire_sizes": wire_sizes,
+            "codec_n": codec_n,
             "lifecycle_n": max(lifecycle_sizes),
             "lifecycle_speedup": round(worst, 1),
             "wire_ratio_first": round(first_ratio, 2),

@@ -32,7 +32,7 @@ from repro.core.names import Channel, Principal
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent
 from repro.core.values import AnnotatedValue
 from repro.patterns.dfa import PolicyEngine
-from repro.query import ProvenanceIndex, suffix_decider
+from repro.query import ProvenanceIndex
 from repro.runtime import DistributedRuntime
 from repro.workloads.scaling import relay_guard, vetted_relay_chain
 
@@ -136,8 +136,8 @@ def run_warm_query_gate(events=SWEEP_EVENTS, reps=WARM_REPS):
     pattern = relay_guard()
 
     start = time.perf_counter()
-    decide = suffix_decider(pattern, PolicyEngine())
-    cold_matches = sum(1 for s in spine.suffixes() if decide(s))
+    admits = PolicyEngine().admits
+    cold_matches = sum(1 for s in spine.suffixes() if admits(s, pattern))
     cold_seconds = time.perf_counter() - start
 
     index = ProvenanceIndex()

@@ -60,7 +60,7 @@ def test_serialization_cost_at_depth(benchmark, hops):
     from repro.core.engine import run as engine_run
     from repro.core.system import located_components
     from repro.core.process import annotated_values
-    from repro.runtime.wire import encode_value
+    from repro.runtime.wire import Codec
 
     workload = relay_chain(hops)
     trace = engine_run(workload.system)
@@ -72,7 +72,11 @@ def test_serialization_cost_at_depth(benchmark, hops):
         ),
         key=lambda v: len(v.provenance),
     )
-    encoded = benchmark(encode_value, value)
+    def encode() -> bytes:
+        body, _ = Codec().encode_payload((value,))  # one-shot: fresh tables
+        return body
+
+    encoded = benchmark(encode)
     record_row(
         "E13-overhead",
         f"encode hops={hops:3d}: value+provenance = {len(encoded)} bytes",

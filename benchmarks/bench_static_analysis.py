@@ -56,7 +56,7 @@ def test_dynamic_vetting_cost_for_comparison(benchmark):
     """The per-delivery dynamic check the analysis would remove."""
 
     from repro.core.engine import run
-    from repro.patterns.nfa import NFAMatcher
+    from repro.patterns.dfa import PolicyEngine
     from repro.patterns.parse import parse_pattern
 
     workload = relay_chain(8)
@@ -73,5 +73,5 @@ def test_dynamic_vetting_cost_for_comparison(benchmark):
         key=lambda v: len(v.provenance),
     )
     pattern = parse_pattern("s8!any;any")
-    matcher = NFAMatcher()
-    benchmark(matcher.matches, value.provenance, pattern)
+    engine = PolicyEngine()
+    benchmark(engine.matches, value.provenance, pattern)

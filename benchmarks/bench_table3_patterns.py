@@ -1,8 +1,10 @@
 """E3 (Table 3): pattern matching — reference rules vs NFA vs lazy DFA.
 
 The declarative rules of Table 3 (the naive matcher) try every split of
-the provenance for ``π;π'`` and ``π*``; the compiled matcher simulates a
-Thompson NFA.  Expected shape: comparable on tiny inputs; the naive
+the provenance for ``π;π'`` and ``π*``; the NFA matcher simulates a
+Thompson NFA.  Both are the reference matchers of
+``tests/matcher_oracle.py``; the lazy-DFA policy engine is what
+``src/`` decides with.  Expected shape: comparable on tiny inputs; the naive
 matcher degrades super-linearly on split-heavy patterns while the NFA
 stays linear in provenance length — the crossover arrives within a few
 dozen events.
@@ -27,11 +29,13 @@ from repro.patterns.ast import (
     Sequence,
 )
 from repro.patterns.dfa import PolicyEngine
-from repro.patterns.naive import naive_matches
-from repro.patterns.nfa import NFAMatcher
 from repro.patterns.parse import parse_pattern
 
-from conftest import record_row
+from conftest import load_oracle, record_row
+
+_ORACLE = load_oracle("matcher_oracle")
+NFAMatcher = _ORACLE.NFAMatcher
+naive_matches = _ORACLE.naive_matches
 
 A, B = pr("a"), pr("b")
 

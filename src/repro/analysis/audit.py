@@ -35,7 +35,6 @@ from typing import Optional
 from repro.core.names import Principal
 from repro.core.patterns import Pattern
 from repro.core.provenance import InputEvent, OutputEvent, Provenance
-from repro.patterns.ast import SamplePattern
 from repro.patterns.dfa import PolicyEngine, default_engine
 
 __all__ = [
@@ -113,21 +112,6 @@ def transfers(provenance: Provenance) -> list[tuple[Principal, Principal]]:
     return hops
 
 
-def _suffix_matches(pattern: Pattern, engine: PolicyEngine):
-    """One decision procedure for a whole suffix sweep.
-
-    Sample patterns go through the incremental engine: deciding the
-    longest suffix caches the DFA state at *every* spine node, so the
-    remaining suffixes are pure cache hits — the sweep is one tail→head
-    pass regardless of how many suffixes are inspected.  Foreign
-    patterns fall back to their own ``matches``.
-    """
-
-    if isinstance(pattern, SamplePattern):
-        return lambda suffix: engine.matches(suffix, pattern)
-    return pattern.matches
-
-
 def iter_matching_suffixes(
     provenance: Provenance,
     pattern: Pattern,
@@ -142,8 +126,10 @@ def iter_matching_suffixes(
     builds a million-element list.  Regression-tested at depth ≥ 100k.
     """
 
-    decide = _suffix_matches(pattern, engine or default_engine())
-    return (suffix for suffix in provenance.suffixes() if decide(suffix))
+    admits = (engine or default_engine()).admits
+    return (
+        suffix for suffix in provenance.suffixes() if admits(suffix, pattern)
+    )
 
 
 def matching_suffixes(
@@ -187,9 +173,9 @@ def first_compliant_suffix(
     suffix are the suspects).
     """
 
-    decide = _suffix_matches(pattern, engine or default_engine())
+    admits = (engine or default_engine()).admits
     for suffix in provenance.suffixes():
-        if decide(suffix):
+        if admits(suffix, pattern):
             return suffix
     return None
 

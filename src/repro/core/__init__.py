@@ -53,7 +53,7 @@ from repro.core.errors import (
 )
 from repro.core.explore import LTS, Transition, explore, reachable_systems
 from repro.core.names import Channel, NameSupply, Principal, Variable, freshen
-from repro.core.patterns import MatchAll, MatchNone, Pattern, PatternLanguage
+from repro.core.patterns import MatchAll, MatchNone, Pattern
 from repro.core.process import (
     Inaction,
     InputBranch,

@@ -7,11 +7,13 @@ calculus — syntax, reduction semantics, meta-theory — is parametric in this
 choice.
 
 We realize the parameter as an abstract base class :class:`Pattern` whose
-instances decide their own satisfaction, plus a :class:`PatternLanguage`
-facade that bundles parsing and matching for a concrete language.  The
-sample language of Table 3 lives in :mod:`repro.patterns` and is the
-default used by the concrete syntax, but the engine only ever calls
-:meth:`Pattern.matches`, so swapping languages requires no engine changes.
+instances decide their own satisfaction.  The sample language of Table 3
+lives in :mod:`repro.patterns` and is the default used by the concrete
+syntax; its patterns decide through the lazy-DFA
+:class:`~repro.patterns.dfa.PolicyEngine`, whose ``admits`` is the one
+dispatch the runtime and the query layers use for any pattern.  The
+reduction engine only ever calls :meth:`Pattern.matches`, so swapping
+languages requires no engine changes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "Pattern",
     "MatchAll",
     "MatchNone",
-    "PatternLanguage",
 ]
 
 
@@ -69,22 +70,3 @@ class MatchNone(Pattern):
 
     def __str__(self) -> str:
         return "none"
-
-
-class PatternLanguage(abc.ABC):
-    """A concrete pattern matching language ``(Π, ⊨)`` with a parser.
-
-    The core engine never needs this class — it matches through
-    :meth:`Pattern.matches` — but tooling (the concrete-syntax parser, the
-    static analysis) uses it to parse pattern text and to ask language
-    level questions.
-    """
-
-    @abc.abstractmethod
-    def parse(self, text: str) -> Pattern:
-        """Parse the concrete syntax of a pattern."""
-
-    def matches(self, provenance: Provenance, pattern: Pattern) -> bool:
-        """Decide ``κ ⊨ π``; the default defers to the pattern itself."""
-
-        return pattern.matches(provenance)

@@ -29,15 +29,7 @@ from repro.patterns.dfa import (
     PolicyEngine,
     default_engine,
 )
-from repro.patterns.language import SAMPLE_LANGUAGE, SamplePatternLanguage
-from repro.patterns.naive import naive_matches
-from repro.patterns.nfa import (
-    NFA,
-    NFAMatcher,
-    compile_pattern,
-    default_matcher,
-    edge_accepts,
-)
+from repro.patterns.nfa import NFA, compile_pattern, edge_accepts
 from repro.patterns.parse import parse_group, parse_pattern
 
 __all__ = [name for name in dir() if not name.startswith("_")]

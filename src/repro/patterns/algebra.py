@@ -1,7 +1,7 @@
 """Decision procedures over Table 3 patterns: the pattern *algebra*.
 
-The matchers (:mod:`repro.patterns.nfa`, :mod:`repro.patterns.dfa`)
-decide ``κ ⊨ π`` for one concrete provenance; static tooling needs
+The policy engine (:mod:`repro.patterns.dfa`) decides ``κ ⊨ π`` for
+one concrete provenance; static tooling needs
 decisions about *languages*: is a pattern satisfiable at all, does one
 policy branch subsume another, can two branches ever compete for the
 same value?  This module answers those questions exactly:

@@ -14,10 +14,9 @@ principals: ``∼`` is the set of *all* principals (co-finite sets arise via
 set.
 
 Every node implements the core :class:`~repro.core.patterns.Pattern`
-interface; :meth:`matches` delegates to the compiled NFA matcher
-(:mod:`repro.patterns.nfa`), while the literal-transcription reference
-matcher lives in :mod:`repro.patterns.naive` for differential testing and
-the E3 ablation benchmark.
+interface; :meth:`matches` asks the process-wide lazy-DFA engine
+(:func:`repro.patterns.dfa.default_engine`), the one decision procedure
+for ``κ ⊨ π``.
 """
 
 from __future__ import annotations
@@ -141,9 +140,9 @@ class SamplePattern(Pattern):
     __slots__ = ()
 
     def matches(self, provenance: Provenance) -> bool:
-        from repro.patterns.nfa import default_matcher
+        from repro.patterns.dfa import default_engine
 
-        return default_matcher().matches(provenance, self)
+        return default_engine().matches(provenance, self)
 
     def mentioned_principals(self) -> frozenset[Principal]:
         """Principals named anywhere in the pattern (for analyses)."""

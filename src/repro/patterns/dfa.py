@@ -1,12 +1,12 @@
 """Incremental pattern vetting: reversed lazy DFAs cached on the spine.
 
-The NFA matcher (:mod:`repro.patterns.nfa`) decides ``κ ⊨ π`` by
-re-simulating the automaton over the whole spine, so runtime enforcement
-— which vets a value every time it crosses a channel — pays ``Θ(|κ|)``
-per hop and ``Θ(n²)`` over an ``n``-hop relay even though each hop adds
-exactly *one* event to a hash-consed spine.  This module makes the
-matcher incremental in the only update the semantics ever performs,
-``κ → cons(e, κ)``:
+Deciding ``κ ⊨ π`` by simulating a pattern's Thompson NFA
+(:mod:`repro.patterns.nfa`) over the whole spine makes runtime
+enforcement — which vets a value every time it crosses a channel — pay
+``Θ(|κ|)`` per hop and ``Θ(n²)`` over an ``n``-hop relay even though
+each hop adds exactly *one* event to a hash-consed spine.  This module
+is the one decision procedure for ``κ ⊨ π``, incremental in the only
+update the semantics ever performs, ``κ → cons(e, κ)``:
 
 1. **Reversal.**  The Thompson NFA of a pattern is reversed
    (:meth:`repro.patterns.nfa.NFA.reverse`): the reverse accepts the
@@ -19,7 +19,8 @@ matcher incremental in the only update the semantics ever performs,
    subset construction *on demand* (:class:`LazyDFA`): a DFA state is an
    epsilon-closed ``frozenset`` of NFA states, interned to a small
    integer, and the transition out of ``(dfa_state, event)`` is built on
-   first use and memoized.  Events are interned
+   first use and memoized (the table is cleared wholesale at the
+   engine's ``cache_limit``; state ids stay valid).  Events are interned
    (:mod:`repro.core.provenance`), so the memo key is the event object
    itself — two structurally equal events are the same key, hashing is a
    cached attribute read, and a transition is evaluated once per
@@ -36,9 +37,14 @@ matcher incremental in the only update the semantics ever performs,
 4. **Policy banks.**  All patterns registered on a channel's receive
    branches are fused into a :class:`PolicyBank` that advances one state
    *vector* per spine event in a single tail→head pass and caches the
-   vector per node, replacing the per-pattern loop in
-   ``Middleware.vet``: once any branch has vetted a payload, every other
+   vector per node: once any branch has vetted a payload, every other
    branch's verdict on it is a cache hit.
+
+:meth:`PolicyEngine.admits` is the one dispatch for *any* pattern: a
+bank member reads its slot of the bank's vector, another sample pattern
+extends the engine's own run, and a foreign pattern (``MatchAll``,
+``MatchNone``, another language) decides itself.  The runtime's vet
+path, the query index and the audit sweeps all go through it.
 
 Soundness
 ---------
@@ -55,9 +61,10 @@ same node, hence carry the same sequence; nested channel tests are pure
 sub-decisions ``κ' ⊨ π'`` of strictly smaller nesting depth, decided by
 the same engine, so memoizing a transition per interned event is sound
 for the same reason.  The differential property tests
-(``tests/test_dfa_matcher.py``) pin all three matchers — declarative
-rules, NFA, lazy DFA — to identical verdicts, plus the incrementality
-law ``matches(cons(e, κ)) ≡ matches-from-scratch``.
+(``tests/test_dfa_matcher.py``) pin the engine to the declarative rules
+and to NFA simulation — both kept as oracles in
+``tests/matcher_oracle.py`` — plus the incrementality law
+``matches(cons(e, κ)) ≡ matches-from-scratch``.
 """
 
 from __future__ import annotations
@@ -72,22 +79,37 @@ from repro.patterns.nfa import NFA, compile_pattern, edge_accepts
 
 __all__ = ["LazyDFA", "PolicyBank", "PolicyEngine", "default_engine"]
 
+_SAMPLE_CLASSES: dict[type, bool] = {}
+"""Pattern class → whether it is a :class:`SamplePattern` subclass."""
+
 
 class LazyDFA:
     """Subset-construction DFA over a (reversed) NFA, built on demand.
 
     States are epsilon-closed frozensets of NFA states interned to dense
     integer ids; ``transitions`` maps ``(state id, interned event)`` to
-    the successor id.  The automaton direction is the caller's business —
-    :class:`PolicyEngine` always hands in ``compile_pattern(π).reverse()``
-    so runs extend under event *prepending*.
+    the successor id.  The table grows with every distinct event, so it
+    is cleared wholesale once it holds ``cache_limit`` entries; the state
+    ids it pointed at stay valid, so cached runs survive the clear.  The
+    automaton direction is the caller's business — :class:`PolicyEngine`
+    always hands in ``compile_pattern(π).reverse()`` so runs extend under
+    event *prepending*.
     """
 
-    __slots__ = ("nfa", "start", "transitions", "_subsets", "_ids", "_accepting")
+    __slots__ = (
+        "nfa",
+        "start",
+        "transitions",
+        "cache_limit",
+        "_subsets",
+        "_ids",
+        "_accepting",
+    )
 
-    def __init__(self, nfa: NFA) -> None:
+    def __init__(self, nfa: NFA, cache_limit: int) -> None:
         self.nfa = nfa
         self.transitions: dict[tuple[int, Event], int] = {}
+        self.cache_limit = cache_limit
         self._subsets: list[frozenset[int]] = []
         self._ids: dict[frozenset[int], int] = {}
         self._accepting: list[bool] = []
@@ -133,6 +155,8 @@ class LazyDFA:
                     if edge_accepts(test, event, nested_matches):
                         moved.add(nfa_target)
             target = self._intern(self.nfa.epsilon_closure(frozenset(moved)))
+            if len(self.transitions) >= self.cache_limit:
+                self.transitions.clear()
             self.transitions[key] = target
         return target
 
@@ -184,8 +208,8 @@ class PolicyBank:
     per *distinct* sample pattern — and the vector is cached per interned
     spine node, so vetting a payload against any member pattern prices in
     every other member's verdict on the same provenance.  Non-sample
-    patterns (``MatchAll``, ``MatchNone``, foreign languages) keep their
-    own ``matches`` and simply bypass the vector.
+    patterns (``MatchAll``, ``MatchNone``, foreign languages) are not
+    members; :meth:`PolicyEngine.admits` decides them without the vector.
     """
 
     __slots__ = (
@@ -227,16 +251,6 @@ class PolicyBank:
             engine, self._runs, provenance, self._start, step, len(dfas)
         )
 
-    def admits(self, provenance: Provenance, pattern: Pattern) -> bool:
-        """Decide ``κ ⊨ π`` for one member (or non-member fallback)."""
-
-        index = self._index.get(pattern)
-        if index is None:
-            if isinstance(pattern, SamplePattern):
-                return self._engine.matches(provenance, pattern)
-            return pattern.matches(provenance)
-        return self._dfas[index].accepting(self.states(provenance)[index])
-
     def verdicts(self, provenance: Provenance) -> tuple[bool, ...]:
         """All member verdicts on one provenance — for tests and audits."""
 
@@ -255,14 +269,16 @@ class PolicyEngine:
     Counters (cumulative, reset by :meth:`clear`):
 
     * ``transitions_taken`` — DFA steps actually applied; the honest work
-      measure the E-gate compares against ``NFAMatcher.events_stepped``
-      (one unit ≙ one spine event consumed by one automaton);
+      measure E18 compares against the NFA oracle's events stepped (one
+      unit ≙ one spine event consumed by one automaton);
     * ``run_cache_hits`` / ``run_cache_misses`` — queries answered
       entirely from a cached spine run vs. queries that extended one.
 
-    ``cache_limit`` bounds every run cache (per pattern and per bank);
-    past it a cache is cleared wholesale and rebuilt from the spine —
-    same policy as :class:`repro.patterns.nfa.NFAMatcher`.
+    ``cache_limit`` bounds every cache the engine owns: the compiled
+    DFAs, each DFA's transition table, and every run cache (per pattern
+    and per bank); past it a cache is cleared wholesale and rebuilt on
+    demand.  :func:`default_engine` lives as long as the process, so
+    nothing it holds may grow without bound.
 
     Banks are memoized weakly: a bank points back at its engine, and a
     strong memo would close a reference cycle.  A bank lives as long as
@@ -293,7 +309,7 @@ class PolicyEngine:
                 self._dfas.clear()
                 self._runs.clear()
                 self._banks.clear()
-            dfa = LazyDFA(compile_pattern(pattern).reverse())
+            dfa = LazyDFA(compile_pattern(pattern).reverse(), self.cache_limit)
             self._dfas[pattern] = dfa
         return dfa
 
@@ -315,9 +331,38 @@ class PolicyEngine:
         return _advance_run(self, runs, provenance, dfa.start, step, 1)
 
     def matches(self, provenance: Provenance, pattern: SamplePattern) -> bool:
-        """Decide ``κ ⊨ π`` incrementally."""
+        """Decide ``κ ⊨ π`` incrementally for one sample pattern."""
 
         return self.dfa(pattern).accepting(self.state(provenance, pattern))
+
+    def admits(
+        self,
+        provenance: Provenance,
+        pattern: Pattern,
+        bank: Optional[PolicyBank] = None,
+    ) -> bool:
+        """Decide ``κ ⊨ π`` for any pattern: the one dispatch.
+
+        A member of ``bank`` reads its slot of the bank's shared state
+        vector; any other sample pattern extends this engine's own run;
+        a foreign pattern decides itself.  Whether a class is a sample
+        pattern is cached per class: ``ABCMeta.__instancecheck__`` is
+        measurable at one call per vetted component.
+        """
+
+        if bank is not None:
+            index = bank._index.get(pattern)
+            if index is not None:
+                return bank._dfas[index].accepting(
+                    bank.states(provenance)[index]
+                )
+        cls = pattern.__class__
+        sample = _SAMPLE_CLASSES.get(cls)
+        if sample is None:
+            sample = _SAMPLE_CLASSES[cls] = isinstance(pattern, SamplePattern)
+        if sample:
+            return self.matches(provenance, pattern)
+        return pattern.matches(provenance)
 
     def bank(self, patterns: Iterable[Pattern]) -> PolicyBank:
         """The (memoized) fused bank for a pattern set."""
@@ -362,7 +407,8 @@ _DEFAULT: Optional[PolicyEngine] = None
 
 
 def default_engine() -> PolicyEngine:
-    """A process-wide engine for ad-hoc queries (audit, tooling)."""
+    """The process-wide engine behind :meth:`SamplePattern.matches` and
+    ad-hoc queries (audit, tooling)."""
 
     global _DEFAULT
     if _DEFAULT is None:

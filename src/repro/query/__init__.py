@@ -38,7 +38,6 @@ from repro.query.index import (
     IndexedDelivery,
     ProvenanceIndex,
     default_index,
-    suffix_decider,
 )
 from repro.query.persist import resume_index, save_index
 from repro.query.planner import QueryPlan, plan_where, run_where
@@ -58,7 +57,6 @@ __all__ = [
     "run_where",
     "save_index",
     "spine_to_dot",
-    "suffix_decider",
     "to_dot",
     "to_prov_json",
     "write_prov_json",

@@ -43,7 +43,6 @@ from repro.core.heap import settled_heap
 from repro.core.names import Channel, Principal
 from repro.core.patterns import Pattern
 from repro.core.provenance import EMPTY, Event, OutputEvent, Provenance
-from repro.patterns.ast import SamplePattern
 from repro.patterns.dfa import PolicyEngine
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "IndexedDelivery",
     "ProvenanceIndex",
     "default_index",
-    "suffix_decider",
 ]
 
 PROGRAM = "program"
@@ -61,20 +59,6 @@ DERIVES = "derives"
 EDGE_KINDS = (PROGRAM, CHANNEL, DERIVES)
 
 _EMPTY_SET: frozenset = frozenset()
-
-
-def suffix_decider(pattern: Pattern, engine: PolicyEngine):
-    """One ``suffix ↦ bool`` decision procedure for a whole sweep.
-
-    Sample patterns ride the incremental lazy-DFA engine — deciding the
-    longest suffix caches the automaton state at every spine node, so
-    the rest of the sweep is cache hits.  Foreign patterns fall back to
-    their own ``matches``.
-    """
-
-    if isinstance(pattern, SamplePattern):
-        return lambda suffix: engine.matches(suffix, pattern)
-    return pattern.matches
 
 
 class _NodeInfo:
@@ -606,9 +590,11 @@ class ProvenanceIndex:
         key = (provenance, pattern)
         cached = self._sweep_cache.get(key)
         if cached is None:
-            decide = suffix_decider(pattern, self._engine)
+            admits = self._engine.admits
             cached = tuple(
-                suffix for suffix in provenance.suffixes() if decide(suffix)
+                suffix
+                for suffix in provenance.suffixes()
+                if admits(suffix, pattern)
             )
             self._sweep_cache[key] = cached
         return cached
@@ -624,10 +610,10 @@ class ProvenanceIndex:
         key = (provenance, pattern, "witness")
         if key in self._sweep_cache:
             return self._sweep_cache[key]
-        decide = suffix_decider(pattern, self._engine)
+        admits = self._engine.admits
         witness: Optional[Provenance] = None
         for suffix in provenance.suffixes():
-            if decide(suffix):
+            if admits(suffix, pattern):
                 witness = suffix
         self._sweep_cache[key] = witness
         return witness

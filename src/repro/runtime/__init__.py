@@ -36,16 +36,6 @@ from repro.runtime.shards import (
     WireEnvelope,
 )
 from repro.runtime.simulator import SequenceSource, Simulator
-from repro.runtime.wire import (
-    Codec,
-    decode_payload,
-    decode_plain,
-    decode_provenance,
-    decode_value,
-    encode_payload,
-    encode_plain,
-    encode_provenance,
-    encode_value,
-)
+from repro.runtime.wire import Codec, decode_plain, encode_plain
 
 __all__ = [name for name in dir() if not name.startswith("_")]

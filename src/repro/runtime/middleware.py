@@ -71,12 +71,11 @@ from repro.core.patterns import MatchAll, Pattern
 from repro.core.provenance import InputEvent, OutputEvent, Provenance
 from repro.core.semantics import SemanticsMode
 from repro.core.values import AnnotatedValue
-from repro.patterns.ast import SamplePattern
 from repro.patterns.dfa import PolicyBank, PolicyEngine
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
-from repro.runtime.wire import encode_payload_v2, encode_plain, encode_varint
+from repro.runtime.wire import Codec, encode_plain, encode_varint
 
 __all__ = ["ReceiveBranch", "PendingReceive", "ChannelManager", "Middleware"]
 
@@ -171,7 +170,6 @@ class ChannelManager:
         self._consumed_count = 0
         self._scan_start = 0
         self._patterns: dict[Pattern, None] = {}
-        self._has_sample = False
         self._bank: Optional[PolicyBank] = None
         self._bank_patterns: tuple[Pattern, ...] = ()
 
@@ -227,8 +225,6 @@ class ChannelManager:
                 if pattern not in self._patterns:
                     self._patterns[pattern] = None
                     self._bank = None
-                    if middleware.is_sample_pattern(pattern):
-                        self._has_sample = True
         self._waiters.append(pending)
         self._match(middleware)
 
@@ -272,7 +268,7 @@ class ChannelManager:
         actions = (
             waiter.actions if middleware.certificate is not None else None
         )
-        bank = self.policy_bank() if self._has_sample else None
+        bank = self.policy_bank() if self._patterns else None
         erased = middleware.mode is SemanticsMode.ERASED
         for message_index, stored in enumerate(self._messages):
             for branch_index, branch in enumerate(waiter.branches):
@@ -377,22 +373,6 @@ class Middleware:
         receives resolve their rendezvous manager through it; the
         ``None`` path is byte-for-byte the unsharded fast path."""
         self._managers: dict[Channel, ChannelManager] = {}
-        self._sample_types: dict[type, bool] = {}
-
-    def is_sample_pattern(self, pattern: Pattern) -> bool:
-        """``isinstance(pattern, SamplePattern)`` with a per-class cache.
-
-        Pattern classes go through ``ABCMeta.__instancecheck__``, which
-        is measurable at one call per vetted component; the class of a
-        pattern decides the answer, so it is cached by class.
-        """
-
-        cls = pattern.__class__
-        flag = self._sample_types.get(cls)
-        if flag is None:
-            flag = isinstance(pattern, SamplePattern)
-            self._sample_types[cls] = flag
-        return flag
 
     def manager(self, channel: Channel) -> ChannelManager:
         existing = self._managers.get(channel)
@@ -527,10 +507,10 @@ class Middleware:
         Components are vetted left to right, each counted in
         ``metrics.pattern_checks``; the first refusal is attributed to
         its pattern (``metrics.rejections_by_pattern``) and stops the
-        scan.  ``bank`` — normally the channel's fused
-        :class:`PolicyBank` — lets every sample-pattern decision ride
-        the shared incremental state vector; without one, sample
-        patterns still go through the middleware's own engine.
+        scan.  Each component is decided by
+        :meth:`PolicyEngine.admits`; ``bank`` — normally the channel's
+        fused :class:`PolicyBank` — lets every sample-pattern decision
+        ride the shared incremental state vector.
         """
 
         if self.mode is SemanticsMode.ERASED:
@@ -542,25 +522,13 @@ class Middleware:
         admitted = True
         for pattern, value in zip(patterns, payload):
             metrics.pattern_checks += 1
-            if not self._admits(pattern, value.provenance, bank):
+            if not engine.admits(value.provenance, pattern, bank):
                 metrics.record_rejection(pattern)
                 admitted = False
                 break
         metrics.vet_transitions += engine.transitions_taken - transitions_before
         metrics.vet_cache_hits += engine.run_cache_hits - hits_before
         return admitted
-
-    def _admits(
-        self,
-        pattern: Pattern,
-        provenance: Provenance,
-        bank: Optional[PolicyBank],
-    ) -> bool:
-        if self.is_sample_pattern(pattern):
-            if bank is not None:
-                return bank.admits(provenance, pattern)
-            return self.policy.matches(provenance, pattern)
-        return pattern.matches(provenance)
 
     def vetting_stats(self) -> dict[str, int]:
         """Work counters of the policy engine (for benches)."""
@@ -580,9 +548,9 @@ class Middleware:
         Latency never depends on size, so serialization exists only to
         price the message for E13 — the sizer thunk runs when (and only
         when) someone reads a byte metric.  Honest accounting still:
-        provenance bytes are whatever the v2 codec ships beyond the
-        plain parts (shared subtrees are shipped once, so the metadata
-        tax reflects the DAG size).
+        provenance bytes are whatever a fresh wire codec ships beyond
+        the plain parts (shared subtrees are shipped once, so the
+        metadata tax reflects the DAG size).
         """
 
         if not isinstance(channel.value, Channel):
@@ -599,7 +567,8 @@ class Middleware:
         if metrics.detailed:
 
             def sizes() -> tuple[int, int]:
-                total_bytes = len(encode_payload_v2(stamped))
+                body, _ = Codec().encode_payload(stamped)
+                total_bytes = len(body)
                 plain_bytes = len(encode_varint(len(stamped))) + sum(
                     len(encode_plain(value.value)) for value in stamped
                 )

@@ -211,7 +211,7 @@ class ShardRouter:
 
     Installed as ``middleware.router``; the middleware asks
     :meth:`is_local` on every send and receive.  Remote sends are
-    encoded through the link's resumed :class:`Codec` and either handed
+    encoded through the link's :class:`Codec` and either handed
     to the inline hub (same process: decoded and scheduled on the home
     shard immediately) or parked in the outbox for the next barrier
     (process mode).  Remote *receives* only work inline — a delivery

@@ -1,32 +1,25 @@
 """Wire format: serialization of values and provenance.
 
 The provenance-overhead experiments (E13) need honest byte counts, so the
-runtime really serializes what travels: a compact length-prefixed binary
-format for plain values, provenance trees and message payloads.
+runtime really serializes what travels, and the journal stores the same
+bytes.  :class:`Codec` is the one provenance serializer.  All integers
+are *canonical* unsigned LEB128 varints — overlong encodings are
+rejected on decode, so every value has exactly one wire form.
 
-v1 — the tree format (all integers are *canonical* unsigned LEB128
-varints — overlong encodings are rejected on decode, so every value has
-exactly one wire form)::
+Provenance values are hash-consed DAGs (:mod:`repro.core.provenance`);
+flattening the sharing away would ship the full tree, which goes
+superlinear on deep relay/fan-in chains.  The format writes each
+distinct spine node and event *once*, inline at its first occurrence,
+and every later occurrence as a varint back-reference into a table
+indexed in encounter (post-)order.  Events and spine nodes have separate
+index spaces, and the tables outlive single payloads: a codec's later
+payloads back-reference everything its earlier ones shipped, so values
+whose provenances share structure (the common case: every value stamped
+by the same send, every hop of a relay) share bytes too::
 
     name       ::=  varint(len) utf8-bytes
-    plain      ::=  0x43 name            -- 'C', channel
-               |    0x50 name            -- 'P', principal
-    event      ::=  0x21 name provenance -- '!', output event
-               |    0x3F name provenance -- '?', input event
-    provenance ::=  varint(n) event*n
-    value      ::=  plain provenance     -- an annotated value
-    payload    ::=  varint(k) value*k
-
-v2 — the back-reference format.  Provenance values are hash-consed DAGs
-(:mod:`repro.core.provenance`); v1 flattens the sharing away and ships
-the full tree, which goes superlinear on deep relay/fan-in chains.  v2
-writes each distinct spine node and event *once*, inline at its first
-occurrence, and every later occurrence as a varint back-reference into a
-table indexed in encounter (post-)order.  Events and spine nodes have
-separate index spaces; tables are shared across a whole payload, so
-values whose provenances share structure (the common case: every value
-stamped by the same send) share bytes too::
-
+    plain      ::=  0x43 name                -- 'C', channel
+               |    0x50 name                -- 'P', principal
     prov2      ::=  varint(0)                -- ε
                |    varint(1) event2 prov2   -- cons: head, then tail
                |    varint(2+i)              -- back-ref: spine node #i
@@ -34,19 +27,16 @@ stamped by the same send) share bytes too::
                |    varint(1) name prov2     -- input event, inline
                |    varint(2+i)              -- back-ref: event #i
     value2     ::=  plain prov2
-    payload2   ::=  varint(k) value2*k       -- one shared table pair
+    payload2   ::=  varint(k) value2*k
 
 Nodes enter the tables bottom-up (a node is registered after its
 children are written), so a back-reference always points strictly
 backwards and decoding needs no fixups; decoded aliases are *identity*
-— shared subtrees come back as the same interned node.  On a short
-spine with nothing shared, v2 costs about one tag byte per event more
-than v1 (per-node tags instead of one count); the win appears as soon
-as histories nest or repeat, and grows without bound — see
-``benchmarks/bench_provenance_sharing.py`` for the curve.
-
-:func:`encode_message`/:func:`decode_message` wrap either format in a
-one-byte version envelope so both generations can interoperate.
+— shared subtrees come back as the same interned node.  A one-shot
+encoding is a fresh ``Codec()``.  (The tree format this replaced, with
+no sharing, survives only as the byte baseline in
+``tests/wire_oracle.py``; ``benchmarks/bench_provenance_sharing.py``
+draws the curve.)
 
 The codec is total on well-formed inputs and raises
 :class:`~repro.core.errors.WireFormatError` on malformed bytes (including
@@ -57,19 +47,20 @@ tags, invalid names, out-of-range back-references, nesting past
 ``MAX_NESTING`` — surfaces as a ``WireFormatError`` carrying the byte
 offset where decoding stopped, never a leaked ``KeyError`` /
 ``IndexError`` / ``ValueError`` / ``RecursionError``
-(``tests/test_wire_hostile.py`` fuzzes bit-flipped v2 streams for this).
+(``tests/test_wire_hostile.py`` fuzzes bit-flipped streams for this).
 
-Digested frames: :meth:`Codec.encode_frame` wraps a streamed payload2 in
+Digested frames: :meth:`Codec.encode_frame` wraps a payload2 in
 a length prefix plus a 16-byte blake2b over the frame bytes *and* the
 Merkle digests of every value's provenance
 (:attr:`repro.core.provenance.Provenance.digest`), so
 :meth:`Codec.decode_frame` detects any corruption in flight — of the
 plain values, the provenance encoding, or the digest itself — before the
-payload reaches a channel manager.  Both frame calls also report the
-spine nodes the frame newly registered/constructed, in matching order
-(the encoder registers post-order, exactly the order the decoder cons's
-— the id-agreement invariant cross-shard links already rely on), which
-is how attestation tags travel with their nodes between shards.
+payload reaches a channel manager.  Every encode and decode call also
+reports the spine nodes the payload newly registered/constructed, in
+matching order (the encoder registers post-order, exactly the order the
+decoder cons's — the id-agreement invariant cross-shard links rely on),
+which is how attestation tags travel with their nodes between shards
+and into the journal.
 """
 
 from __future__ import annotations
@@ -90,54 +81,35 @@ from repro.core.values import AnnotatedValue
 
 __all__ = [
     "Codec",
+    "MAX_NESTING",
     "encode_varint",
     "decode_varint",
     "encode_plain",
     "decode_plain",
-    "encode_provenance",
-    "decode_provenance",
-    "encode_value",
-    "decode_value",
-    "encode_payload",
-    "decode_payload",
-    "encode_provenance_v2",
-    "decode_provenance_v2",
-    "encode_payload_v2",
-    "decode_payload_v2",
-    "encode_message",
-    "decode_message",
-    "WIRE_V1",
-    "WIRE_V2",
 ]
 
 _TAG_CHANNEL = 0x43
 _TAG_PRINCIPAL = 0x50
-_TAG_OUTPUT = 0x21
-_TAG_INPUT = 0x3F
 
-WIRE_V1 = 1
-"""Version byte of the tree format (no sharing)."""
-
-WIRE_V2 = 2
-"""Version byte of the back-reference format (DAG sharing)."""
-
-# The smallest possible wire forms: an event is at least a tag byte, an
-# empty name (1-byte length) and an empty nested provenance (1-byte
-# count); a value is at least a plain tag, an empty name and an empty
-# provenance.  Any count field claiming more items than the remaining
-# bytes divided by these minima is hostile or truncated input, and is
-# rejected *before* any allocation proportional to the claim.
-_MIN_EVENT_BYTES = 3
+# The smallest possible value: a plain tag, an empty name (1-byte
+# length) and an empty provenance (1-byte tag).  A count field claiming
+# more values than the remaining bytes divided by this minimum is
+# hostile or truncated input, and is rejected *before* any allocation
+# proportional to the claim.
 _MIN_VALUE_BYTES = 3
 
-MAX_NESTING = 700
-"""Deepest channel-provenance nesting the decoders will follow.
+MAX_NESTING = 200
+"""Deepest channel-provenance nesting the decoder will follow.
 
-Decoding recurses once per nesting level; hostile input could otherwise
-drive the interpreter into ``RecursionError`` (an unstructured crash
-mid-decode) with a few hundred bytes of ``cons(event(cons(...)))``
-prefixes.  Honest traffic nests orders of magnitude shallower — spine
-*length* is unbounded and decoded iteratively; only nesting is capped.
+Decoding recurses once per nesting level, and each level costs two
+Python frames, so hostile input could otherwise drive the interpreter
+into ``RecursionError`` (an unstructured crash mid-decode) with a few
+hundred bytes of ``cons(event(cons(...)))`` prefixes.  At 200 levels a
+decode stays within half the default recursion limit of 1,000 even when
+called from deep inside a caller's stack (the lexer caps its nesting at
+the same depth).  Honest traffic nests far shallower — the workloads'
+channel histories nest two deep; spine *length* is unbounded and
+decoded iteratively; only nesting is capped.
 """
 
 
@@ -263,98 +235,8 @@ def decode_plain(data: bytes, offset: int) -> tuple[PlainValue, int]:
         raise WireFormatError(f"invalid name: {error}", start) from error
 
 
-def encode_provenance(provenance: Provenance) -> bytes:
-    out = bytearray(encode_varint(len(provenance)))
-    for event in provenance:
-        out += _encode_event(event)
-    return bytes(out)
-
-
-def _encode_event(event: Event) -> bytes:
-    if isinstance(event, OutputEvent):
-        tag = _TAG_OUTPUT
-    elif isinstance(event, InputEvent):
-        tag = _TAG_INPUT
-    else:
-        raise WireFormatError(f"not an event: {event!r}")
-    return (
-        bytes((tag,))
-        + _encode_name(event.principal.name)
-        + encode_provenance(event.channel_provenance)
-    )
-
-
-def decode_provenance(
-    data: bytes, offset: int, _depth: int = 0
-) -> tuple[Provenance, int]:
-    count, offset = decode_varint(data, offset)
-    if count > (len(data) - offset) // _MIN_EVENT_BYTES:
-        raise WireFormatError(
-            f"truncated provenance: {count} events claimed but only "
-            f"{len(data) - offset} bytes remain",
-            offset,
-        )
-    events = []
-    for _ in range(count):
-        event, offset = _decode_event(data, offset, _depth)
-        events.append(event)
-    return Provenance(tuple(events)), offset
-
-
-def _decode_event(
-    data: bytes, offset: int, depth: int = 0
-) -> tuple[Event, int]:
-    if offset >= len(data):
-        raise WireFormatError("truncated event", offset)
-    if depth >= MAX_NESTING:
-        raise WireFormatError(
-            f"channel provenance nested deeper than {MAX_NESTING}", offset
-        )
-    tag = data[offset]
-    if tag not in (_TAG_OUTPUT, _TAG_INPUT):
-        raise WireFormatError(f"unknown event tag 0x{tag:02x}", offset)
-    start = offset + 1
-    name, offset = _decode_name(data, start)
-    nested, offset = decode_provenance(data, offset, depth + 1)
-    if tag == _TAG_OUTPUT:
-        return OutputEvent(_principal_at(name, start), nested), offset
-    return InputEvent(_principal_at(name, start), nested), offset
-
-
-def encode_value(value: AnnotatedValue) -> bytes:
-    return encode_plain(value.value) + encode_provenance(value.provenance)
-
-
-def decode_value(data: bytes, offset: int = 0) -> tuple[AnnotatedValue, int]:
-    plain, offset = decode_plain(data, offset)
-    provenance, offset = decode_provenance(data, offset)
-    return AnnotatedValue(plain, provenance), offset
-
-
-def encode_payload(payload: tuple[AnnotatedValue, ...]) -> bytes:
-    out = bytearray(encode_varint(len(payload)))
-    for value in payload:
-        out += encode_value(value)
-    return bytes(out)
-
-
-def decode_payload(data: bytes, offset: int = 0) -> tuple[tuple[AnnotatedValue, ...], int]:
-    count, offset = decode_varint(data, offset)
-    if count > (len(data) - offset) // _MIN_VALUE_BYTES:
-        raise WireFormatError(
-            f"truncated payload: {count} values claimed but only "
-            f"{len(data) - offset} bytes remain",
-            offset,
-        )
-    values = []
-    for _ in range(count):
-        value, offset = decode_value(data, offset)
-        values.append(value)
-    return tuple(values), offset
-
-
 # ---------------------------------------------------------------------------
-# v2: back-reference encoding over the provenance DAG
+# Back-reference encoding over the provenance DAG
 # ---------------------------------------------------------------------------
 
 _V2_EMPTY = 0
@@ -367,9 +249,9 @@ _V2_REF_BASE = 2
 class _V2Encoder:
     """Streams provenance DAGs with first-occurrence-inline sharing.
 
-    One encoder per payload: the tables persist across values, so
-    cross-value sharing (ubiquitous — all values of a send are stamped
-    with the same event) collapses to back-references.
+    The tables persist across values and payloads, so cross-value
+    sharing (ubiquitous — all values of a send are stamped with the same
+    event) collapses to back-references.
     """
 
     __slots__ = ("_spine_ids", "_spine_order", "_event_ids")
@@ -467,8 +349,6 @@ class _V2Decoder:
                     start,
                 )
             return self._events[index], offset
-        if tag not in (_V2_OUTPUT, _V2_INPUT):
-            raise WireFormatError(f"unknown v2 event tag {tag}", start)
         name, offset = _decode_name(data, offset)
         if self._depth >= MAX_NESTING:
             raise WireFormatError(
@@ -485,88 +365,29 @@ class _V2Decoder:
         return event, offset
 
 
-def encode_provenance_v2(provenance: Provenance) -> bytes:
-    """Encode one provenance in the v2 back-reference format."""
-
-    out = bytearray()
-    _V2Encoder().encode_provenance(provenance, out)
-    return bytes(out)
-
-
-def decode_provenance_v2(data: bytes, offset: int = 0) -> tuple[Provenance, int]:
-    """Decode one v2 provenance; shared subtrees intern to one node."""
-
-    return _V2Decoder().decode_provenance(data, offset)
-
-
-def encode_payload_v2(payload: tuple[AnnotatedValue, ...]) -> bytes:
-    """Encode a payload with one back-reference table pair across values."""
-
-    out = bytearray(encode_varint(len(payload)))
-    encoder = _V2Encoder()
-    for value in payload:
-        out += encode_plain(value.value)
-        encoder.encode_provenance(value.provenance, out)
-    return bytes(out)
-
-
-def decode_payload_v2(
-    data: bytes, offset: int = 0
-) -> tuple[tuple[AnnotatedValue, ...], int]:
-    count, offset = decode_varint(data, offset)
-    if count > (len(data) - offset) // _MIN_VALUE_BYTES:
-        raise WireFormatError(
-            f"truncated payload: {count} values claimed but only "
-            f"{len(data) - offset} bytes remain",
-            offset,
-        )
-    decoder = _V2Decoder()
-    values = []
-    for _ in range(count):
-        plain_value, offset = decode_plain(data, offset)
-        provenance, offset = decoder.decode_provenance(data, offset)
-        values.append(AnnotatedValue(plain_value, provenance))
-    return tuple(values), offset
-
-
 class Codec:
-    """A v2 codec whose back-reference tables outlive single messages.
+    """The provenance codec: back-reference tables that outlive messages.
 
-    :func:`encode_payload_v2`/:func:`decode_payload_v2` build fresh
-    tables per payload, so two consecutive messages that share ninety
-    percent of their provenance ship that ninety percent twice.  A
-    ``Codec`` is the streaming generalization: in the default *resumed*
-    mode the tables persist across calls, so a message only ships the
-    provenance its predecessors on the same stream have not already
+    The tables persist across calls, so a message only ships the
+    provenance its predecessors on the same codec have not already
     shipped — later occurrences collapse to varint back-references with
-    ids that are stable for the lifetime of the stream.  This is what
+    ids that are stable for the lifetime of the codec.  This is what
     makes cross-shard links affordable: each directed shard pair keeps
     one encoder/decoder pair, and the ids travel on the wire, so spines
-    re-intern consistently on the receiving shard.
+    re-intern consistently on the receiving shard.  The journal keeps
+    one codec across all its generations for the same reason.  A
+    one-shot encoding is a fresh ``Codec()``.
 
     The two endpoints of a stream must agree on history: decode calls
     must see payloads in encode order (the shard router guarantees this
-    with per-link FIFO sequence numbers), and a :meth:`reset` on one
-    side only makes sense alongside a reset on the other.
-
-    ``reset()`` drops both tables *and* switches to per-message mode
-    (every call starts cold — byte-identical to the one-shot
-    functions); ``resume()`` switches back to streaming mode, keeping
-    whatever the tables currently hold.
+    with per-link FIFO sequence numbers, the journal with record order).
     """
 
-    __slots__ = ("_encoder", "_decoder", "_streaming")
+    __slots__ = ("_encoder", "_decoder")
 
-    def __init__(self, streaming: bool = True) -> None:
+    def __init__(self) -> None:
         self._encoder = _V2Encoder()
         self._decoder = _V2Decoder()
-        self._streaming = streaming
-
-    @property
-    def streaming(self) -> bool:
-        """Whether tables persist across messages."""
-
-        return self._streaming
 
     @property
     def table_sizes(self) -> tuple[int, int]:
@@ -577,37 +398,37 @@ class Codec:
             len(self._encoder._event_ids),
         )
 
-    def reset(self) -> None:
-        """Forget all shared state; subsequent messages stand alone."""
+    def encode_payload(
+        self, payload: tuple[AnnotatedValue, ...]
+    ) -> tuple[bytes, tuple[Provenance, ...]]:
+        """One payload2 body plus the spine nodes it newly registered.
 
-        self._encoder = _V2Encoder()
-        self._decoder = _V2Decoder()
-        self._streaming = False
+        Back-references reach into everything this codec encoded
+        before.  The node tuple is in registration order — identical to
+        the order the peer's :meth:`decode_payload` constructs them, so
+        per-node metadata (attestation tags) can travel positionally.
+        """
 
-    def resume(self) -> None:
-        """Re-enter streaming mode, carrying the current tables forward."""
-
-        self._streaming = True
-
-    def encode_payload(self, payload: tuple[AnnotatedValue, ...]) -> bytes:
-        """One payload2 frame; back-references reach into stream history."""
-
-        if not self._streaming:
-            self._encoder = _V2Encoder()
-        out = bytearray(encode_varint(len(payload)))
         encoder = self._encoder
+        order = encoder._spine_order
+        registered = len(order)
+        out = bytearray(encode_varint(len(payload)))
         for value in payload:
             out += encode_plain(value.value)
             encoder.encode_provenance(value.provenance, out)
-        return bytes(out)
+        # slice the order list, never the whole table: payloads late in a
+        # long-lived codec must cost O(new nodes), not O(all nodes ever
+        # registered)
+        return bytes(out), tuple(order[registered:])
 
     def decode_payload(
         self, data: bytes, offset: int = 0
-    ) -> tuple[tuple[AnnotatedValue, ...], int]:
-        """Decode one frame produced by this stream's encode side."""
+    ) -> tuple[tuple[AnnotatedValue, ...], int, tuple[Provenance, ...]]:
+        """Decode one body produced by this stream's encode side.
 
-        if not self._streaming:
-            self._decoder = _V2Decoder()
+        Returns ``(values, end offset, newly constructed spine nodes)``.
+        """
+
         count, offset = decode_varint(data, offset)
         if count > (len(data) - offset) // _MIN_VALUE_BYTES:
             raise WireFormatError(
@@ -616,12 +437,14 @@ class Codec:
                 offset,
             )
         decoder = self._decoder
+        spines = decoder._spines
+        constructed = len(spines)
         values = []
         for _ in range(count):
             plain_value, offset = decode_plain(data, offset)
             provenance, offset = decoder.decode_provenance(data, offset)
             values.append(AnnotatedValue(plain_value, provenance))
-        return tuple(values), offset
+        return tuple(values), offset, tuple(spines[constructed:])
 
     # -- digested frames (cross-shard transport) --------------------------
 
@@ -630,18 +453,11 @@ class Codec:
     ) -> tuple[bytes, tuple[Provenance, ...]]:
         """One length-prefixed, digest-sealed payload2 frame.
 
-        Returns ``(frame bytes, newly registered spine nodes)``; the
-        node list is in registration order — identical to the order the
-        peer's :meth:`decode_frame` will construct them, so per-node
-        metadata (attestation tags) can travel positionally.
+        Returns ``(frame bytes, newly registered spine nodes)``, the
+        nodes as :meth:`encode_payload` reports them.
         """
 
-        registered = len(self._encoder._spine_ids)
-        body = self.encode_payload(payload)
-        # slice the order list, never the whole table: frames late in a
-        # long-lived streaming codec must cost O(new nodes), not O(all
-        # nodes ever registered)
-        new_nodes = tuple(self._encoder._spine_order[registered:])
+        body, new_nodes = self.encode_payload(payload)
         return (
             encode_varint(len(body)) + body + _frame_digest(body, payload),
             new_nodes,
@@ -658,7 +474,8 @@ class Codec:
         frame fails this check is poisoned: the failed decode may have
         polluted the shared back-reference tables, so the caller must
         retire the link (the shard router quarantines it) rather than
-        decode further frames.
+        decode further frames.  The third item is the spine nodes the
+        frame constructed, as :meth:`decode_payload` reports them.
         """
 
         length, offset = decode_varint(data, offset)
@@ -671,8 +488,7 @@ class Codec:
             )
         body = data[offset:body_end]
         shipped = data[body_end:body_end + DIGEST_SIZE]
-        constructed = len(self._decoder._spines)
-        payload, consumed = self.decode_payload(body)
+        payload, consumed, new_nodes = self.decode_payload(body)
         if consumed != length:
             raise WireFormatError(
                 f"{length - consumed} trailing bytes inside frame body",
@@ -680,7 +496,6 @@ class Codec:
             )
         if _frame_digest(body, payload) != shipped:
             raise WireFormatError("frame digest mismatch", body_end)
-        new_nodes = tuple(self._decoder._spines[constructed:])
         return payload, body_end + DIGEST_SIZE, new_nodes
 
 
@@ -701,39 +516,3 @@ def _frame_digest(
     for value in payload:
         hasher.update(value.provenance.digest)
     return hasher.digest()
-
-
-# ---------------------------------------------------------------------------
-# Version envelope
-# ---------------------------------------------------------------------------
-
-
-def encode_message(
-    payload: tuple[AnnotatedValue, ...], version: int = WIRE_V2
-) -> bytes:
-    """A payload under a one-byte version header (v1 tree or v2 DAG)."""
-
-    if version == WIRE_V1:
-        return bytes((WIRE_V1,)) + encode_payload(payload)
-    if version == WIRE_V2:
-        return bytes((WIRE_V2,)) + encode_payload_v2(payload)
-    raise WireFormatError(f"unknown wire version {version}")
-
-
-def decode_message(data: bytes) -> tuple[AnnotatedValue, ...]:
-    """Decode a version-enveloped payload, rejecting trailing garbage."""
-
-    if not data:
-        raise WireFormatError("empty message", 0)
-    version = data[0]
-    if version == WIRE_V1:
-        payload, offset = decode_payload(data, 1)
-    elif version == WIRE_V2:
-        payload, offset = decode_payload_v2(data, 1)
-    else:
-        raise WireFormatError(f"unknown wire version {version}", 0)
-    if offset != len(data):
-        raise WireFormatError(
-            f"{len(data) - offset} trailing bytes after payload", offset
-        )
-    return payload

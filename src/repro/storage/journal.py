@@ -3,8 +3,8 @@
 Two record streams live here:
 
 * The **delivery journal** (``journal-<gen>.seg``): every delivery the
-  middleware hands to a receiver, in delivery order, encoded with the
-  v2 wire codec in streaming mode so one spine table is shared across
+  middleware hands to a receiver, in delivery order, encoded with one
+  wire :class:`~repro.runtime.wire.Codec` so one spine table is shared across
   every record of every generation (first occurrence inline,
   back-references after — the same delta encoding the cross-shard wire
   uses).  This is the only encoding of the record: a checkpoint seals
@@ -30,7 +30,7 @@ Journal entry payloads (inside the CRC framing of
 :mod:`repro.storage.segments`)::
 
     delivery  0x01 ‖ f64 time ‖ name principal ‖ name channel
-                   ‖ varint branch ‖ f64 latency ‖ v2 frame(values)
+                   ‖ varint branch ‖ f64 latency ‖ payload2(values)
                    ‖ varint n_new ‖ n_new × tag
     note      0x02 ‖ name kind ‖ name detail
     window    0x03 ‖ f64 boundary ‖ varint budget
@@ -205,10 +205,7 @@ def encode_delivery_entry(
     would only tax the capture hot path.
     """
 
-    encoder = codec._encoder
-    registered = len(encoder._spine_order)
-    body = codec.encode_payload(values)
-    new_nodes = tuple(encoder._spine_order[registered:])
+    body, new_nodes = codec.encode_payload(values)
     tags = tuple(
         tag_lookup(node) if tag_lookup is not None else None
         for node in new_nodes
@@ -292,10 +289,7 @@ def _decode_entry(payload: bytes, codec: Codec):
     branch_index, offset = decode_varint(payload, offset)
     (latency,) = _F64.unpack_from(payload, offset)
     offset += _F64.size
-    decoder = codec._decoder
-    constructed = len(decoder._spines)
-    values, offset = codec.decode_payload(payload, offset)
-    new_nodes = tuple(decoder._spines[constructed:])
+    values, offset, new_nodes = codec.decode_payload(payload, offset)
     tags, offset = _decode_tags(payload, offset)
     if len(tags) != len(new_nodes):
         raise StorageError(

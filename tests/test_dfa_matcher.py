@@ -6,7 +6,8 @@ Three layers of evidence:
   construction behave as the textbook says on hand-built cases;
 * **differential properties** — ``naive ≡ NFA ≡ lazy DFA`` over random
   (pattern, provenance) pairs, including nested channel-provenance
-  tests, plus the bank agreeing with individual matchers;
+  tests, plus the bank agreeing with individual matchers (the naive and
+  NFA readings are the oracles of ``tests/matcher_oracle.py``);
 * **incrementality law** — deciding ``cons(e, κ)`` on a warm engine is
   one transition and equals deciding it from scratch.
 """
@@ -19,10 +20,10 @@ from repro.core.provenance import EMPTY, InputEvent, OutputEvent, Provenance
 from repro.core.patterns import MatchAll, MatchNone
 from repro.patterns.ast import AnyPattern, Empty, GroupSingle, sent_by, seq
 from repro.patterns.dfa import LazyDFA, PolicyEngine
-from repro.patterns.naive import naive_matches
-from repro.patterns.nfa import NFAMatcher, compile_pattern
+from repro.patterns.nfa import compile_pattern
 from repro.patterns.parse import parse_pattern
 from tests.conftest import patterns, provenances
+from tests.matcher_oracle import NFAMatcher, naive_matches
 
 A, B, C = pr("a"), pr("b"), pr("c")
 
@@ -60,7 +61,7 @@ class TestReversedConstruction:
 
     def test_lazy_dfa_builds_states_on_demand(self):
         pattern = parse_pattern("a!any;b?any")
-        dfa = LazyDFA(compile_pattern(pattern).reverse())
+        dfa = LazyDFA(compile_pattern(pattern).reverse(), 1 << 16)
         assert dfa.state_count == 1  # just the start subset
         engine = PolicyEngine()
         # a 2-event match forces exactly the states the run visits
@@ -70,7 +71,7 @@ class TestReversedConstruction:
     def test_start_state_accepts_iff_empty_matches(self):
         for text, expected in (("eps", True), ("any", True), ("a!any", False)):
             pattern = parse_pattern(text)
-            dfa = LazyDFA(compile_pattern(pattern).reverse())
+            dfa = LazyDFA(compile_pattern(pattern).reverse(), 1 << 16)
             assert dfa.accepting(dfa.start) is expected, text
 
     def test_dead_state_stays_dead(self):
@@ -198,6 +199,23 @@ class TestIncrementality:
         )
         assert engine.stats()["cached_runs"] <= 2 * 8 + 40  # bounded, not pinned
 
+    def test_transition_table_bounded_by_cache_limit(self):
+        """Every distinct event adds a transition; past ``cache_limit``
+        the table is cleared wholesale and verdicts are unchanged."""
+
+        engine = PolicyEngine(cache_limit=8)
+        pattern = parse_pattern("(a!any|~?any);any")
+        oracle = NFAMatcher()
+        for index in range(100):
+            event = (OutputEvent if index % 2 else InputEvent)(
+                pr(f"q{index}"), EMPTY
+            )
+            provenance = Provenance.of(event)
+            assert engine.matches(provenance, pattern) == oracle.matches(
+                provenance, pattern
+            )
+            assert len(engine.dfa(pattern).transitions) <= 8
+
 
 class TestPolicyBank:
     PATTERNS = (
@@ -214,8 +232,8 @@ class TestPolicyBank:
         engine = PolicyEngine()
         bank = engine.bank(self.PATTERNS)
         for pattern in self.PATTERNS:
-            assert bank.admits(provenance, pattern) == pattern.matches(
-                provenance
+            assert engine.admits(provenance, pattern, bank) == (
+                pattern.matches(provenance)
             ), str(pattern)
 
     def test_verdict_vector_in_one_pass(self):
@@ -232,7 +250,7 @@ class TestPolicyBank:
         # the second member's verdict came from the same pass: asking for
         # it takes no further transitions
         before = engine.transitions_taken
-        assert bank.admits(provenance, sample[1]) == verdicts[1]
+        assert engine.admits(provenance, sample[1], bank) == verdicts[1]
         assert engine.transitions_taken == before
 
     def test_bank_deduplicates_and_skips_foreign_patterns(self):
@@ -241,8 +259,8 @@ class TestPolicyBank:
             (MatchAll(), self.PATTERNS[0], self.PATTERNS[0], MatchNone())
         )
         assert bank.patterns == (self.PATTERNS[0],)
-        assert bank.admits(EMPTY, MatchAll())
-        assert not bank.admits(EMPTY, MatchNone())
+        assert engine.admits(EMPTY, MatchAll(), bank)
+        assert not engine.admits(EMPTY, MatchNone(), bank)
 
     def test_discard_bank_releases_memo(self):
         engine = PolicyEngine()
@@ -257,6 +275,9 @@ class TestPolicyBank:
         bank = engine.bank((self.PATTERNS[0],))
         stray = parse_pattern("b?any;any")
         provenance = chain(("b", "?"), ("a", "!"))
-        assert bank.admits(provenance, stray) == naive_matches(
+        assert engine.admits(provenance, stray, bank) == naive_matches(
+            provenance, stray
+        )
+        assert engine.admits(provenance, stray) == naive_matches(
             provenance, stray
         )

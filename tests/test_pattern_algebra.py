@@ -31,11 +31,11 @@ from repro.patterns.ast import (
     Repetition,
     Sequence,
 )
-from repro.patterns.nfa import NFAMatcher
+from repro.patterns.dfa import PolicyEngine
 from repro.patterns.parse import parse_pattern as P
 
 A, B = pr("a"), pr("b")
-MATCHER = NFAMatcher()
+MATCHER = PolicyEngine()
 
 
 class TestDecisions:

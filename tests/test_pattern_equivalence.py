@@ -8,9 +8,8 @@ the pattern-language analogue of translation validation.
 
 from hypothesis import given, settings
 
-from repro.patterns.naive import naive_matches
-from repro.patterns.nfa import NFAMatcher
 from tests.conftest import patterns, provenances
+from tests.matcher_oracle import NFAMatcher, naive_matches
 
 MATCHER = NFAMatcher()
 

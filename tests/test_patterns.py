@@ -1,8 +1,10 @@
-"""Tests for the sample pattern language: groups, rules, both matchers.
+"""Tests for the sample pattern language: groups, rules, both oracles.
 
 Every inference rule of Table 3 gets dedicated cases, run through *both*
-the naive reference matcher and the compiled NFA matcher (parametrized),
-plus pattern-language-level behaviours (paper's example patterns).
+reference matchers of ``tests/matcher_oracle.py`` — the naive rule
+transcription and NFA simulation (parametrized) — plus
+pattern-language-level behaviours (paper's example patterns).  The
+policy engine is pinned to both in ``test_dfa_matcher.py``.
 """
 
 import pytest
@@ -25,9 +27,9 @@ from repro.patterns.ast import (
     sent_by,
     seq,
 )
-from repro.patterns.naive import naive_matches
-from repro.patterns.nfa import NFAMatcher
+from repro.patterns.dfa import default_engine
 from repro.patterns.parse import parse_pattern
+from tests.matcher_oracle import NFAMatcher, naive_matches
 
 A, B, C, D = pr("a"), pr("b"), pr("c"), pr("d")
 
@@ -171,9 +173,19 @@ class TestNFAInternals:
         assert matcher.cache_sizes() == (0, 0)
 
     def test_default_pattern_matches_delegates_to_nfa(self):
+        # SamplePattern.matches asks the process-wide policy engine; the
+        # NFA oracle must agree with it
+        def queries():
+            engine = default_engine()
+            return engine.run_cache_hits + engine.run_cache_misses
+
         p = sent_by(A)
+        before = queries()
         assert p.matches(Provenance.of(snd(A)))
         assert not p.matches(Provenance.of(snd(B)))
+        assert queries() >= before + 2
+        for k in (Provenance.of(snd(A)), Provenance.of(snd(B))):
+            assert p.matches(k) == NFAMatcher().matches(k, p)
 
     def test_pathological_star_nesting_is_fast(self):
         # (any*)* over a long sequence: exponential for naive splits on

@@ -11,6 +11,7 @@ path).
 
 import pickle
 
+from repro.core.builder import av, ch
 from repro.core.names import Principal
 from repro.core.provenance import (
     EMPTY,
@@ -20,7 +21,7 @@ from repro.core.provenance import (
     dag_event_count,
     intern_table_sizes,
 )
-from repro.runtime.wire import decode_provenance_v2, encode_provenance_v2
+from repro.runtime.wire import Codec
 
 A, B = Principal("a"), Principal("b")
 
@@ -109,10 +110,17 @@ class TestReinternedCrossShardSpines:
             )
         return spine
 
+    @staticmethod
+    def wire_copy(spine):
+        """``spine`` through a fresh codec pair, as a shard link ships it."""
+
+        body, _ = Codec().encode_payload((av(ch("v"), spine),))
+        values, _, _ = Codec().decode_payload(body)
+        return values[0].provenance
+
     def test_wire_roundtrip_is_identity(self):
         spine = self.nested()
-        decoded, _ = decode_provenance_v2(encode_provenance_v2(spine))
-        assert decoded is spine
+        assert self.wire_copy(spine) is spine
 
     def test_pickle_roundtrip_is_identity(self):
         spine = self.nested()
@@ -120,7 +128,7 @@ class TestReinternedCrossShardSpines:
 
     def test_reinterned_suffixes_share_with_the_original(self):
         spine = self.nested()
-        copy, _ = decode_provenance_v2(encode_provenance_v2(spine))
+        copy = self.wire_copy(spine)
         for ours, theirs in zip(spine.suffixes(), copy.suffixes()):
             assert ours is theirs
 

@@ -6,7 +6,7 @@ tuple-of-trees: these tests pit every observation (``str``,
 iteration) against a straight recursive *model* computed from the event
 structure, and check the interning guarantees themselves (structural
 equality is object identity, suffixes alias the shared spine, wire
-round-trips in both formats rebuild the very same interned nodes).
+round-trips through the codec rebuild the very same interned nodes).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pickle
 import pytest
 from hypothesis import given
 
-from repro.core.builder import pr
+from repro.core.builder import av, ch, pr
 from repro.core.errors import WireFormatError
 from repro.core.provenance import (
     EMPTY,
@@ -27,19 +27,27 @@ from repro.core.provenance import (
     Provenance,
     intern_table_sizes,
 )
-from repro.runtime.wire import (
-    decode_message,
-    decode_payload,
-    decode_provenance,
-    decode_provenance_v2,
-    encode_message,
-    encode_provenance,
-    encode_provenance_v2,
-    encode_varint,
-)
+from repro.runtime.wire import Codec, encode_varint
+from tests import wire_oracle
 from tests.conftest import provenances
 
 A, B, C = pr("a"), pr("b"), pr("c")
+
+# one value on channel v: the byte prefix every hostile payload below
+# shares before its provenance (count 1, plain tag 'C', name "v")
+VALUE_PREFIX = b"\x01\x43\x01v"
+
+
+def encode_one(k: Provenance) -> bytes:
+    """``k`` as the provenance of a one-value payload, fresh tables."""
+
+    body, _ = Codec().encode_payload((av(ch("v"), k),))
+    return body
+
+
+def decode_one(data: bytes) -> tuple[Provenance, int]:
+    values, offset, _ = Codec().decode_payload(data)
+    return values[0].provenance, offset
 
 
 # -- the reference model: direct recursion over the event structure -------
@@ -183,21 +191,26 @@ class TestInterning:
 class TestWireRoundTrips:
     @given(provenances())
     def test_v1_round_trip_rebuilds_interned_nodes(self, k):
-        decoded, _ = decode_provenance(encode_provenance(k), 0)
-        assert decoded is k
+        # decoded mid-stream: after a payload that shares k's tail, the
+        # back-referencing decode still lands on the interned node
+        encoder, decoder = Codec(), Codec()
+        for payload in ((av(ch("v"), k.tail),), (av(ch("v"), k),)):
+            body, _ = encoder.encode_payload(payload)
+            decoded, _, _ = decoder.decode_payload(body)
+            assert decoded[0].provenance is payload[0].provenance
 
     @given(provenances())
     def test_v2_round_trip_rebuilds_interned_nodes(self, k):
-        decoded, offset = decode_provenance_v2(encode_provenance_v2(k))
+        decoded, offset = decode_one(encode_one(k))
         assert decoded is k
-        assert offset == len(encode_provenance_v2(k))
+        assert offset == len(encode_one(k))
 
     def test_v2_aliased_subtrees_decode_to_identical_nodes(self):
         shared = Provenance.of(OutputEvent(A), InputEvent(B))
         k = Provenance.of(
             OutputEvent(C, shared), InputEvent(C, shared)
         ).concat(shared)
-        decoded, _ = decode_provenance_v2(encode_provenance_v2(k))
+        decoded, _ = decode_one(encode_one(k))
         assert decoded is k
         events = decoded.events
         assert events[0].channel_provenance is events[1].channel_provenance
@@ -209,58 +222,66 @@ class TestWireRoundTrips:
         aliased = Provenance.of(
             OutputEvent(A, shared), InputEvent(B, shared), OutputEvent(C, shared)
         )
-        assert len(encode_provenance_v2(aliased)) < len(encode_provenance(aliased))
+        payload = (av(ch("v"), aliased),)
+        assert len(encode_one(aliased)) < len(wire_oracle.encode_payload(payload))
 
     @given(provenances())
     def test_message_envelope_round_trips_both_versions(self, k):
-        from repro.core.builder import av, ch
-
+        # the one codec round-trips a payload whose values share k; the
+        # second occurrence is a back-reference to the same node
         payload = (av(ch("m"), k), av(ch("n"), k))
-        for version in (1, 2):
-            assert decode_message(encode_message(payload, version)) == payload
+        body, _ = Codec().encode_payload(payload)
+        decoded, offset, _ = Codec().decode_payload(body)
+        assert decoded == payload and offset == len(body)
+        assert decoded[0].provenance is decoded[1].provenance
 
     def test_unknown_message_version_rejected(self):
-        with pytest.raises(WireFormatError, match="unknown wire version"):
-            decode_message(b"\x07\x00")
-        with pytest.raises(WireFormatError, match="empty message"):
-            decode_message(b"")
+        # the bytes the retired version envelope refused are refused by
+        # the codec too: seven values claimed in one byte, and nothing
+        with pytest.raises(WireFormatError, match="truncated payload"):
+            Codec().decode_payload(b"\x07\x00")
+        with pytest.raises(WireFormatError, match="truncated varint"):
+            Codec().decode_payload(b"")
 
 
 class TestHostileInputs:
     def test_huge_event_count_rejected_before_allocation(self):
-        # Claims 2^40 events with two bytes of input left.
-        hostile = encode_varint(1 << 40) + b"\x00\x00"
-        with pytest.raises(WireFormatError, match="truncated provenance"):
-            decode_provenance(hostile, 0)
+        # A spine event whose principal name claims 2^40 bytes with two
+        # bytes of input left.
+        hostile = VALUE_PREFIX + b"\x01\x00" + encode_varint(1 << 40) + b"\x00\x00"
+        with pytest.raises(WireFormatError, match="truncated name"):
+            Codec().decode_payload(hostile)
 
     def test_huge_nested_count_rejected(self):
-        # One real output event whose *nested* provenance claims 2^40
-        # events: the recursive decode must apply the same bound.
+        # One real output event whose *nested* provenance holds an event
+        # claiming a 2^40-byte name: the nested decode applies the same
+        # bound.
         hostile = (
-            encode_varint(1)          # spine: one event
-            + b"\x21"                 # output event tag
-            + b"\x01a"                # principal "a"
-            + encode_varint(1 << 40)  # nested count: hostile
+            VALUE_PREFIX
+            + b"\x01\x00\x01a"         # cons: output event by "a"
+            + b"\x01\x00"               # nested spine: cons, output event
+            + encode_varint(1 << 40)    # nested name length: hostile
         )
-        with pytest.raises(WireFormatError, match="truncated provenance"):
-            decode_provenance(hostile, 0)
+        with pytest.raises(WireFormatError, match="truncated name"):
+            Codec().decode_payload(hostile)
 
     def test_huge_payload_count_rejected(self):
         hostile = encode_varint(1 << 40) + b"\x00"
         with pytest.raises(WireFormatError, match="truncated payload"):
-            decode_payload(hostile, 0)
+            Codec().decode_payload(hostile, 0)
 
     def test_v2_out_of_range_backref_rejected(self):
         with pytest.raises(WireFormatError, match="back-reference"):
-            decode_provenance_v2(encode_varint(2 + 99))
+            Codec().decode_payload(VALUE_PREFIX + encode_varint(2 + 99))
 
     def test_v2_out_of_range_event_backref_rejected(self):
-        hostile = encode_varint(1) + encode_varint(2 + 99)
+        hostile = VALUE_PREFIX + encode_varint(1) + encode_varint(2 + 99)
         with pytest.raises(WireFormatError, match="back-reference"):
-            decode_provenance_v2(hostile)
+            Codec().decode_payload(hostile)
 
     def test_v2_truncated_input_rejected(self):
         with pytest.raises(WireFormatError):
-            decode_provenance_v2(b"")
+            Codec().decode_payload(VALUE_PREFIX)
         with pytest.raises(WireFormatError):
-            decode_provenance_v2(encode_varint(1))  # cons with no event
+            # cons with no event
+            Codec().decode_payload(VALUE_PREFIX + encode_varint(1))

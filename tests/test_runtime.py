@@ -18,12 +18,8 @@ from repro.runtime import (
     ForgingAdversary,
     LatencyModel,
     Simulator,
-    decode_payload,
-    decode_value,
-    encode_payload,
-    encode_provenance,
-    encode_value,
 )
+from repro.runtime.wire import Codec
 from tests.conftest import provenances
 from tests.substrate_oracle import HeapSimulator, seed_substrate
 from tests.vetting_oracle import nfa_vetting
@@ -230,31 +226,35 @@ class TestTwoTierScheduler:
             assert sim.run() == 1
 
 
+def round_trip(payload):
+    """Encode through a fresh codec, decode through another."""
+
+    body, _ = Codec().encode_payload(payload)
+    decoded, offset, _ = Codec().decode_payload(body)
+    assert offset == len(body)
+    return decoded
+
+
 class TestWire:
     def test_value_round_trip(self):
         k = Provenance.of(OutputEvent(A, Provenance.of(InputEvent(B, EMPTY))))
         value = annotate(V, k)
-        decoded, offset = decode_value(encode_value(value))
-        assert decoded == value
-        assert offset == len(encode_value(value))
+        assert round_trip((value,)) == (value,)
 
     def test_payload_round_trip(self):
         payload = (annotate(V), annotate(pr("a")))
-        decoded, _ = decode_payload(encode_payload(payload))
-        assert decoded == payload
+        assert round_trip(payload) == payload
 
     @settings(max_examples=100, deadline=None)
     @given(provenances())
     def test_provenance_round_trip_property(self, k):
-        from repro.runtime.wire import decode_provenance
-
-        decoded, _ = decode_provenance(encode_provenance(k), 0)
-        assert decoded == k
+        (decoded,) = round_trip((annotate(V, k),))
+        assert decoded.provenance is k
 
     def test_bytes_grow_with_provenance(self):
-        small = encode_value(annotate(V))
-        big = encode_value(
-            annotate(V, Provenance.of(*(OutputEvent(A, EMPTY),) * 10))
+        small, _ = Codec().encode_payload((annotate(V),))
+        big, _ = Codec().encode_payload(
+            (annotate(V, Provenance.of(*(OutputEvent(A, EMPTY),) * 10)),)
         )
         assert len(big) > len(small)
 
@@ -263,8 +263,9 @@ class TestWire:
         [b"", b"\xff", b"\x43\x05ab", b"\x99\x01a\x00"],
     )
     def test_malformed_bytes_rejected(self, junk):
+        # one value claimed, then the junk where the value should be
         with pytest.raises(WireFormatError):
-            decode_value(junk)
+            Codec().decode_payload(b"\x01" + junk)
 
     def test_varint_round_trip_is_canonical(self):
         from repro.runtime.wire import decode_varint, encode_varint
@@ -302,11 +303,11 @@ class TestWire:
             decode_plain(b"\x7a\xff\xff\xff", 0)
 
     def test_unknown_event_tag_reported_before_name_decode(self):
-        from repro.runtime.wire import decode_provenance
-
-        # one event whose tag byte is invalid, then an overlong length
-        with pytest.raises(WireFormatError, match="unknown event tag"):
-            decode_provenance(b"\x01\x5a\xff\xff", 0)
+        # one value on channel v whose spine conses an event tagged as a
+        # back-reference the table cannot hold, then an overlong length:
+        # the tag must be rejected before the name is decoded
+        with pytest.raises(WireFormatError, match="event back-reference"):
+            Codec().decode_payload(b"\x01\x43\x01v\x01\x5a\xff\xff")
 
 
 class TestCodec:
@@ -329,73 +330,57 @@ class TestCodec:
         return payloads
 
     def test_resumed_round_trip_in_order(self):
-        from repro.runtime.wire import Codec
-
         encoder, decoder = Codec(), Codec()
         for payload in self._growing_payloads():
-            frame = encoder.encode_payload(payload)
-            decoded, offset = decoder.decode_payload(frame)
+            frame, sent = encoder.encode_payload(payload)
+            decoded, offset, constructed = decoder.decode_payload(frame)
             assert decoded == payload
             assert offset == len(frame)
+            assert constructed == sent
 
     def test_resumption_shrinks_repeat_provenance(self):
-        from repro.runtime.wire import Codec, encode_payload_v2
-
         encoder = Codec()
         payloads = self._growing_payloads()
-        frames = [encoder.encode_payload(p) for p in payloads]
-        # the per-message encoding re-ships the whole spine every time;
-        # the resumed stream ships only the two new events per message
+        frames = [encoder.encode_payload(p)[0] for p in payloads]
+        # a fresh codec per message re-ships the whole spine every time;
+        # the stream ships only the two new events per message
         for payload, frame in zip(payloads[1:], frames[1:]):
-            assert len(frame) < len(encode_payload_v2(payload))
+            assert len(frame) < len(Codec().encode_payload(payload)[0])
         assert encoder.table_sizes[0] > 0
 
     def test_second_frame_needs_stream_history(self):
-        from repro.runtime.wire import Codec
-
         encoder = Codec()
         payloads = self._growing_payloads(2)
         encoder.encode_payload(payloads[0])
-        second = encoder.encode_payload(payloads[1])
+        second, _ = encoder.encode_payload(payloads[1])
         with pytest.raises(WireFormatError, match="back-reference"):
             Codec().decode_payload(second)
 
     def test_reset_matches_one_shot_encoding(self):
-        from repro.runtime.wire import Codec, encode_payload_v2
-
-        codec = Codec()
+        # a one-shot encoding is a fresh codec: the first payload of any
+        # stream is byte-identical to it, and each stands alone
         payloads = self._growing_payloads(3)
+        stream = Codec()
+        assert stream.encode_payload(payloads[0]) == Codec().encode_payload(
+            payloads[0]
+        )
         for payload in payloads:
-            codec.encode_payload(payload)
-        codec.reset()
-        assert not codec.streaming
-        for payload in payloads:
-            assert codec.encode_payload(payload) == encode_payload_v2(
-                payload
-            )
-            decoded, _ = codec.decode_payload(
-                codec.encode_payload(payload)
-            )
+            body, _ = Codec().encode_payload(payload)
+            decoded, _, _ = Codec().decode_payload(body)
             assert decoded == payload
 
     def test_resume_restores_streaming(self):
-        from repro.runtime.wire import Codec
-
+        # a codec carries its tables from one payload to the next
         codec = Codec()
-        codec.reset()
-        codec.resume()
-        assert codec.streaming
         payloads = self._growing_payloads(2)
-        frames = [codec.encode_payload(p) for p in payloads]
+        frames = [codec.encode_payload(p)[0] for p in payloads]
         assert len(frames[1]) < len(frames[0])
 
     def test_decoded_spines_intern_identically(self):
-        from repro.runtime.wire import Codec
-
         encoder, decoder = Codec(), Codec()
         payloads = self._growing_payloads(2)
-        first = decoder.decode_payload(encoder.encode_payload(payloads[0]))
-        second = decoder.decode_payload(encoder.encode_payload(payloads[1]))
+        first = decoder.decode_payload(encoder.encode_payload(payloads[0])[0])
+        second = decoder.decode_payload(encoder.encode_payload(payloads[1])[0])
         # both values of a payload share one spine; the back-referenced
         # decode must yield the *same interned node*, not a copy
         assert first[0][0].provenance is first[0][1].provenance
@@ -1042,10 +1027,9 @@ class TestLazyByteAccounting:
         assert metrics.provenance_overhead_ratio == 0.0
 
     def test_lazy_bytes_match_eager_wire_encoding(self):
-        from repro.runtime.wire import encode_payload_v2
-
         runtime = DistributedRuntime(seed=3)
         runtime.deploy(parse_system("a[m<v>]"))
         runtime.run()
         stamped = runtime.middleware.manager(M)._messages[0].payload
-        assert runtime.metrics.bytes_total == len(encode_payload_v2(stamped))
+        body, _ = Codec().encode_payload(stamped)
+        assert runtime.metrics.bytes_total == len(body)

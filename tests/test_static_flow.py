@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from repro.core.builder import pr
 from repro.core.patterns import MatchAll, MatchNone
 from repro.lang import parse_provenance, parse_system
-from repro.patterns.nfa import NFAMatcher
+from repro.patterns.dfa import PolicyEngine
 from repro.patterns.parse import parse_pattern
 from tests.conftest import patterns, provenances
 
@@ -281,5 +281,5 @@ class TestMatch3AgainstDynamicMatcher:
         abstracted = abstract_provenance(prov, k=64, nesting=64)
         assert not abstracted.truncated
         verdict = match3(abstracted, pattern)
-        expected = NFAMatcher().matches(prov, pattern)
+        expected = PolicyEngine().matches(prov, pattern)
         assert verdict is (Verdict.YES if expected else Verdict.NO)

@@ -1,6 +1,7 @@
 """Hostile-input handling on the wire: every malformed byte stream must
 raise :class:`WireFormatError` (with an offset) — never ``KeyError``,
-``IndexError``, ``RecursionError`` or a silently wrong decode."""
+``IndexError``, ``RecursionError`` or a silently wrong decode — and the
+journal must turn it into a :class:`StorageError`."""
 
 from __future__ import annotations
 
@@ -12,19 +13,12 @@ from hypothesis import strategies as st
 
 from tests.conftest import provenances
 from repro.core.builder import ch, pr
-from repro.core.errors import WireError, WireFormatError
-from repro.core.provenance import EMPTY, OutputEvent
+from repro.core.errors import StorageError, WireError, WireFormatError
+from repro.core.names import Channel
+from repro.core.provenance import EMPTY, OutputEvent, Provenance
 from repro.core.values import AnnotatedValue
-from repro.runtime.wire import (
-    MAX_NESTING,
-    Codec,
-    decode_message,
-    decode_payload,
-    decode_payload_v2,
-    encode_message,
-    encode_payload_v2,
-    encode_varint,
-)
+from repro.runtime.wire import MAX_NESTING, Codec, encode_varint
+from repro.storage.journal import decode_entry, encode_delivery_entry
 
 A, B = pr("a"), pr("b")
 V = ch("v")
@@ -39,6 +33,52 @@ def sample_payload(depth=4):
     return (AnnotatedValue(V, provenance), AnnotatedValue(ch("w"), EMPTY))
 
 
+def nested_payload(depth):
+    """One value whose channel histories nest ``depth`` events deep."""
+
+    provenance = EMPTY
+    for _ in range(depth):
+        provenance = Provenance.of(OutputEvent(A, provenance))
+    return (AnnotatedValue(V, provenance),)
+
+
+def at_stack_depth(frames, thunk):
+    """Call ``thunk`` from ``frames`` Python frames below the caller."""
+
+    if frames == 0:
+        return thunk()
+    return at_stack_depth(frames - 1, thunk)
+
+
+def journal_entry(payload):
+    entry, _, _ = encode_delivery_entry(
+        Codec(), 1.0, A, Channel("m"), 0, 0.0, payload, None
+    )
+    return entry
+
+
+def check_nesting_guard():
+    """``MAX_NESTING`` levels decode everywhere; one more is refused
+    with a typed error, never a ``RecursionError``."""
+
+    deepest = nested_payload(MAX_NESTING)
+    body, _ = Codec().encode_payload(deepest)
+    assert Codec().decode_payload(body)[0] == deepest
+    frame, _ = Codec().encode_frame(deepest)
+    assert Codec().decode_frame(frame)[0] == deepest
+    assert decode_entry(journal_entry(deepest), Codec()).values == deepest
+
+    too_deep = nested_payload(MAX_NESTING + 1)
+    body, _ = Codec().encode_payload(too_deep)
+    with pytest.raises(WireFormatError, match="nested deeper"):
+        Codec().decode_payload(body)
+    frame, _ = Codec().encode_frame(too_deep)
+    with pytest.raises(WireFormatError, match="nested deeper"):
+        Codec().decode_frame(frame)
+    with pytest.raises(StorageError, match="nested deeper"):
+        decode_entry(journal_entry(too_deep), Codec())
+
+
 class TestErrorContract:
     def test_wire_error_is_an_alias(self):
         assert WireError is WireFormatError
@@ -51,23 +91,29 @@ class TestErrorContract:
 
     def test_empty_stream(self):
         with pytest.raises(WireFormatError):
-            decode_payload_v2(b"")
+            Codec().decode_payload(b"")
 
     def test_truncated_varint(self):
         with pytest.raises(WireFormatError):
-            decode_payload_v2(b"\xff")
+            Codec().decode_payload(b"\xff")
 
     def test_absurd_count_rejected_before_allocation(self):
         data = encode_varint(2**40) + b"\x00"
         with pytest.raises(WireFormatError, match="truncated payload"):
-            decode_payload_v2(data)
+            Codec().decode_payload(data)
 
     def test_unknown_version_envelope(self):
+        # the bytes a version envelope would have refused: a stray
+        # leading byte in front of a genuine payload
+        body, _ = Codec().encode_payload(sample_payload())
         with pytest.raises(WireFormatError):
-            decode_message(b"\x09" + encode_payload_v2(sample_payload()))
+            Codec().decode_payload(b"\x09" + body)
 
     def test_deep_nesting_guard(self):
-        assert MAX_NESTING < 10_000  # below the recursion limit headroom
+        # 200 frames down first: the guard must hold for a decoder
+        # called from deep inside a caller's stack, at the default
+        # recursion limit
+        at_stack_depth(200, check_nesting_guard)
 
 
 class TestBitFlipFuzz:
@@ -95,7 +141,7 @@ class TestBitFlipFuzz:
 
     def test_trailing_garbage_inside_body_is_detected(self):
         encoder = Codec()
-        body = encoder.encode_payload(sample_payload())
+        body, _ = encoder.encode_payload(sample_payload())
         inflated = encode_varint(len(body) + 2) + body + b"\x00\x00" + bytes(16)
         decoder = Codec()
         with pytest.raises(WireFormatError):
@@ -119,25 +165,38 @@ class TestBitFlipFuzz:
 
 
 class TestRandomFuzz:
-    @pytest.mark.parametrize("decoder", [decode_payload, decode_payload_v2])
-    def test_random_bytes_never_escape_the_error_type(self, decoder):
+    # the ids name the one-shot decoders these two cases once drove
+    @pytest.mark.parametrize(
+        "fresh",
+        [
+            pytest.param(True, id="decode_payload"),
+            pytest.param(False, id="decode_payload_v2"),
+        ],
+    )
+    def test_random_bytes_never_escape_the_error_type(self, fresh):
+        """Random blobs through a fresh codec each, or through one codec
+        whose tables already hold a genuine payload's history (so
+        back-references can land) and keep whatever the blobs add."""
+
         rng = random.Random(0xC0FFEE)
+        primed = Codec()
+        primed.decode_payload(Codec().encode_payload(sample_payload())[0])
         for _ in range(300):
             blob = rng.randbytes(rng.randrange(1, 64))
             try:
-                decoder(blob)
+                (Codec() if fresh else primed).decode_payload(blob)
             except WireFormatError:
                 pass  # the only acceptable failure
 
     def test_random_mutations_of_genuine_messages(self):
         rng = random.Random(0xBEEF)
-        data = encode_message(sample_payload(), version=2)
+        data, _ = Codec().encode_payload(sample_payload())
         for _ in range(500):
             mutated = bytearray(data)
             for _ in range(rng.randrange(1, 4)):
                 mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
             try:
-                decode_message(bytes(mutated))
+                Codec().decode_payload(bytes(mutated))
             except WireFormatError:
                 pass  # flips may land in don't-care bits of plain names;
                 # anything detected must be detected *cleanly*

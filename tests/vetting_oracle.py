@@ -4,7 +4,7 @@ The middleware vets sample patterns through a
 :class:`~repro.patterns.dfa.PolicyEngine`, whose channel banks extend a
 cached run by one transition per new spine event.  :class:`NFAPolicy`
 is the reading that replaced: every vet re-simulates the pattern's
-Thompson NFA over the whole spine (:class:`~repro.patterns.nfa.NFAMatcher`,
+Thompson NFA over the whole spine (:class:`tests.matcher_oracle.NFAMatcher`,
 memoized per ``(provenance, pattern)``).  The differential tests and the
 E18 bench (``bench_patterns_incremental.py``) require both to admit and
 refuse the same messages.  It is test-only: nothing in ``src/`` imports it.
@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import repro.runtime.middleware as middleware_module
 from repro.core.provenance import Provenance
 from repro.patterns.ast import Pattern, SamplePattern
-from repro.patterns.nfa import NFAMatcher
+from tests.matcher_oracle import NFAMatcher
 
 
 class NFAPolicy:
@@ -52,7 +52,12 @@ class NFAPolicy:
         self.decisions += 1
         return self.matcher.matches(provenance, pattern)
 
-    admits = matches
+    def admits(
+        self, provenance: Provenance, pattern: Pattern, bank: object = None
+    ) -> bool:
+        if isinstance(pattern, SamplePattern):
+            return self.matches(provenance, pattern)
+        return pattern.matches(provenance)
 
     def bank(self, patterns: Iterable[Pattern]) -> "NFAPolicy":
         return self
