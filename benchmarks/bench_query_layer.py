@@ -4,7 +4,7 @@ PR 10 grew :mod:`repro.query`: a :class:`~repro.query.ProvenanceIndex`
 built once per log generation over the delivered trace, answering
 where/why queries (derivation slices, taint, cone-of-influence, minimal
 witness suffixes) as lookups instead of re-sweeps.  This bench gates the
-three claims that make an *index* the right shape:
+four claims that make an *index* the right shape:
 
 * **O(new events) build** — absorbing each generation of a relay-style
   trace costs work proportional to that generation's new spine events,
@@ -19,6 +19,11 @@ three claims that make an *index* the right shape:
 * **bit-identical differential** — attaching the index as a sink on a
   live runtime's middleware never perturbs the run: the delivered
   trace with the index on equals the trace with it off, bit for bit.
+* **O(new deliveries) clocks** — with one cone and one happens-before
+  query after each commit, the vector clocks behind them extend by the
+  new generation only: the per-generation ``clock_work`` counter stays
+  flat (≤ ``MAX_WORK_RATIO``×), and every answer equals the graph walk
+  in ``tests/query_oracle.py``.
 
 Usage::
 
@@ -36,7 +41,7 @@ from repro.query import ProvenanceIndex
 from repro.runtime import DistributedRuntime
 from repro.workloads.scaling import relay_guard, vetted_relay_chain
 
-from conftest import record_row, write_snapshot
+from conftest import load_oracle, record_row, write_snapshot
 
 GATE_GENERATIONS = 20
 GATE_BATCH = 2_000
@@ -110,6 +115,32 @@ def run_build_gate(generations, batch):
     # sanity: the derivation chain threaded through every generation
     assert index.edge_counts()["derives"] == index.delivered - 1
     return list(work), ratio
+
+
+def run_clock_gate(generations, batch):
+    """Per-generation clock work flat; cone and happens-before answers
+    equal the oracle's after every commit."""
+
+    oracle = load_oracle("query_oracle")
+    index = ProvenanceIndex()
+    work = []
+    for deliveries in relay_generations(generations, batch):
+        index.extend_trace(deliveries)
+        before = index.clock_work
+        latest, probe = index.delivered - 1, index.delivered // 2
+        cone = index.cone_of_influence(latest)
+        assert cone == oracle.cone_of_influence(index, latest), latest
+        assert index.happens_before(probe, latest) == oracle.happens_before(
+            index, probe, latest
+        ), (probe, latest)
+        work.append(index.clock_work - before)
+    ratio = max(work) / min(work)
+    assert ratio <= MAX_WORK_RATIO, (
+        f"clock work grew {ratio:.2f}× across {generations} generations "
+        f"(gate: ≤ {MAX_WORK_RATIO}×) — clocks are no longer extended "
+        f"for new deliveries only: per-generation work {work}"
+    )
+    return work, ratio
 
 
 def deep_sweep_spine(events=SWEEP_EVENTS, principals=PRINCIPALS):
@@ -190,6 +221,16 @@ def test_build_is_o_new_events_gate():
     )
 
 
+def test_clock_gate():
+    work, ratio = run_clock_gate(SMOKE_GENERATIONS, SMOKE_BATCH)
+    record_row(
+        "E24-query-layer",
+        f"CLOCK work/generation {min(work)}..{max(work)} = {ratio:.2f}x "
+        f"over {len(work)} generations, answers = oracle "
+        f"(gate <= {MAX_WORK_RATIO}x)",
+    )
+
+
 def test_warm_queries_gate():
     cold, warm, speedup, events = run_warm_query_gate()
     record_row(
@@ -240,6 +281,13 @@ def main(argv=None) -> int:
         f"{ratio:.2f}x over {generations} generations x {batch} "
         f"deliveries (gate <= {MAX_WORK_RATIO}x)"
     )
+    clock_work, clock_ratio = run_clock_gate(generations, batch)
+    print(
+        f"E24 clocks: work/generation {min(clock_work)}..{max(clock_work)} "
+        f"= {clock_ratio:.2f}x over {generations} generations, every "
+        f"cone and happens-before answer = oracle "
+        f"(gate <= {MAX_WORK_RATIO}x)"
+    )
     cold, warm, speedup, events = run_warm_query_gate()
     print(
         f"E24 warm: {cold * 1e3:.1f}ms cold vs {warm * 1e6:.1f}us warm = "
@@ -258,6 +306,10 @@ def main(argv=None) -> int:
             "build_work_min": min(work),
             "build_work_max": max(work),
             "build_work_ratio": round(ratio, 3),
+            "clock_work_min": min(clock_work),
+            "clock_work_max": max(clock_work),
+            "clock_work_ratio": round(clock_ratio, 3),
+            "clock_queries_checked": 2 * generations,
             "warm_cold_ms": round(cold * 1e3, 3),
             "warm_hit_us": round(warm * 1e6, 3),
             "warm_speedup": round(speedup, 1),

@@ -7,8 +7,8 @@ slicing:
 
 * :mod:`repro.query.index` — :class:`ProvenanceIndex`, the
   generation-indexed happens-before / dataflow graphs with where/why
-  queries (derivation slices, taint reachability, cone-of-influence,
-  minimal witness suffixes via one incremental-DFA pass);
+  queries (derivation slices, taint reachability, cone-of-influence and
+  happens-before from vector clocks, memoized minimal witness suffixes);
 * :mod:`repro.query.planner` — posting-list access-path selection,
   informed by the log's :meth:`~repro.logs.order.LogIndex.
   signature_buckets` when available;

@@ -25,18 +25,35 @@ derivation anchor only for genuinely new nodes.  The
 explicitly — ``benchmarks/bench_query_layer.py`` (E24) gates it flat
 per batch as history grows.
 
-Query results memoize at two lifetimes:
+Query costs, with ``n`` deliveries and ``P`` receiving principals:
 
-* per-spine-node sweeps (:meth:`matching_suffixes`,
-  :meth:`minimal_witness`) are cached **forever** — a node's suffix
-  history is immutable, so the answer can never change;
-* trace-global answers (:meth:`derived_from_sends`, :meth:`taint`,
-  :meth:`cone_of_influence`) are cached until the next commit extends
-  the delivery set.
+* **cone of influence** (all three edge kinds) is O(|answer|), up to a
+  log factor: the delivery's vector clock says how long a prefix of
+  each principal's posting list the cone holds, so a sparse cone sorts
+  those prefixes together and a dense one lists every older delivery
+  but the few past the prefixes.  Any other ``kinds`` value walks the
+  happens-before graph backwards;
+* **happens-before** is O(1): one clock entry against one position;
+* the **vector clocks** behind both are built lazily, on the first such
+  query after a commit, for the new deliveries only — O(new deliveries
+  × P) — and are never invalidated, since a delivery's predecessors are
+  immutable.  They take about 4 B × P per delivery
+  (:attr:`~ProvenanceIndex.clock_work` counts the entries written);
+* a **minimal witness** costs O(new spine nodes): one memo per pattern
+  holds the answer of every spine node already asked about, and a spine
+  shares its tail with every earlier delivery on its lane;
+* **matching suffixes** are one DFA pass per ``(node, pattern)``,
+  cached forever — a node's suffix history is immutable;
+* :meth:`~ProvenanceIndex.derived_from_sends` and
+  :meth:`~ProvenanceIndex.taint` are O(deliveries) scans, cached until
+  the next commit extends the delivery set.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from itertools import chain, zip_longest
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.heap import settled_heap
@@ -57,8 +74,10 @@ CHANNEL = "channel"
 DERIVES = "derives"
 
 EDGE_KINDS = (PROGRAM, CHANNEL, DERIVES)
+_ALL_KINDS = frozenset(EDGE_KINDS)
 
 _EMPTY_SET: frozenset = frozenset()
+_UNSEEN = object()
 
 
 class _NodeInfo:
@@ -179,8 +198,16 @@ class ProvenanceIndex:
         self._hb_succs: List[List[int]] = []
         self._generation_marks: List[int] = []
         self._generation_work: List[int] = []
+        self.clock_work = 0
+        """Clock entries written while extending the vector clocks —
+        the O(new deliveries × principals) counter E24 gates."""
+        self._clocks: List[array] = []
+        self._slots: dict = {}
+        self._slot_postings: List[List[int]] = []
+        self._ordinals: List[int] = []
         self._engine = engine if engine is not None else PolicyEngine()
         self._sweep_cache: dict = {}
+        self._witness_memo: dict = {}
         self._global_cache: dict = {}
         empty = _NodeInfo(_EMPTY_SET, _EMPTY_SET, None)
         self._node_info[EMPTY] = empty
@@ -226,8 +253,9 @@ class ProvenanceIndex:
 
         Returns the number of deliveries absorbed (0 when idle, in which
         case the generation counter does not move).  Trace-global query
-        caches are invalidated; per-node sweep caches stay — a spine
-        node's suffix history is immutable.  The absorb runs inside
+        caches are invalidated; per-node sweeps, witnesses and vector
+        clocks stay — a spine node's suffix history and a delivery's
+        predecessors are immutable.  The absorb runs inside
         :func:`~repro.core.heap.settled_heap`: the index and record it
         extends are acyclic, so the collector's full passes skip them.
         """
@@ -517,14 +545,49 @@ class ProvenanceIndex:
         kinds: Tuple[str, ...] = EDGE_KINDS,
     ) -> Tuple[int, ...]:
         """Backward slice: every delivery that happens-before ``ordinal``
-        along the given edge kinds (the *why* of a delivery)."""
+        along the given edge kinds (the *why* of a delivery).
 
-        self._settled()
-        key = ("cone", ordinal, kinds)
-        cached = self._global_cache.get(key)
-        if cached is not None:
-            return cached
+        With all three kinds, in any order, the answer is read off the
+        delivery's vector clock; any other ``kinds`` walks the graph.
+        """
+
+        self._check(ordinal)
         wanted = frozenset(kinds)
+        if wanted == _ALL_KINDS:
+            clock = self._clock(ordinal)
+            postings = self._slot_postings
+            if 2 * (sum(clock) - 1) <= ordinal:
+                # sparse: merge each principal's posting prefix
+                cone = sorted(
+                    chain.from_iterable(
+                        postings[slot][:count]
+                        for slot, count in enumerate(clock)
+                        if count
+                    )
+                )
+                cone.pop()  # ``ordinal`` itself: every cone member is older
+                return tuple(cone)
+            # dense: every older delivery except, per principal, those
+            # past its clock entry — sorting the few gaps beats sorting
+            # the many members.  Slicing ``_ordinals`` shares the int
+            # objects the postings hold, so an answer kept alive costs
+            # 8 B per member, as on the sparse path.
+            gaps = sorted(
+                chain.from_iterable(
+                    posting[count : bisect_left(posting, ordinal, count)]
+                    for posting, count in zip_longest(
+                        postings, clock, fillvalue=0
+                    )
+                )
+            )
+            ordinals = self._ordinals
+            cone = []
+            start = 0
+            for gap in gaps:
+                cone += ordinals[start:gap]
+                start = gap + 1
+            cone += ordinals[start:ordinal]
+            return tuple(cone)
         seen = {ordinal}
         frontier = [ordinal]
         while frontier:
@@ -534,9 +597,7 @@ class ProvenanceIndex:
                     seen.add(source)
                     frontier.append(source)
         seen.discard(ordinal)
-        cached = tuple(sorted(seen))
-        self._global_cache[key] = cached
-        return cached
+        return tuple(sorted(seen))
 
     def _forward_closure(
         self, seeds: Iterable[int], kinds: Tuple[str, ...]
@@ -561,20 +622,68 @@ class ProvenanceIndex:
     def happens_before(self, earlier: int, later: int) -> bool:
         """Is there a happens-before path ``earlier → … → later``?"""
 
-        self._settled()
-        if earlier == later:
+        self._check(earlier)
+        self._check(later)
+        if earlier >= later:
             return False
-        seen = {later}
-        frontier = [later]
-        while frontier:
-            current = frontier.pop()
-            for _, source in self._hb_preds[current]:
-                if source == earlier:
-                    return True
-                if source not in seen:
-                    seen.add(source)
-                    frontier.append(source)
-        return False
+        clock = self._clock(later)
+        slot = self._slots[self._deliveries[earlier].principal]
+        # ``earlier``'s own entry is its position in its posting list + 1
+        own = self._clocks[earlier][slot]
+        return slot < len(clock) and clock[slot] >= own
+
+    def _check(self, ordinal: int) -> None:
+        self._settled()
+        delivered = len(self._deliveries)
+        if not 0 <= ordinal < delivered:
+            raise IndexError(
+                f"ordinal {ordinal} out of range: {delivered} deliveries"
+            )
+
+    def _clock(self, ordinal: int) -> array:
+        """The vector clock of ``ordinal``, extending the clocks first.
+
+        Each receiving principal has a slot, in order of first receipt;
+        ``clock[slot(q)]`` is how many deliveries to ``q`` lie in
+        ``{ordinal} ∪ cone(ordinal)``.  That set meets every posting
+        list in a prefix: every edge points to a lower ordinal, and each
+        delivery has a program edge to its principal's previous one.  So
+        a clock is the element-wise max of its sources' clocks, which
+        hold its position in its own posting list, with that entry then
+        incremented.  Missing trailing slots read 0.
+        """
+
+        clocks = self._clocks
+        if ordinal >= len(clocks):
+            slots = self._slots
+            preds = self._hb_preds
+            work = 0
+            for current in range(len(clocks), len(self._deliveries)):
+                record = self._deliveries[current]
+                self._ordinals.append(record.ordinal)
+                principal = record.principal
+                slot = slots.get(principal)
+                if slot is None:
+                    slot = slots[principal] = len(slots)
+                    self._slot_postings.append(self._received_by[principal])
+                edges = preds[current]
+                clock = clocks[edges[0][1]] if edges else array("I")
+                for _, source in edges[1:]:
+                    other = clocks[source]
+                    if len(other) > len(clock):
+                        clock, other = other, clock
+                    clock = array("I", map(max, clock, other)) + clock[
+                        len(other) :
+                    ]
+                if len(edges) == 1:
+                    clock = clock[:]
+                if len(clock) <= slot:
+                    clock.extend([0] * (slot + 1 - len(clock)))
+                clock[slot] += 1
+                work += len(clock)
+                clocks.append(clock)
+            self.clock_work += work
+        return clocks[ordinal]
 
     # -- suffix sweeps (forever-cached) ----------------------------------
 
@@ -604,18 +713,31 @@ class ProvenanceIndex:
     ) -> Optional[Provenance]:
         """The *shortest* suffix satisfying ``pattern`` (``None`` if no
         suffix does): the minimal witness that the history can satisfy
-        the policy.  One pass, longest-first, keeping the last match.
+        the policy.
+
+        ``mw(ε) = ε if ε ⊨ π``, and ``mw(n) = mw(n.tail)`` when that is
+        not ``None``, else ``n`` if ``n ⊨ π``.  Evaluated bottom-up from
+        the deepest node not yet in the pattern's memo, so a spine that
+        extends an earlier one costs only its new nodes.
         """
 
-        key = (provenance, pattern, "witness")
-        if key in self._sweep_cache:
-            return self._sweep_cache[key]
+        memo = self._witness_memo.get(pattern)
+        if memo is None:
+            memo = self._witness_memo[pattern] = {}
+        path = []
+        node = provenance
+        witness = memo.get(node, _UNSEEN)
+        while witness is _UNSEEN and node:
+            path.append(node)
+            node = node.tail
+            witness = memo.get(node, _UNSEEN)
         admits = self._engine.admits
-        witness: Optional[Provenance] = None
-        for suffix in provenance.suffixes():
-            if admits(suffix, pattern):
-                witness = suffix
-        self._sweep_cache[key] = witness
+        if witness is _UNSEEN:
+            witness = memo[node] = node if admits(node, pattern) else None
+        for node in reversed(path):
+            if witness is None and admits(node, pattern):
+                witness = node
+            memo[node] = witness
         return witness
 
     def first_compliant_suffix(
@@ -631,9 +753,11 @@ class ProvenanceIndex:
     ) -> Iterator[Tuple[Provenance, Optional[Provenance]]]:
         """``(root, minimal witness)`` per value of delivery ``ordinal``."""
 
-        self._settled()
-        for root in self._deliveries[ordinal].roots:
-            yield root, self.minimal_witness(root, pattern)
+        self._check(ordinal)
+        return (
+            (root, self.minimal_witness(root, pattern))
+            for root in self._deliveries[ordinal].roots
+        )
 
 
 _DEFAULT: Optional[ProvenanceIndex] = None

@@ -4,7 +4,8 @@
 collector's full passes.  That is only safe if the runtime makes no
 reference cycles, so the second half pins the cyclic garbage of
 full-stack runs (crypto, ``verify_deliveries``, the journal,
-checkpoints and the query index all on), and the third checks that the
+checkpoints and the query index all on) and of a queried index, and
+the third checks that the
 collector's state never shows in a delivered trace.
 """
 
@@ -16,10 +17,11 @@ from repro.core.builder import pr
 from repro.core.heap import settled_heap
 from repro.patterns.dfa import PolicyEngine
 from repro.patterns.nfa import compile_pattern
+from repro.query import ProvenanceIndex
 from repro.runtime import DistributedRuntime, ShardedRuntime
 from repro.storage import load_state, verify_replay
 from repro.storage.journal import ZERO_DIGEST, chain_digest, delivery_key
-from repro.workloads import vetted_relay_chain, wide_fanout
+from repro.workloads import relay_guard, vetted_relay_chain, wide_fanout
 from repro.workloads.random_systems import (
     GeneratorConfig,
     random_pattern,
@@ -177,6 +179,36 @@ class TestCycleFreeRuntime:
             runtime.deploy(vetted_relay_chain(32).system)
             runtime.run()
             return runtime
+
+        _, left = cyclic_garbage(run)
+        assert left == 0
+
+
+class TestCycleFreeQueryIndex:
+    def test_queried_index(self, thawed):
+        """Vector clocks, posting slices and the witness memo hold no
+        back-references: a queried index is freed by reference counts."""
+
+        runtime = DistributedRuntime(seed=1)
+        runtime.deploy(vetted_relay_chain(64).system)
+        runtime.run()
+        trace = [
+            (r.time, r.principal, r.channel, r.values, r.branch_index)
+            for r in runtime.metrics.delivered
+        ]
+        guard = relay_guard()
+
+        def run():
+            index = ProvenanceIndex()
+            index.extend_trace(trace)
+            witnesses = 0
+            for ordinal in range(index.delivered):
+                index.cone_of_influence(ordinal)
+                index.happens_before(0, ordinal)
+                for _, witness in index.iter_value_witnesses(ordinal, guard):
+                    witnesses += witness is not None
+            assert index.clock_work > 0 and witnesses == index.delivered
+            return index
 
         _, left = cyclic_garbage(run)
         assert left == 0

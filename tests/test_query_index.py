@@ -8,15 +8,23 @@ and that checkpoints write nothing but the record; sharded runs pin
 partition invariance.
 """
 
+import random
+import sys
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.names import Channel, Principal
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent
 from repro.core.values import AnnotatedValue
 from repro.lang import parse_system
+from repro.patterns.ast import AnyPattern, EventPattern, GroupSingle
+from repro.patterns.dfa import PolicyEngine
 from repro.query import (
     CHANNEL,
     DERIVES,
+    EDGE_KINDS,
     PROGRAM,
     ProvenanceIndex,
     plan_where,
@@ -27,7 +35,9 @@ from repro.query import (
     to_prov_json,
 )
 from repro.runtime.runtime import DistributedRuntime
+from repro.workloads.random_systems import GeneratorConfig, random_system
 from repro.workloads.scaling import relay_guard, vetted_relay_chain
+from tests import query_oracle
 
 A, B, C = Principal("a"), Principal("b"), Principal("c")
 T1, T2 = Channel("t1"), Channel("t2")
@@ -261,6 +271,149 @@ class TestQueries:
         root, witness = pairs[0]
         assert root is index.delivery(3).roots[0]
         assert witness is index.minimal_witness(root, relay_guard())
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda index, o: index.cone_of_influence(o),
+            lambda index, o: index.cone_of_influence(o, kinds=(PROGRAM,)),
+            lambda index, o: index.happens_before(0, o),
+            lambda index, o: index.happens_before(o, 0),
+            lambda index, o: index.iter_value_witnesses(o, relay_guard()),
+        ],
+        ids=["cone", "cone-program", "hb-later", "hb-earlier", "witnesses"],
+    )
+    @pytest.mark.parametrize("ordinal", [-1, -5, 5, 6])
+    def test_out_of_range_ordinals_are_refused(self, query, ordinal):
+        # a negative ordinal must not alias a delivery from the end
+        trace, _ = relay_trace(5)
+        index = ProvenanceIndex()
+        index.extend_trace(trace)
+        with pytest.raises(IndexError) as raised:
+            query(index, ordinal)
+        assert f"ordinal {ordinal} " in str(raised.value)
+        assert "5 deliveries" in str(raised.value)
+
+
+NOBODY = Principal("nobody")
+WITNESS_PATTERNS = {
+    "relay guard": relay_guard(),
+    "satisfied by epsilon": AnyPattern(),
+    "never satisfied": EventPattern("!", GroupSingle(NOBODY), AnyPattern()),
+}
+
+
+@st.composite
+def lane_traces(draw):
+    """Deliveries on interleaved relay lanes, seed-shrinkable.
+
+    Each delivery extends one lane's spine by a send and a receive
+    (sometimes restarting the lane from ``ε``) and may carry a second
+    value from another lane, so all three edge kinds occur.
+    """
+
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    people = [Principal(f"p{i}") for i in range(rng.randint(1, 5))]
+    channels = [Channel(f"t{i}") for i in range(rng.randint(1, 3))]
+    spines = [EMPTY] * rng.randint(1, 4)
+    trace = []
+    for step in range(rng.randint(1, 24)):
+        lane = rng.randrange(len(spines))
+        receiver = rng.choice(people)
+        spine = EMPTY if rng.random() < 0.1 else spines[lane]
+        spine = spine.cons(OutputEvent(rng.choice(people)))
+        spines[lane] = spine = spine.cons(InputEvent(receiver))
+        values = [annotated(spine)]
+        if rng.random() < 0.2:
+            values.append(annotated(rng.choice(spines)))
+        trace.append((float(step), receiver, rng.choice(channels),
+                      tuple(values), 0))
+    return trace
+
+
+@st.composite
+def system_traces(draw):
+    """The delivered trace of a random system's run (may be empty)."""
+
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    config = GeneratorConfig(n_components=10, n_messages=5)
+    runtime = DistributedRuntime(seed=seed)
+    runtime.deploy(random_system(seed, config))
+    try:
+        runtime.run(max_events=2_000)
+    except TypeError:
+        pass  # dynamically ill-typed: keep what was delivered before
+    return [
+        (r.time, r.principal, r.channel, r.values, r.branch_index)
+        for r in runtime.metrics.delivered
+    ]
+
+
+class TestOracleDifferential:
+    """Clock cone/happens-before and memoized witness ≡ the oracles."""
+
+    @staticmethod
+    def assert_matches_oracles(index, engine):
+        delivered = index.delivered
+        subsets = [
+            kinds
+            for size in range(len(EDGE_KINDS))
+            for kinds in combinations(EDGE_KINDS, size)
+        ]
+        for ordinal in range(delivered):
+            expected = query_oracle.cone_of_influence(index, ordinal)
+            for kinds in permutations(EDGE_KINDS):
+                assert index.cone_of_influence(ordinal, kinds) == expected
+            for kinds in subsets:
+                assert index.cone_of_influence(
+                    ordinal, kinds
+                ) == query_oracle.cone_of_influence(index, ordinal, kinds)
+            for later in range(delivered):
+                assert index.happens_before(
+                    ordinal, later
+                ) == query_oracle.happens_before(index, ordinal, later)
+            for pattern in WITNESS_PATTERNS.values():
+                for root, witness in index.iter_value_witnesses(
+                    ordinal, pattern
+                ):
+                    assert witness is query_oracle.minimal_witness(
+                        root, pattern, engine
+                    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(lane_traces(), system_traces()),
+        st.lists(st.integers(min_value=0, max_value=24), max_size=3),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_answers_equal_the_oracles_across_commits(
+        self, trace, cuts, ask
+    ):
+        """Fed in 1–4 commits; after some of them every query is
+        checked, so the clocks and memos extend across generations."""
+
+        bounds = [0, *sorted(min(cut, len(trace)) for cut in cuts)]
+        bounds.append(len(trace))
+        engine = PolicyEngine()
+        index = ProvenanceIndex(engine)
+        for commit, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            index.extend_trace(trace[start:end])
+            if ask[commit] or end == len(trace):
+                self.assert_matches_oracles(index, engine)
+
+    def test_witness_of_a_100k_event_spine_needs_no_recursion(self):
+        people = [Principal(f"p{i}") for i in range(4)]
+        spine = EMPTY
+        for i in range(50_000):
+            spine = spine.cons(OutputEvent(people[i % 4]))
+            spine = spine.cons(InputEvent(people[(i + 1) % 4]))
+        assert len(spine) == 100_000 > sys.getrecursionlimit()
+        engine = PolicyEngine()
+        index = ProvenanceIndex(engine)
+        pattern = WITNESS_PATTERNS["relay guard"]
+        witness = index.minimal_witness(spine, pattern)
+        assert witness is query_oracle.minimal_witness(spine, pattern, engine)
+        assert len(witness) == 1
 
 
 class TestLiveRuntime:
