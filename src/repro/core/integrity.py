@@ -137,47 +137,24 @@ class KeyRing:
 class AttestationStore:
     """Weak map from interned spine nodes to their attestation tags.
 
-    Optionally *spill-backed*: pass a spill (anything with
-    ``append(digest, tag)`` / ``lookup(digest)``, in practice a
-    :class:`repro.storage.segments.AttestationSpill`) and a
-    ``capacity`` bound, and every recorded tag is journaled to the
-    spill immediately; once the in-RAM weak map exceeds ``capacity``
-    it is evicted wholesale, and a later :meth:`tag` miss re-loads the
-    tag from the spill by node digest (re-caching it in RAM).  Verify
-    verdicts are unchanged by spill/evict/reload — the tag bytes are
-    identical, only where they live differs — which the durability
-    tests assert directly.
+    Weak so a tag lives exactly as long as its node.  This map is not
+    durable: a durable runtime's journal carries the tags of the spine
+    nodes each delivery introduces, and recovery rebuilds the store from
+    the journal alone (:func:`repro.storage.recover.recover_runtime`).
     """
 
-    __slots__ = ("_tags", "_spill", "_capacity", "evictions", "spill_reloads")
+    __slots__ = ("_tags",)
 
-    def __init__(self, spill=None, capacity: int | None = None) -> None:
+    def __init__(self) -> None:
         self._tags: "weakref.WeakKeyDictionary[Provenance, bytes]" = (
             weakref.WeakKeyDictionary()
         )
-        self._spill = spill
-        self._capacity = capacity
-        self.evictions = 0
-        self.spill_reloads = 0
 
     def record(self, node: Provenance, tag: bytes) -> None:
         self._tags[node] = tag
-        if self._spill is not None:
-            self._spill.append(node.digest, tag)
-            if self._capacity is not None and len(self._tags) > self._capacity:
-                # wholesale eviction keeps the hot path branch-cheap; the
-                # spill holds every tag ever recorded, so nothing is lost
-                self._tags = weakref.WeakKeyDictionary()
-                self.evictions += 1
 
     def tag(self, node: Provenance) -> bytes | None:
-        found = self._tags.get(node)
-        if found is None and self._spill is not None:
-            found = self._spill.lookup(node.digest)
-            if found is not None:
-                self._tags[node] = found
-                self.spill_reloads += 1
-        return found
+        return self._tags.get(node)
 
     def __len__(self) -> int:
         return len(self._tags)

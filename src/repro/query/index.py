@@ -189,7 +189,6 @@ class ProvenanceIndex:
         self._pending: List[tuple] = []
         self._node_info: dict = {}
         self._event_info: dict = {}
-        self._root_of: dict = {}
         self._last_by_principal: dict = {}
         self._last_by_channel: dict = {}
         self._received_by: dict = {}
@@ -395,7 +394,6 @@ class ProvenanceIndex:
                 if previous is not None and previous != ordinal:
                     derived.add(previous)
                 info.latest_root = ordinal
-                self._root_of.setdefault(root, ordinal)
         for source in sorted(derived):
             edges.append(HBEdge((DERIVES, source)))
         self._deliveries.append(
@@ -440,6 +438,7 @@ class ProvenanceIndex:
         return tuple(self._generation_work)
 
     def delivery(self, ordinal: int) -> IndexedDelivery:
+        self._check(ordinal)
         return self._deliveries[ordinal]
 
     def deliveries(self) -> Sequence[IndexedDelivery]:
@@ -448,9 +447,11 @@ class ProvenanceIndex:
     def predecessors(self, ordinal: int) -> Tuple[HBEdge, ...]:
         """The labelled happens-before edges into ``ordinal``."""
 
+        self._check(ordinal)
         return self._hb_preds[ordinal]
 
     def successors(self, ordinal: int) -> Tuple[int, ...]:
+        self._check(ordinal)
         return tuple(self._hb_succs[ordinal])
 
     def edge_counts(self) -> dict:

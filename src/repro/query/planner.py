@@ -141,9 +141,12 @@ def run_where(
         pool = index.on_channel(channel)
     else:
         pool = range(index.delivered)
+    # plan_where committed, and every pool ordinal came from the index:
+    # read the records without delivery()'s per-call range check
+    records = index._deliveries
     matches = []
     for ordinal in pool:
-        record = index.delivery(ordinal)
+        record = records[ordinal]
         if receiver is not None and record.principal != receiver:
             continue
         if channel is not None and record.channel != channel:

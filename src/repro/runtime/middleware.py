@@ -327,7 +327,6 @@ class Middleware:
         keyring: Optional[KeyRing] = None,
         crypto: bool = True,
         verify_deliveries: bool = False,
-        attestations: Optional[AttestationStore] = None,
     ) -> None:
         self.simulator = simulator
         self.network = network
@@ -347,12 +346,11 @@ class Middleware:
         self.verify_deliveries = verify_deliveries and self.crypto
         """Re-verify every payload at its rendezvous (paranoid mode)."""
         self.keyring = keyring if keyring is not None else KeyRing()
-        self.attestations = (
-            attestations if attestations is not None else AttestationStore()
-        )
-        """Tag store — callers may pass a spill-backed store (see
-        :class:`~repro.core.integrity.AttestationStore`) to bound its
-        in-RAM footprint on durable runs."""
+        self.attestations = AttestationStore()
+        """Tags of every node this middleware stamped or adopted, held
+        as long as the node lives; a durable runtime's journal keeps
+        the delivered ones (see
+        :class:`~repro.core.integrity.AttestationStore`)."""
         self.verifier = SpineVerifier(self.keyring, self.attestations)
         self.sinks: list = [self.metrics]
         """The delivery pipeline, in order: metrics first, then the

@@ -22,9 +22,7 @@ every interpreted node still counts as one spawned thread
 (``threads_spawned`` / ``blocked_threads``).  A batch yields back to the
 scheduler every :data:`DEFAULT_BATCH_LIMIT` nodes (the remaining
 worklist is rescheduled as one zero-delay event), keeping
-``max_events`` a meaningful divergence guard.  With a positive
-``processing_delay`` every tree node pays the delay on its own event
-(batching only ever fuses zero-delay hops).
+``max_events`` a meaningful divergence guard.
 
 Semantics caveat: batching interprets a thread's whole subtree before
 other events scheduled in between, so when *concurrently enabled*
@@ -92,12 +90,10 @@ class Node:
         principal: Principal,
         middleware: Middleware,
         replication_budget: int = 4,
-        processing_delay: float = 0.0,
     ) -> None:
         self.principal = principal
         self.middleware = middleware
         self.replication_budget = replication_budget
-        self.processing_delay = processing_delay
         self.threads_spawned = 0
         self.blocked_threads = 0
 
@@ -108,7 +104,7 @@ class Node:
         if isinstance(process, Inaction):
             return  # nil needs no thread: nothing to run, nothing to wait on
         self.middleware.simulator.schedule(
-            self.processing_delay, lambda: self._execute(process)
+            0.0, lambda: self._drain(deque((process,)))
         )
 
     def spawn_group(self, processes: list[Process]) -> None:
@@ -117,15 +113,9 @@ class Node:
         The deployment layer hands over each principal's consecutive
         normal-form components in one call, so placing a 100k-component
         parallel composition costs one scheduler event rather than one
-        heap push per component.  Under a positive processing delay this
-        degrades to one :meth:`spawn` per component, so every component
-        pays the delay on its own event.
+        heap push per component.
         """
 
-        if self.processing_delay > 0.0:
-            for process in processes:
-                self.spawn(process)
-            return
         worklist: deque[Process] = deque()
         for process in processes:
             self.threads_spawned += 1
@@ -135,14 +125,6 @@ class Node:
             self.middleware.simulator.schedule(
                 0.0, lambda: self._drain(worklist)
             )
-
-    def _execute(self, process: Process) -> None:
-        if self.processing_delay > 0.0:
-            # every tree node pays the delay on its own event; batching
-            # would fuse the per-node processing cost away
-            self._interpret(process, self.spawn)
-            return
-        self._drain(deque((process,)))
 
     def _drain(self, worklist: deque[Process]) -> None:
         """Interpret worklist nodes breadth-first, up to one batch."""
@@ -187,8 +169,8 @@ class Node:
         Dispatch is on the exact term class: process terms are final
         frozen dataclasses, and ``type(p) is Output`` skips the ABC
         ``__instancecheck__`` an ``isinstance`` chain would pay on every
-        interpreted node (isinstance remains the fallback, so a hybrid
-        term still gets a diagnostic rather than a misdispatch).
+        interpreted node.  Any other class — a subclass included — is
+        refused with :class:`SimulationError`.
         """
 
         kind = type(process)
@@ -214,34 +196,6 @@ class Node:
         if kind is Replication:
             for _ in range(self.replication_budget):
                 emit(process.body)
-            return
-        self._interpret_slow(process, emit)
-
-    def _interpret_slow(
-        self, process: Process, emit: Callable[[Process], None]
-    ) -> None:
-        if isinstance(process, Inaction):
-            return
-        if isinstance(process, Parallel):
-            for part in process.parts:
-                emit(part)
-            return
-        if isinstance(process, Restriction):
-            fresh = self.middleware.supply.fresh_channel(process.channel)
-            emit(rename_free_channel(process.body, process.channel, fresh))
-            return
-        if isinstance(process, Replication):
-            for _ in range(self.replication_budget):
-                emit(process.body)
-            return
-        if isinstance(process, Output):
-            self._execute_output(process)
-            return
-        if isinstance(process, InputSum):
-            self._execute_input(process)
-            return
-        if isinstance(process, Match):
-            self._execute_match(process, emit)
             return
         raise SimulationError(f"cannot execute {process!r}")
 

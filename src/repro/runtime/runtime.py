@@ -104,7 +104,6 @@ class DistributedRuntime:
         mode: SemanticsMode = SemanticsMode.TRACKED,
         enforce_integrity: bool = True,
         replication_budget: int = 4,
-        processing_delay: float = 0.0,
         certificate: Optional[object] = None,
         detailed_metrics: bool = True,
         topology: Optional[Topology] = None,
@@ -117,7 +116,6 @@ class DistributedRuntime:
         keyring: Optional[KeyRing] = None,
         durable=None,
         checkpoint_every: Optional[int] = None,
-        attestation_cache: Optional[int] = None,
         durable_wipe: bool = False,
     ) -> None:
         self.simulator = Simulator(seed, sequence_source=sequence_source)
@@ -134,32 +132,6 @@ class DistributedRuntime:
         self.metrics = RuntimeMetrics(
             detailed=detailed_metrics, retain=metrics_retention
         )
-        # durable mode: the attestation store spills to disk (bounded
-        # RAM) and a write-ahead journal joins the middleware's sinks.
-        # Imported lazily — repro.storage pulls in recovery machinery
-        # most runs never need.
-        self.durable = None
-        self.durability = None
-        self.checkpoint_every = checkpoint_every
-        attestations = None
-        spill = None
-        if durable is not None:
-            from repro.storage.segments import AttestationSpill, DurableStore
-            from repro.core.integrity import AttestationStore
-
-            store = (
-                durable
-                if isinstance(durable, DurableStore)
-                else DurableStore(durable)
-            )
-            if durable_wipe:
-                store.wipe()
-            self.durable = store
-            cache = (
-                attestation_cache if attestation_cache is not None else 65536
-            )
-            spill = AttestationSpill(store.spill_path())
-            attestations = AttestationStore(spill=spill, capacity=cache)
         self.middleware = Middleware(
             self.simulator,
             self.network,
@@ -170,22 +142,34 @@ class DistributedRuntime:
             keyring=keyring,
             crypto=crypto,
             verify_deliveries=verify_deliveries,
-            attestations=attestations,
         )
-        if self.durable is not None:
+        # durable mode: a write-ahead journal joins the middleware's
+        # sinks; it carries the delivered values and the attestation
+        # tags of the spine nodes they introduce.  Imported lazily —
+        # repro.storage pulls in recovery machinery most runs never need.
+        self.durable = None
+        self.durability = None
+        self.checkpoint_every = checkpoint_every
+        if durable is not None:
             from repro.storage.journal import DurabilitySink
+            from repro.storage.segments import DurableStore
 
+            store = (
+                durable
+                if isinstance(durable, DurableStore)
+                else DurableStore(durable)
+            )
+            if durable_wipe:
+                store.wipe()
+            self.durable = store
             self.durability = DurabilitySink(
-                self.durable,
-                attestation_lookup=self.middleware.attestations.tag,
-                spill=spill,
+                store, attestation_lookup=self.middleware.attestations.tag
             )
             self.middleware.sinks.append(self.durability)
         self.query_index = None
         """A :class:`~repro.query.ProvenanceIndex` streaming this
         runtime's deliveries, once :meth:`attach_query_index` ran."""
         self.replication_budget = replication_budget
-        self.processing_delay = processing_delay
         self._nodes: dict[Principal, Node] = {}
         self._fault_plan = fault_plan
         self._config = dict(
@@ -193,7 +177,6 @@ class DistributedRuntime:
             mode=mode.name,
             enforce_integrity=enforce_integrity,
             replication_budget=replication_budget,
-            processing_delay=processing_delay,
             crypto=crypto,
             verify_deliveries=verify_deliveries,
             latency_base=latency.base,
@@ -209,7 +192,6 @@ class DistributedRuntime:
                 principal,
                 self.middleware,
                 replication_budget=self.replication_budget,
-                processing_delay=self.processing_delay,
             )
             self._nodes[principal] = existing
         return existing

@@ -110,6 +110,17 @@ __all__ = [
     "WireEnvelope",
 ]
 
+START_METHOD = "fork"
+"""How process-mode workers start where the platform offers it;
+elsewhere its default start method."""
+
+RECOVERY_RETRIES = 2
+"""How many times a dead shard is respawned (with linear backoff)
+before the run degrades to a typed :class:`ShardLostError`."""
+
+RETRY_BACKOFF = 0.05
+"""Seconds of backoff per respawn attempt already made."""
+
 
 def _stable_shard(name: str, n_shards: int) -> int:
     """``crc32(name) % n`` — stable across processes and Python runs.
@@ -503,7 +514,6 @@ class _ShardSpec:
     mode: SemanticsMode
     enforce_integrity: bool
     replication_budget: int
-    processing_delay: float
     detailed_metrics: bool
     metrics_retention: Optional[int]
     crypto: bool
@@ -550,7 +560,6 @@ def _build_worker_shard(spec: _ShardSpec):
         mode=spec.mode,
         enforce_integrity=spec.enforce_integrity,
         replication_budget=spec.replication_budget,
-        processing_delay=spec.processing_delay,
         topology=topology,
         detailed_metrics=spec.detailed_metrics,
         metrics_retention=spec.metrics_retention,
@@ -850,17 +859,13 @@ class ShardedRuntime:
         mode: SemanticsMode = SemanticsMode.TRACKED,
         enforce_integrity: bool = True,
         replication_budget: int = 4,
-        processing_delay: float = 0.0,
         detailed_metrics: bool = True,
         metrics_retention: Optional[int] = None,
         crypto: bool = True,
         verify_deliveries: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        start_method: Optional[str] = None,
         durable_dir=None,
         checkpoint_every: Optional[int] = None,
-        recovery_retries: int = 2,
-        retry_backoff: float = 0.05,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
@@ -887,13 +892,11 @@ class ShardedRuntime:
         self.partitioner = Partitioner(
             shards, principal_overrides, channel_overrides
         )
-        self._start_method = start_method
         self._runtime_kwargs = dict(
             latency=latency,
             mode=mode,
             enforce_integrity=enforce_integrity,
             replication_budget=replication_budget,
-            processing_delay=processing_delay,
             detailed_metrics=detailed_metrics,
             metrics_retention=metrics_retention,
             crypto=crypto,
@@ -903,10 +906,6 @@ class ShardedRuntime:
         self._collect_trace = metrics_retention != 0
         self.durable_dir = None if durable_dir is None else str(durable_dir)
         self.checkpoint_every = checkpoint_every
-        self.recovery_retries = recovery_retries
-        """How many times a dead shard is respawned (with backoff)
-        before the run degrades to a typed :class:`ShardLostError`."""
-        self.retry_backoff = retry_backoff
         self._shards: list[DistributedRuntime] = []
         self._system: Optional[System] = None
         self._builder: Optional[Callable[..., Any]] = None
@@ -1135,11 +1134,10 @@ class ShardedRuntime:
         self._finished = True
         import multiprocessing
 
-        method = self._start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(method)
+        try:
+            context = multiprocessing.get_context(START_METHOD)
+        except ValueError:  # not offered here: the platform's default
+            context = multiprocessing.get_context()
         connections = []
         workers = []
         specs = self._make_specs()
@@ -1271,9 +1269,9 @@ class ShardedRuntime:
             )
         issued = self._barrier_rounds
         last_error: Optional[BaseException] = None
-        for attempt in range(self.recovery_retries + 1):
+        for attempt in range(RECOVERY_RETRIES + 1):
             if attempt:
-                time_module.sleep(self.retry_backoff * attempt)
+                time_module.sleep(RETRY_BACKOFF * attempt)
             try:
                 try:
                     connections[index].close()
@@ -1315,7 +1313,7 @@ class ShardedRuntime:
                 last_error = error
         raise ShardLostError(
             f"shard {index} could not be recovered after "
-            f"{self.recovery_retries + 1} attempts: {last_error}"
+            f"{RECOVERY_RETRIES + 1} attempts: {last_error}"
         )
 
     @staticmethod

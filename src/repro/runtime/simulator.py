@@ -17,7 +17,7 @@ Scheduling is two-tier:
   majority under heavy traffic: every process-tree continuation a node
   spawns and every zero-latency hop.  Append and pop are O(1).
 * a binary **heap** holds genuinely timed events (network latency,
-  per-node processing delays) and pays the classic O(log n).
+  reorder delays) and pays the classic O(log n).
 
 The two tiers drain as one totally ordered stream.  Every event carries
 the key ``(time, sequence)``; the run queue only ever receives events

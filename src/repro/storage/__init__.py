@@ -6,7 +6,7 @@ makes the record survive.  The write-ahead journal is the record's only
 encoding; everything else is a commitment to it or an accelerator:
 
 * :mod:`repro.storage.segments` — append-only, CRC-framed record files
-  with torn-tail detection, the attestation spill file, and the
+  with torn-tail detection, and the
   :class:`~repro.storage.segments.DurableStore` directory layout
   (manifest stamped with :data:`RECORD_FORMAT`, generation-stamped
   journals and seals).
@@ -56,7 +56,6 @@ from repro.storage.recover import (
 )
 from repro.storage.segments import (
     RECORD_FORMAT,
-    AttestationSpill,
     DurableStore,
     SegmentView,
     SegmentWriter,

@@ -69,7 +69,6 @@ from repro.runtime.wire import (
     encode_varint,
 )
 from repro.storage.segments import (
-    AttestationSpill,
     DurableStore,
     SegmentWriter,
     read_segment,
@@ -344,10 +343,9 @@ class DurabilitySink:
     journal generation and rolls to the next one; it decodes and
     re-encodes nothing.
 
-    A durable runtime passes its attestation ``spill`` too: it is
-    flushed with the journal, fsynced with it (on checkpoints and on
-    ``close(sync=True)``) and closed with the sink, so no buffered tag
-    outlives a closed sink.
+    ``attestation_lookup`` maps a spine node to its tag; each delivery
+    entry carries the tags of the spine nodes it introduces, so the
+    journal is the only durable home of attestation tags.
     """
 
     FLUSH_BOUND = 1024
@@ -358,7 +356,6 @@ class DurabilitySink:
         "trace_digest",
         "delivered_count",
         "_lookup",
-        "_spill",
         "_codec",
         "_writer",
         "_pending",
@@ -371,7 +368,6 @@ class DurabilitySink:
             Callable[[Provenance], Optional[bytes]]
         ] = None,
         wipe: bool = False,
-        spill: Optional[AttestationSpill] = None,
     ) -> None:
         if not isinstance(store, DurableStore):
             store = DurableStore(store)
@@ -389,7 +385,6 @@ class DurabilitySink:
         self.trace_digest = ZERO_DIGEST
         self.delivered_count = 0
         self._lookup = attestation_lookup
-        self._spill = spill
         self._codec = Codec()
         self._writer = SegmentWriter(store.journal_path(self.generation))
         self._pending: list = []
@@ -449,8 +444,6 @@ class DurabilitySink:
                 self.delivered_count += 1
             self.trace_digest = digest
             self._pending.clear()
-        if self._spill is not None:
-            self._spill.flush(sync=sync)
         self._writer.flush(sync=sync)
 
     def checkpoint(self) -> Path:
@@ -483,8 +476,6 @@ class DurabilitySink:
     def close(self, sync: bool = True) -> None:
         self.flush(sync=sync)
         self._writer.close(sync=sync)
-        if self._spill is not None:
-            self._spill.close(sync=False)  # the flush above synced it
 
 
 class WindowJournal:

@@ -159,7 +159,6 @@ _RUNTIME_FIELDS = {
         lambda value: type(value) is int and value >= 0,
         "a non-negative integer",
     ),
-    "processing_delay": (_is_delay, "a non-negative number"),
     "crypto": (_is_bool, "a boolean"),
     "verify_deliveries": (_is_bool, "a boolean"),
     "latency_base": (_is_delay, "a non-negative number"),
@@ -167,11 +166,17 @@ _RUNTIME_FIELDS = {
 }
 """Every runtime config key a manifest must carry: (check, description)."""
 
-_LEGACY_RUNTIME_KEYS = {"vetting": "bank", "scheduler": "runq", "wire_version": 2}
+_LEGACY_RUNTIME_KEYS = {
+    "vetting": "bank",
+    "scheduler": "runq",
+    "wire_version": 2,
+    "processing_delay": 0.0,
+}
 """Options older manifests recorded.  The runtime now has exactly one
 configuration, so a record made under any other value cannot be
 reproduced (a racy system recorded under the old single-heap scheduler
-would replay differently)."""
+would replay differently, and a positive processing delay moved every
+process-tree node onto an event of its own)."""
 
 
 def _runtime_config(manifest: dict) -> dict:
@@ -224,7 +229,6 @@ def runtime_from_manifest(
         mode=SemanticsMode[config["mode"]],
         enforce_integrity=config["enforce_integrity"],
         replication_budget=config["replication_budget"],
-        processing_delay=config["processing_delay"],
         crypto=config["crypto"],
         verify_deliveries=config["verify_deliveries"],
         latency=LatencyModel(

@@ -29,14 +29,13 @@ import os
 import re
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError, WireFormatError
 from repro.runtime.wire import decode_varint, encode_varint
 
 __all__ = [
     "RECORD_FORMAT",
-    "AttestationSpill",
     "DurableStore",
     "SegmentView",
     "SegmentWriter",
@@ -240,96 +239,6 @@ def torn_truncate(path: Union[str, Path]) -> bool:
     return True
 
 
-class AttestationSpill:
-    """Fixed-width spill file for attestation tags: ``digest16 ‖ tag16``.
-
-    The in-RAM :class:`~repro.core.integrity.AttestationStore` evicts
-    weak entries once they are journaled here; a verify miss seeks the
-    tag back by digest.  Records are 32 bytes with no framing — a torn
-    tail is simply ``size % 32`` trailing bytes, truncated on open so
-    the offset index stays record-aligned.
-    """
-
-    RECORD_SIZE = 32
-    _DIGEST_SIZE = 16
-
-    __slots__ = ("path", "_index", "_handle", "_size")
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._index: Dict[bytes, int] = {}
-        self._handle = None
-        self._size = 0
-        if self.path.exists():
-            data = self.path.read_bytes()
-            usable = len(data) - len(data) % self.RECORD_SIZE
-            if usable != len(data):
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(usable)
-            for offset in range(0, usable, self.RECORD_SIZE):
-                digest = data[offset : offset + self._DIGEST_SIZE]
-                self._index[digest] = offset
-            self._size = usable
-
-    def _file(self):
-        if self._handle is None:
-            self._handle = open(self.path, "a+b")
-        return self._handle
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._index
-
-    def append(self, digest: bytes, tag: bytes) -> None:
-        if digest in self._index:
-            return
-        if (
-            len(digest) != self._DIGEST_SIZE
-            or len(tag) != self.RECORD_SIZE - self._DIGEST_SIZE
-        ):
-            raise StorageError(
-                f"spill record must be {self._DIGEST_SIZE}+"
-                f"{self.RECORD_SIZE - self._DIGEST_SIZE} bytes, got "
-                f"{len(digest)}+{len(tag)}"
-            )
-        self._file().write(digest + tag)
-        self._index[digest] = self._size
-        self._size += self.RECORD_SIZE
-
-    def lookup(self, digest: bytes) -> Optional[bytes]:
-        offset = self._index.get(digest)
-        if offset is None:
-            return None
-        handle = self._file()
-        handle.flush()
-        handle.seek(offset)
-        record = handle.read(self.RECORD_SIZE)
-        if (
-            len(record) != self.RECORD_SIZE
-            or record[: self._DIGEST_SIZE] != digest
-        ):
-            raise StorageError(
-                f"attestation spill corrupt at offset {offset}"
-            )
-        return record[self._DIGEST_SIZE :]
-
-    def flush(self, sync: bool = False) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            if sync:
-                os.fsync(self._handle.fileno())
-
-    def close(self, sync: bool = True) -> None:
-        """Flush and close the handle; a later append or lookup reopens it."""
-
-        if self._handle is not None:
-            self.flush(sync=sync)
-            self._handle.close()
-            self._handle = None
-
-
 _JOURNAL_PATTERN = re.compile(r"journal-(\d{8})\.seg$")
 _CHECKPOINT_PATTERN = re.compile(r"checkpoint-(\d{8})\.ck$")
 
@@ -345,12 +254,12 @@ class DurableStore:
           checkpoint-00000001.ck # seal: generation 1 ends here
           journal-00000002.seg   # generation 2, same codec stream
           windows.seg            # shard-only: write-ahead window WAL
-          attest.spill           # spilled attestation tags
           shard-0/ shard-1/ ...  # sharded runs: one store per shard
 
     Generations monotonically increase.  The journals are the record,
     so nothing here deletes one while the run lives.  Nothing derived
-    from the record is stored: the query index is rebuilt from the
+    from the record is stored: attestation tags travel inside the
+    journal's delivery entries, and the query index is rebuilt from the
     journals (:mod:`repro.query.persist`).
     """
 
@@ -375,9 +284,6 @@ class DurableStore:
 
     def windows_path(self) -> Path:
         return self.root / "windows.seg"
-
-    def spill_path(self) -> Path:
-        return self.root / "attest.spill"
 
     def shard_dir(self, index: int) -> Path:
         return self.root / f"shard-{index}"
@@ -451,7 +357,7 @@ class DurableStore:
         )
 
     def reset_record(self) -> List[Path]:
-        """Delete the delivery record (journals, checkpoints, spill).
+        """Delete the delivery record (journals and checkpoints).
 
         Used by a recovering shard worker before deterministic
         re-execution: the replacement rebuilds the record from scratch,
@@ -469,10 +375,6 @@ class DurableStore:
             path = self.checkpoint_path(generation)
             path.unlink(missing_ok=True)
             removed.append(path)
-        spill = self.spill_path()
-        if spill.exists():
-            spill.unlink()
-            removed.append(spill)
         return removed
 
     def wipe(self) -> List[Path]:
@@ -481,15 +383,17 @@ class DurableStore:
         Used when a *fresh* run reuses an existing directory: unlike
         :meth:`reset_record`, nothing from the previous run survives —
         a stale window WAL or manifest would otherwise poison a later
-        recovery with another run's history.  Query-index snapshots left
-        by stores written before the index was rebuilt from the journal
-        go too.
+        recovery with another run's history.  Files older stores wrote
+        beside the record go too: query-index snapshots (the index is
+        now rebuilt from the journal) and the attestation spill (tags
+        now live only in the journal).
         """
 
         removed = self.reset_record()
         for path in (
             self.windows_path(),
             self.manifest_path(),
+            self.root / "attest.spill",
             *self.root.glob("queryindex-*.seg"),
         ):
             if path.exists():

@@ -61,7 +61,7 @@ class PerNodeInterpreter(Node):
     def spawn(self, process: Process) -> None:
         self.threads_spawned += 1
         self.middleware.simulator.schedule(
-            self.processing_delay, lambda: self._interpret(process, self.spawn)
+            0.0, lambda: self._interpret(process, self.spawn)
         )
 
     def spawn_group(self, processes: list[Process]) -> None:

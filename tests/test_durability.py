@@ -9,6 +9,7 @@ from its WAL without changing the merged trace; and security state
 """
 
 import contextlib
+import gc
 import io
 import json
 
@@ -100,7 +101,50 @@ class TestDurableCapture:
         assert state.checkpoint_generation == generations[-1]
 
 
+def stray_files(root):
+    """Names in a store directory other than the manifest, journals,
+    seals and (shards only) the window WAL."""
+
+    return sorted(
+        path.name
+        for path in root.iterdir()
+        if path.name not in ("MANIFEST.json", "windows.seg")
+        and not path.name.startswith(("journal-", "checkpoint-"))
+    )
+
+
 class TestRecovery:
+    def test_tags_survive_recovery_from_the_journal_alone(self, tmp_path):
+        root = tmp_path / "store"
+        runtime, _ = run_gauntlet(durable=str(root), checkpoint_every=8)
+        runtime.durability.close()
+        assert runtime.durability.generation > 2
+        assert stray_files(root) == []
+        live = runtime.middleware.attestations
+        journaled = {
+            node.digest: live.tag(node)
+            for entry in load_state(DurableStore(root)).entries
+            for node in entry.new_nodes
+        }
+        assert journaled and None not in journaled.values()
+        # drop the live run and its tag store: recovery has only the
+        # store directory to read tags from
+        del runtime, live
+        gc.collect()
+        recovered, state = recover_runtime(DurableStore(root))
+        middleware = recovered.middleware
+        assert middleware.crypto
+        recovered_tags = {
+            node.digest: middleware.attestations.tag(node)
+            for entry in state.entries
+            for node in entry.new_nodes
+        }
+        assert recovered_tags == journaled
+        for entry in state.entries:
+            for value in entry.values:
+                assert middleware.verifier.verify(value.provenance)
+        assert middleware.verifier.nodes_checked >= len(journaled)
+
     def test_verify_replay_confirms_bit_identical_record(self, tmp_path):
         runtime, workload = run_gauntlet(durable=str(tmp_path / "store"))
         runtime.checkpoint()
@@ -306,6 +350,17 @@ class TestKillRecovery:
         )
         assert recovered == reference
 
+    def test_shard_stores_hold_only_the_record(self, tmp_path):
+        root = tmp_path / "store"
+        self._trace(durable_dir=str(root), checkpoint_every=2)
+        shard_dirs = DurableStore(root).shard_dirs()
+        assert len(shard_dirs) == 2
+        for shard_dir in shard_dirs:
+            assert stray_files(shard_dir) == []
+            store = DurableStore(shard_dir)
+            assert store.checkpoint_generations()
+            assert store.windows_path().exists()
+
     def test_kill_without_durable_store_is_fatal(self):
         # no WAL to recover from: the conductor retries, then degrades
         # to a typed error instead of hanging the barrier
@@ -436,7 +491,12 @@ DAMAGES = {
 }
 """One manifest edit each; ``None`` wraps the whole manifest in a list."""
 
-LEGACY_KEYS = {"vetting": "bank", "scheduler": "runq", "wire_version": 2}
+LEGACY_KEYS = {
+    "vetting": "bank",
+    "scheduler": "runq",
+    "wire_version": 2,
+    "processing_delay": 0.0,
+}
 """Runtime options parent-era manifests recorded, at the values they ran."""
 
 
@@ -501,8 +561,9 @@ class TestDamagedManifest:
     @pytest.mark.parametrize(
         "key,value",
         [("vetting", "nfa"), ("scheduler", "heap"), ("wire_version", 1),
-         ("wire_version", "2")],
-        ids=["vetting-nfa", "scheduler-heap", "wire-v1", "wire-v2-as-text"],
+         ("wire_version", "2"), ("processing_delay", 0.5)],
+        ids=["vetting-nfa", "scheduler-heap", "wire-v1", "wire-v2-as-text",
+             "processing-delay"],
     )
     def test_other_legacy_values_name_the_key(self, store, key, value, capsys):
         with self.edited(store, lambda m: m["runtime"].update({key: value})):

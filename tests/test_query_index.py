@@ -280,8 +280,20 @@ class TestQueries:
             lambda index, o: index.happens_before(0, o),
             lambda index, o: index.happens_before(o, 0),
             lambda index, o: index.iter_value_witnesses(o, relay_guard()),
+            lambda index, o: index.delivery(o),
+            lambda index, o: index.predecessors(o),
+            lambda index, o: index.successors(o),
         ],
-        ids=["cone", "cone-program", "hb-later", "hb-earlier", "witnesses"],
+        ids=[
+            "cone",
+            "cone-program",
+            "hb-later",
+            "hb-earlier",
+            "witnesses",
+            "delivery",
+            "predecessors",
+            "successors",
+        ],
     )
     @pytest.mark.parametrize("ordinal", [-1, -5, 5, 6])
     def test_out_of_range_ordinals_are_refused(self, query, ordinal):
@@ -563,11 +575,11 @@ class TestPersistence:
         runtime.run()
         runtime.checkpoint()
         names = {path.name for path in tmp_path.iterdir()}
-        record = {"MANIFEST.json", "attest.spill"}
-        assert record <= names
+        assert "MANIFEST.json" in names
         assert sum(name.startswith("checkpoint-") for name in names) > 2
         assert all(
-            name in record or name.startswith(("journal-", "checkpoint-"))
+            name == "MANIFEST.json"
+            or name.startswith(("journal-", "checkpoint-"))
             for name in names
         ), sorted(names)
 

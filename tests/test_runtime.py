@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from repro.core.builder import ch, pr
 from repro.core.errors import SimulationError, WireFormatError
 from repro.core.names import Channel, Principal
+from repro.core.process import Process
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent, Provenance
 from repro.core.semantics import SemanticsMode
 from repro.core.values import AnnotatedValue, annotate
@@ -531,6 +532,20 @@ class TestNode:
         )
         runtime.run()
         assert runtime.metrics.deliveries == 1
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["spawn", "group"])
+    def test_unknown_process_class_is_refused(self, batched):
+        class Stray(Process):
+            __slots__ = ()
+
+        runtime = DistributedRuntime(seed=1)
+        node = runtime.node(Principal("a"))
+        if batched:
+            node.spawn_group([Stray()])
+        else:
+            node.spawn(Stray())
+        with pytest.raises(SimulationError, match="cannot execute"):
+            runtime.run()
 
 
 class TestAdversary:

@@ -1,11 +1,10 @@
-"""Tests for the durable segment store: framing, torn tails, spill,
+"""Tests for the durable segment store: framing, torn tails,
 generations, the delivery journal, generation seals and the window WAL.
 
 The load-bearing contracts: a torn tail (crash mid-append) always
-truncates to the last valid record and never surfaces garbage; the
-attestation spill changes *where* tags live, never verify verdicts;
-a checkpoint seals a generation without copying it; and every decoder
-of stored bytes fails only with StorageError.
+truncates to the last valid record and never surfaces garbage; a
+checkpoint seals a generation without copying it; and every decoder of
+stored bytes fails only with StorageError.
 """
 
 import json
@@ -16,7 +15,7 @@ import struct
 import pytest
 
 from repro.core.errors import StorageError
-from repro.core.integrity import AttestationStore, KeyRing, SpineVerifier
+from repro.core.integrity import AttestationStore
 from repro.core.names import Channel, Principal
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent
 from repro.core.values import AnnotatedValue
@@ -25,7 +24,6 @@ from repro.runtime import DistributedRuntime, FaultPlan
 from repro.runtime.wire import Codec
 from repro.storage import (
     RECORD_FORMAT,
-    AttestationSpill,
     DurableStore,
     DurabilitySink,
     NoteEntry,
@@ -145,91 +143,17 @@ class TestSegmentFraming:
             assert view.records == payloads[: len(view.records)]
 
 
-class TestAttestationSpill:
-    def test_append_lookup_roundtrip(self, tmp_path):
-        spill = AttestationSpill(tmp_path / "spill")
-        digest, tag = b"d" * 16, b"t" * 16
-        spill.append(digest, tag)
-        assert spill.lookup(digest) == tag
-        assert spill.lookup(b"x" * 16) is None
-        spill.close()
-        # a fresh handle over the same file still finds it
-        reopened = AttestationSpill(tmp_path / "spill")
-        assert reopened.lookup(digest) == tag
-        reopened.close()
-
-    def test_misaligned_tail_truncated_on_open(self, tmp_path):
-        path = tmp_path / "spill"
-        spill = AttestationSpill(path)
-        spill.append(b"a" * 16, b"b" * 16)
-        spill.close()
-        with open(path, "ab") as handle:
-            handle.write(b"torn-partial")
-        reopened = AttestationSpill(path)
-        assert reopened.lookup(b"a" * 16) == b"b" * 16
-        reopened.close()
-        assert path.stat().st_size == 32
-
-    def test_the_sink_flushes_and_closes_the_spill(self, tmp_path):
-        from repro.workloads import vetted_relay_chain
-
-        runtime = DistributedRuntime(seed=1, durable=tmp_path)
-        spill = runtime.middleware.attestations._spill
-        runtime.deploy(vetted_relay_chain(16).system)
-        runtime.run(max_events=20)
-        runtime.checkpoint()
-        # fewer tags than one write buffer: only a flush puts them on disk
-        assert 0 < len(spill) < 256
-        assert spill.path.stat().st_size == 32 * len(spill)
-        runtime.run()
-        runtime.durability.close()
-        assert spill._handle is None
-        assert spill.path.stat().st_size == 32 * len(spill)
-
-
 class TestAttestationStoreSpill:
-    """Satellite: bounded RAM with spill-backed reload, verdicts stable."""
-
-    def _attested_chain(self, store):
-        ring = KeyRing(b"spill-test")
-        verifier = SpineVerifier(ring, store)
-        node = spine("a", "b", "a", "c", "b", "a")
-        verifier.attest_chain(node)
-        return ring, verifier, node
-
-    def test_eviction_and_reload_preserve_verdicts(self, tmp_path):
-        store = AttestationStore(
-            spill=AttestationSpill(tmp_path / "spill"), capacity=2
-        )
-        ring, verifier, node = self._attested_chain(store)
-        assert store.evictions > 0, "capacity 2 must force eviction"
-        assert verifier.verify(node) is True
-        # fresh verifier (no verdict cache): every tag comes off disk
-        fresh = SpineVerifier(ring, store)
-        assert fresh.verify(node) is True
-        assert store.spill_reloads > 0
-
-    def test_verdicts_match_unbounded_store(self, tmp_path):
-        bounded = AttestationStore(
-            spill=AttestationSpill(tmp_path / "spill"), capacity=1
-        )
-        ring_b, _, node_b = self._attested_chain(bounded)
-        unbounded = AttestationStore()
-        ring_u, _, node_u = self._attested_chain(unbounded)
-        assert node_b is node_u  # interning: same chain, same node
-        assert SpineVerifier(ring_b, bounded).verify(node_b) is True
-        assert SpineVerifier(ring_u, unbounded).verify(node_u) is True
-        # a tampered node fails in both worlds identically
-        forged = node_b.cons(OutputEvent(Principal("mallory")))
-        assert SpineVerifier(ring_b, bounded).verify(forged) is False
-        assert SpineVerifier(ring_u, unbounded).verify(forged) is False
+    """The attestation store is one weak map; a durable run's tags live
+    in the journal (``test_durability.py`` recovers them)."""
 
     def test_default_store_unchanged_without_spill(self):
         store = AttestationStore()
         node = spine("a", "b")
         store.record(node, b"t" * 16)
         assert store.tag(node) == b"t" * 16
-        assert store.evictions == 0 and store.spill_reloads == 0
+        assert store.tag(spine("a", "c")) is None
+        assert len(store) == 1
 
 
 class TestDurableStore:
@@ -247,12 +171,10 @@ class TestDurableStore:
         store = DurableStore(tmp_path / "store")
         store.journal_path(1).write_bytes(b"")
         store.checkpoint_path(1).write_bytes(b"")
-        store.spill_path().write_bytes(b"")
         store.windows_path().write_bytes(b"wal")
         store.write_manifest({"seed": 1})
         store.reset_record()
         assert store.is_empty_record()
-        assert not store.spill_path().exists()
         assert store.windows_path().read_bytes() == b"wal"
         assert store.read_manifest() == {"seed": 1, "format": RECORD_FORMAT}
 
@@ -265,6 +187,16 @@ class TestDurableStore:
         assert store.is_empty_record()
         assert not store.windows_path().exists()
         assert store.read_manifest() is None
+
+    def test_wipe_removes_a_legacy_attestation_spill(self, tmp_path):
+        # older stores wrote every tag a second time to attest.spill;
+        # tags now live only in the journal, and a fresh run drops it
+        store = DurableStore(tmp_path / "store")
+        legacy = store.root / "attest.spill"
+        legacy.write_bytes(b"d" * 16 + b"t" * 16)
+        store.journal_path(1).write_bytes(b"")
+        assert legacy in store.wipe()
+        assert list(store.root.iterdir()) == []
 
     @pytest.mark.parametrize("declared", [1, None, "2"])
     def test_other_record_formats_are_refused(self, tmp_path, declared):
