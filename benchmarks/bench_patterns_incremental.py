@@ -64,11 +64,7 @@ def _run(hops: int, vetting: str):
 
 
 def _delivery_trace(runtime):
-    return [
-        (record.time, record.principal, record.channel, record.values,
-         record.branch_index)
-        for record in runtime.metrics.delivered
-    ]
+    return list(runtime.metrics.delivered)
 
 
 def run_incremental_gate(hops: int = GATE_HOPS, repeats: int = 3):

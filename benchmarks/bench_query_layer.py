@@ -194,11 +194,7 @@ def run_differential_gate(hops=DIFFERENTIAL_HOPS, seed=17):
         index = runtime.attach_query_index() if attach else None
         runtime.deploy(vetted_relay_chain(hops).system)
         runtime.run()
-        delivered = [
-            (r.time, r.principal, r.channel, r.values, r.branch_index)
-            for r in runtime.metrics.delivered
-        ]
-        return delivered, index
+        return list(runtime.metrics.delivered), index
 
     baseline, _ = trace(False)
     observed, index = trace(True)

@@ -100,11 +100,7 @@ def _timed_run(scheduler, regions, sources):
 
 
 def _delivery_trace(runtime):
-    return [
-        (record.time, record.principal, record.channel, record.values,
-         record.branch_index)
-        for record in runtime.metrics.delivered
-    ]
+    return list(runtime.metrics.delivered)
 
 
 def run_differential(regions=DIFF_REGIONS, sources=DIFF_SOURCES):

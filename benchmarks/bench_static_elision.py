@@ -80,11 +80,7 @@ def _run(hops: int, certificate):
 
 
 def _delivery_trace(runtime):
-    return [
-        (record.time, record.principal, record.channel, record.values,
-         record.branch_index)
-        for record in runtime.metrics.delivered
-    ]
+    return list(runtime.metrics.delivered)
 
 
 def _vet_work(runtime) -> int:

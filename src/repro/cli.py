@@ -430,26 +430,6 @@ def _cmd_recover(args) -> int:
         return 2
 
 
-def _shard_merged_entries(store, load_state, DurableStore):
-    """All shard stores' entries merged in canonical trace order.
-
-    Same key as ``ShardedRuntime.delivered_trace()``: (time, channel
-    name, per-channel ordinal) — each channel is homed on one shard, so
-    per-shard order totals its deliveries and the merge is independent
-    of the partitioning.
-    """
-
-    keyed = []
-    for shard_path in store.shard_dirs():
-        ordinals = {}
-        for entry in load_state(DurableStore(shard_path)).entries:
-            ordinal = ordinals.get(entry.channel, 0)
-            ordinals[entry.channel] = ordinal + 1
-            keyed.append((entry.time, entry.channel.name, ordinal, entry))
-    keyed.sort(key=lambda item: item[:3])
-    return [entry for _, _, _, entry in keyed]
-
-
 def _cmd_query(args) -> int:
     """Answer where/why queries over a durable store's record."""
 
@@ -470,10 +450,16 @@ def _cmd_query(args) -> int:
             print(f"error: no manifest in {args.dir}", file=sys.stderr)
             return 2
         if manifest.get("sharded"):
-            # per-shard records merge canonically into one generation
+            # per-shard records merge canonically into one generation,
+            # exactly as ShardedRuntime.delivered_trace() merges them
+            from repro.runtime.shards import merge_delivered
+
             index = ProvenanceIndex()
             index.extend_entries(
-                _shard_merged_entries(store, load_state, DurableStore)
+                merge_delivered(
+                    load_state(DurableStore(path)).entries
+                    for path in store.shard_dirs()
+                )
             )
         else:
             index, _ = resume_index(store)
@@ -737,6 +723,8 @@ def main(argv: list[str] | None = None) -> int:
                 # process-mode placement/lookahead constraints
                 print(f"error: {error}", file=sys.stderr)
                 return 2
+            finally:
+                runtime.close()
             run_seconds = perf_counter() - deploy_start
             summary = runtime.metrics_summary()
             if args.stats_json:
@@ -824,6 +812,7 @@ def main(argv: list[str] | None = None) -> int:
             # seal the last generation, so a clean exit leaves every
             # journal checked against a seal
             runtime.checkpoint()
+            runtime.durability.close()
         summary = runtime.metrics.summary()
         if args.stats_json:
             _write_stats_json(args.stats_json, summary)

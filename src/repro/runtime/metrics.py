@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, MutableSequence, Optional
+from typing import Any, Callable, MutableSequence, NamedTuple, Optional
 
 from repro.core.names import Channel, Principal
 from repro.core.values import AnnotatedValue
@@ -41,15 +41,33 @@ PayloadSizer = Callable[[], tuple[int, int]]
 """Deferred encode: returns ``(payload_bytes, provenance_bytes)``."""
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    """One successful delivery, as observed by the middleware."""
+class DeliveryRecord(NamedTuple):
+    """One successful delivery, as observed by the middleware.
+
+    The one shape of a delivery in a trace: its fields are in trace
+    order, so ``list(runtime.metrics.delivered)`` *is* the delivered
+    trace — what ``ShardedRuntime.delivered_trace()`` merges,
+    ``RecoveredState.delivered_trace()`` reads back from a journal, and
+    ``ProvenanceIndex.extend_trace`` absorbs.
+    """
 
     time: float
     principal: Principal
     channel: Channel
     values: tuple[AnnotatedValue, ...]
     branch_index: int
+
+    @classmethod
+    def of(cls, entry) -> "DeliveryRecord":
+        """The record of a decoded journal delivery entry."""
+
+        return cls(
+            entry.time,
+            entry.principal,
+            entry.channel,
+            entry.values,
+            entry.branch_index,
+        )
 
 
 @dataclass(slots=True)
@@ -379,41 +397,8 @@ class RuntimeMetrics:
             ),
         }
 
-    _MERGE_SUM_KEYS = (
-        "messages_sent",
-        "deliveries",
-        "bytes_total",
-        "bytes_payload",
-        "bytes_provenance",
-        "pattern_checks",
-        "pattern_rejections",
-        "vet_transitions",
-        "vet_cache_hits",
-        "vets_elided",
-        "branches_pruned",
-        "forgeries_blocked",
-        "forgeries_accepted",
-        "replays_blocked",
-        "tamper_detected",
-        "principals_quarantined",
-        "quarantined_drops",
-        "certificates_revoked",
-        "verify_calls",
-        "verify_nodes_checked",
-        "verify_cache_hits",
-        "faults_dropped",
-        "faults_duplicated",
-        "faults_reordered",
-        "faults_corrupted",
-        "provenance_values",
-        "provenance_events_total",
-    )
     _MERGE_MAX_KEYS = ("max_provenance_spine",)
-    _MERGE_DICT_KEYS = (
-        "rejections_by_pattern",
-        "tamper_by_kind",
-        "attack_attempts",
-    )
+    _DERIVED_KEYS = ("provenance_overhead_ratio", "mean_provenance_events")
 
     @classmethod
     def merge(cls, *summaries: dict[str, Any]) -> dict[str, Any]:
@@ -430,25 +415,23 @@ class RuntimeMetrics:
         an idle runtime.
         """
 
-        merged: dict[str, Any] = {key: 0 for key in cls._MERGE_SUM_KEYS}
-        for key in cls._MERGE_MAX_KEYS:
-            merged[key] = 0
-        by_key: dict[str, dict[str, int]] = {
-            key: {} for key in cls._MERGE_DICT_KEYS
-        }
+        # an idle runtime's summary names every key, zeroed; dict-valued
+        # keys (rejection, tamper and attack tables) merge per entry
+        merged = cls().summary()
         for summary in summaries:
             # tolerate partial dicts (absent counter == idle counter) so
             # summaries from snapshots predating a counter still merge
-            for key in cls._MERGE_SUM_KEYS:
-                merged[key] += summary.get(key, 0)
-            for key in cls._MERGE_MAX_KEYS:
-                if summary.get(key, 0) > merged[key]:
-                    merged[key] = summary[key]
-            for key in cls._MERGE_DICT_KEYS:
-                bucket = by_key[key]
-                for name, count in summary.get(key, {}).items():
-                    bucket[name] = bucket.get(name, 0) + count
-        merged.update(by_key)
+            for key, total in merged.items():
+                value = summary.get(key)
+                if value is None or key in cls._DERIVED_KEYS:
+                    continue
+                if isinstance(total, dict):
+                    for name, count in value.items():
+                        total[name] = total.get(name, 0) + count
+                elif key in cls._MERGE_MAX_KEYS:
+                    merged[key] = max(total, value)
+                else:
+                    merged[key] = total + value
         merged["provenance_overhead_ratio"] = (
             round(merged["bytes_provenance"] / merged["bytes_total"], 4)
             if merged["bytes_total"]

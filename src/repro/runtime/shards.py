@@ -47,18 +47,24 @@ generator stream — the draw a message gets is independent of the
 partition, which is what makes the ``shards=N`` vs ``shards=1``
 differential exact.
 
-Process-mode results travel home once, at ``finish``: each worker
-encodes its delivered record as journal delivery entries
+Every result accessor reads one per-shard *report* (:func:`_shard_report`:
+metrics summary, delivered records, load figures, clock), whichever the
+mode.  Inline mode builds the reports from its live shards on each
+read; a process worker builds its report once, at ``finish``, and ships
+it home with the delivered records encoded as journal delivery entries
 (:func:`repro.storage.journal.encode_delivery_entry`) through one fresh
-streaming codec, and the conductor decodes them with
+streaming codec, which the conductor decodes with
 :func:`~repro.storage.journal.decode_entry` through one fresh codec per
 shard.  Every spine node ships and re-interns once — the reply is
 O(interned DAG nodes), where pickled spines were O(total spine length).
 
-``delivered_trace()`` merges the per-shard delivery records into one
-canonical global trace ordered by ``(time, channel, per-channel
-ordinal)`` — each channel is homed on exactly one shard, so per-channel
-order is total — and ``metrics_summary()`` composes the per-shard
+``delivered_trace()`` merges the per-shard
+:class:`~repro.runtime.metrics.DeliveryRecord` lists with
+:func:`merge_delivered` into one canonical global trace ordered by
+``(time, channel, per-channel ordinal)`` — each channel is homed on
+exactly one shard, so per-channel order is total; ``repro query`` merges
+a sharded store's journals with the same function.
+``metrics_summary()`` composes the per-shard
 :meth:`~repro.runtime.metrics.RuntimeMetrics.summary` dicts with
 :meth:`~repro.runtime.metrics.RuntimeMetrics.merge`.
 ``benchmarks/bench_shard_scaling.py`` (E21) gates the differential and
@@ -77,7 +83,7 @@ import zlib
 from dataclasses import dataclass, field
 from math import floor
 from time import perf_counter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.congruence import all_system_names, normalize
 from repro.core.errors import (
@@ -108,6 +114,7 @@ __all__ = [
     "ShardRouter",
     "ShardedRuntime",
     "WireEnvelope",
+    "merge_delivered",
 ]
 
 START_METHOD = "fork"
@@ -472,17 +479,87 @@ class ShardRouter:
             self.cross_shard_received += 1
 
 
-def _shard_manifest(index: int, mesh) -> dict:
-    """Shard ``index``'s store manifest; ``mesh`` is the
-    :class:`ShardedRuntime` or a worker's :class:`_ShardSpec`."""
+def merge_delivered(per_shard: Iterable[Iterable[Any]]) -> list:
+    """Per-shard delivery lists merged into one canonical trace.
 
+    Sort key: ``(time, channel name, per-channel ordinal)``.  Each
+    channel is homed on exactly one shard, so its deliveries carry a
+    total order (the ordinal); merging by time with the channel name and
+    ordinal as tie-breaks yields one sequence that is independent of how
+    principals were partitioned.  Items need ``time`` and ``channel``:
+    :class:`DeliveryRecord`\\ s and journal delivery entries both merge.
+    """
+
+    keyed = []
+    for records in per_shard:
+        ordinals: dict[Channel, int] = {}
+        for record in records:
+            ordinal = ordinals.get(record.channel, 0)
+            ordinals[record.channel] = ordinal + 1
+            keyed.append((record.time, record.channel.name, ordinal, record))
+    keyed.sort(key=lambda entry: entry[:3])
+    return [record for *_, record in keyed]
+
+
+def _shard_runtime(index: int, mesh, hub=None, **extra) -> DistributedRuntime:
+    """Shard ``index``'s runtime stack, router installed, manifest written.
+
+    ``mesh`` is the :class:`ShardedRuntime` or a worker's
+    :class:`_ShardSpec`; both carry the same ``runtime_kwargs`` recipe.
+    ``extra`` holds what only one mode passes (topology, shared
+    sequence source, durable store).
+    """
+
+    runtime = DistributedRuntime(
+        seed=mesh.seed,
+        latency_sampler=KeyedLatencySampler(mesh.seed),
+        **mesh.runtime_kwargs,
+        **extra,
+    )
+    if runtime.durable is not None and runtime.durable.read_manifest() is None:
+        runtime.durable.write_manifest(
+            {
+                "shard": index,
+                "shards": mesh.n_shards,
+                "seed": mesh.seed,
+                "window": mesh.window,
+                "lookahead": mesh.lookahead,
+                "checkpoint_every": mesh.checkpoint_every,
+            }
+        )
+    runtime.middleware.router = ShardRouter(
+        index, mesh.partitioner, runtime, hub=hub, lookahead=mesh.lookahead
+    )
+    return runtime
+
+
+def _shard_report(
+    runtime: DistributedRuntime, barrier_stall: float = 0.0
+) -> dict[str, Any]:
+    """One shard's results: what every :class:`ShardedRuntime` result
+    accessor reads, in either mode.
+
+    The summary is taken first, so nothing later (a worker encoding its
+    ``delivered`` records for the trip home) shows up in it.  ``stats``
+    is the :meth:`~ShardedRuntime.shard_stats` row.
+    """
+
+    metrics = runtime.metrics
+    router = runtime.middleware.router
     return {
-        "shard": index,
-        "shards": mesh.n_shards,
-        "seed": mesh.seed,
-        "window": mesh.window,
-        "lookahead": mesh.lookahead,
-        "checkpoint_every": mesh.checkpoint_every,
+        "summary": metrics.summary(),
+        "delivered": list(metrics.delivered),
+        "stats": {
+            "events": runtime.simulator.events_processed,
+            "deliveries": metrics.deliveries,
+            "messages_sent": metrics.messages_sent,
+            "cross_shard_sent": router.cross_shard_sent,
+            "cross_shard_received": router.cross_shard_received,
+            "barrier_stall_seconds": barrier_stall,
+            "blocked_threads": runtime.blocked_threads(),
+        },
+        "messages_in_flight": runtime.network.messages_in_flight,
+        "now": runtime.simulator.now,
     }
 
 
@@ -505,21 +582,12 @@ class _ShardSpec:
     seed: int
     window: float
     lookahead: float
-    principal_overrides: dict[str, int]
-    channel_overrides: dict[str, int]
+    partitioner: Partitioner
+    runtime_kwargs: dict[str, Any]
+    """The :class:`ShardedRuntime`'s per-shard runtime recipe, as is."""
     system: Optional[System]
     builder: Optional[Callable[..., Any]]
     builder_kwargs: dict[str, Any]
-    latency: LatencyModel
-    mode: SemanticsMode
-    enforce_integrity: bool
-    replication_budget: int
-    detailed_metrics: bool
-    metrics_retention: Optional[int]
-    crypto: bool
-    verify_deliveries: bool
-    fault_plan: Optional[FaultPlan]
-    collect_trace: bool
     durable_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
     recover: bool = False
@@ -528,19 +596,22 @@ class _ShardSpec:
     (at most one injected kill per shard per run)."""
 
 
-def _build_worker_shard(spec: _ShardSpec):
-    """(runtime, router, partitioner, normal form) for one worker."""
+def _workload(builder, builder_kwargs):
+    """``(system, topology)`` of what ``builder`` returns: a workload
+    object (``.system``, optional ``.topology``) or a bare ``System``."""
 
-    if spec.builder is not None:
-        workload = spec.builder(**spec.builder_kwargs)
-        system = getattr(workload, "system", workload)
-        topology = getattr(workload, "topology", None)
-    else:
-        system = spec.system
-        topology = None
-    partitioner = Partitioner(
-        spec.n_shards, spec.principal_overrides, spec.channel_overrides
+    workload = builder(**builder_kwargs)
+    return getattr(workload, "system", workload), getattr(
+        workload, "topology", None
     )
+
+
+def _build_worker_shard(spec: _ShardSpec):
+    """(runtime, normal form) for one worker."""
+
+    system, topology = spec.system, None
+    if spec.builder is not None:
+        system, topology = _workload(spec.builder, spec.builder_kwargs)
     durable = None
     if spec.durable_dir:
         from repro.storage.segments import DurableStore
@@ -554,29 +625,13 @@ def _build_worker_shard(spec: _ShardSpec):
             # fresh deployment: a reused directory must not leak a
             # previous run's WAL or record into a later recovery
             durable.wipe()
-    runtime = DistributedRuntime(
-        seed=spec.seed,
-        latency=spec.latency,
-        mode=spec.mode,
-        enforce_integrity=spec.enforce_integrity,
-        replication_budget=spec.replication_budget,
-        topology=topology,
-        detailed_metrics=spec.detailed_metrics,
-        metrics_retention=spec.metrics_retention,
-        crypto=spec.crypto,
-        verify_deliveries=spec.verify_deliveries,
-        fault_plan=spec.fault_plan,
-        latency_sampler=KeyedLatencySampler(spec.seed),
-        durable=durable,
+    runtime = _shard_runtime(
+        spec.index, spec, topology=topology, durable=durable
     )
-    router = ShardRouter(
-        spec.index, partitioner, runtime, hub=None, lookahead=spec.lookahead
-    )
-    runtime.middleware.router = router
     names = all_system_names(system)
     runtime.middleware.supply.reserve(names)
     nf = normalize(system, NameSupply(names))
-    return runtime, router, partitioner, nf
+    return runtime, nf
 
 
 def _encode_delivered(records) -> list[bytes]:
@@ -595,16 +650,9 @@ def _encode_delivered(records) -> list[bytes]:
     codec = Codec()
     return [
         encode_delivery_entry(
-            codec,
-            record.time,
-            record.principal,
-            record.channel,
-            record.branch_index,
-            0.0,
-            record.values,
-            None,
+            codec, time, principal, channel, branch, 0.0, values, None
         )[0]
-        for record in records
+        for time, principal, channel, values, branch in records
     ]
 
 
@@ -625,15 +673,7 @@ def _decode_delivered(index: int, entries: list[bytes]) -> list[DeliveryRecord]:
             entry = decode_entry(payload, codec)
             if not isinstance(entry, DeliveryEntry):
                 raise StorageError("not a delivery entry")
-            records.append(
-                DeliveryRecord(
-                    entry.time,
-                    entry.principal,
-                    entry.channel,
-                    entry.values,
-                    entry.branch_index,
-                )
-            )
+            records.append(DeliveryRecord.of(entry))
     except StorageError as error:
         raise SimulationError(
             f"shard {index} returned an undecodable delivered record "
@@ -655,17 +695,17 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
     WAL from ``t = 0`` to rebuild the exact pre-crash state before
     rejoining the barrier.
 
-    On ``finish`` the worker replies with its metrics summary and its
-    delivered record.  The record travels home as journal delivery
-    entries encoded through one fresh streaming codec
-    (:func:`_encode_delivered`), never as pickled spines: the reply
-    grows with the interned DAG, not with the sum of spine lengths.
-    The summary is taken first, so nothing the encode does shows up
-    in it.
+    On ``finish`` the worker replies with its :func:`_shard_report`.
+    The delivered records travel home as journal delivery entries
+    encoded through one fresh streaming codec (:func:`_encode_delivered`),
+    never as pickled spines: the reply grows with the interned DAG, not
+    with the sum of spine lengths.
     """
 
     try:
-        runtime, router, partitioner, nf = _build_worker_shard(spec)
+        runtime, nf = _build_worker_shard(spec)
+        router = runtime.middleware.router
+        partitioner = spec.partitioner
         # walk the whole normal form, deploying only this shard's slice
         mine = spec.index
         place_components(
@@ -686,7 +726,7 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
         windows = None
         windows_done = 0
         process_faults = None
-        plan = spec.fault_plan
+        plan = spec.runtime_kwargs["fault_plan"]
         if plan is not None and plan.has_process_faults and not spec.recover:
             process_faults = FaultInjector(plan, spec.seed)
 
@@ -704,10 +744,6 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
                 read_window_journal,
             )
 
-            if runtime.durable.read_manifest() is None:
-                runtime.durable.write_manifest(
-                    _shard_manifest(spec.index, spec)
-                )
             replay_count = 0
             replayed_reply = None
             if spec.recover:
@@ -785,26 +821,9 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
                     runtime.durability.close()
                 if windows is not None:
                     windows.close()
-                metrics = runtime.metrics
-                result = {
-                    "summary": metrics.summary(),
-                    "delivered": (
-                        _encode_delivered(metrics.delivered)
-                        if spec.collect_trace
-                        else []
-                    ),
-                    "events_processed": simulator.events_processed,
-                    "deliveries": metrics.deliveries,
-                    "messages_sent": metrics.messages_sent,
-                    "threads_spawned": runtime.threads_spawned(),
-                    "blocked_threads": runtime.blocked_threads(),
-                    "messages_in_flight": runtime.network.messages_in_flight,
-                    "cross_shard_sent": router.cross_shard_sent,
-                    "cross_shard_received": router.cross_shard_received,
-                    "barrier_stall_seconds": barrier_stall,
-                    "now": simulator.now,
-                }
-                conn.send(("result", result))
+                report = _shard_report(runtime, barrier_stall)
+                report["delivered"] = _encode_delivered(report["delivered"])
+                conn.send(("result", report))
                 conn.close()
                 return
             else:  # pragma: no cover - protocol guard
@@ -814,6 +833,18 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
             conn.send(("error", traceback.format_exc()))
         except Exception:
             pass
+
+
+def _spawn(context, spec: _ShardSpec):
+    """Start one worker for ``spec``; returns ``(connection, process)``."""
+
+    parent_conn, child_conn = context.Pipe()
+    worker = context.Process(
+        target=_shard_worker, args=(child_conn, spec), daemon=True
+    )
+    worker.start()
+    child_conn.close()
+    return parent_conn, worker
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +883,6 @@ class ShardedRuntime:
         shard_mode: str = "inline",
         seed: int = 0,
         plan: Optional[ShardPlan] = None,
-        principal_overrides: Optional[dict[str, int]] = None,
-        channel_overrides: Optional[dict[str, int]] = None,
         lookahead: Optional[float] = None,
         latency: LatencyModel = LatencyModel(),
         mode: SemanticsMode = SemanticsMode.TRACKED,
@@ -871,11 +900,10 @@ class ShardedRuntime:
             raise ValueError(f"need at least one shard, got {shards}")
         if shard_mode not in ("inline", "process"):
             raise ValueError(f"unknown shard_mode {shard_mode!r}")
-        if plan is not None:
-            principal_overrides = dict(plan.principals)
-            channel_overrides = dict(plan.channels)
-            if lookahead is None:
-                lookahead = plan.lookahead
+        if plan is None:
+            plan = ShardPlan()
+        if lookahead is None:
+            lookahead = plan.lookahead
         if lookahead is None:
             lookahead = latency.base
         if shard_mode == "process" and shards > 1 and lookahead <= 0:
@@ -889,10 +917,8 @@ class ShardedRuntime:
         self.seed = seed
         self.lookahead = lookahead
         self.window = lookahead / 2 if lookahead > 0 else 0.0
-        self.partitioner = Partitioner(
-            shards, principal_overrides, channel_overrides
-        )
-        self._runtime_kwargs = dict(
+        self.partitioner = Partitioner(shards, plan.principals, plan.channels)
+        self.runtime_kwargs = dict(
             latency=latency,
             mode=mode,
             enforce_integrity=enforce_integrity,
@@ -903,7 +929,8 @@ class ShardedRuntime:
             verify_deliveries=verify_deliveries,
             fault_plan=fault_plan,
         )
-        self._collect_trace = metrics_retention != 0
+        """Every shard's :class:`DistributedRuntime` options, the same
+        in both modes (process workers receive it in their spec)."""
         self.durable_dir = None if durable_dir is None else str(durable_dir)
         self.checkpoint_every = checkpoint_every
         self._shards: list[DistributedRuntime] = []
@@ -913,7 +940,7 @@ class ShardedRuntime:
         self._topology: Optional[Topology] = None
         self._deployed = False
         self._finished = False
-        self._process_results: Optional[list[dict[str, Any]]] = None
+        self._worker_reports: Optional[list[dict[str, Any]]] = None
         self._events_processed = 0
         self._barrier_rounds = 0
 
@@ -935,19 +962,12 @@ class ShardedRuntime:
         for per-link latency in process mode.
         """
 
-        if self._deployed:
-            raise SimulationError("already deployed")
         if topology is not None and self.shard_mode == "process":
             raise SimulationError(
                 "topology callables cannot cross process boundaries; "
                 "use deploy_builder(...) so workers rebuild it locally"
             )
-        self._system = system
-        self._topology = topology
-        self._deployed = True
-        self._write_root_manifest()
-        if self.shard_mode == "inline":
-            self._build_inline()
+        self._deploy(system, topology)
 
     def deploy_builder(self, builder: Callable[..., Any], **kwargs) -> None:
         """Deploy the workload ``builder(**kwargs)`` describes.
@@ -959,16 +979,21 @@ class ShardedRuntime:
         and closures in its topology never cross a process boundary.
         """
 
+        self._deploy(None, None, builder, kwargs)
+
+    def _deploy(self, system, topology, builder=None, builder_kwargs=None):
         if self._deployed:
             raise SimulationError("already deployed")
-        self._builder = builder
-        self._builder_kwargs = dict(kwargs)
         self._deployed = True
+        self._system, self._topology = system, topology
+        self._builder, self._builder_kwargs = builder, builder_kwargs or {}
         self._write_root_manifest()
         if self.shard_mode == "inline":
-            workload = builder(**kwargs)
-            self._system = getattr(workload, "system", workload)
-            self._topology = getattr(workload, "topology", None)
+            if builder is not None:
+                # inline shards share this process: run the builder here
+                self._system, self._topology = _workload(
+                    builder, self._builder_kwargs
+                )
             self._build_inline()
 
     def _shard_store_dir(self, index: int) -> str:
@@ -1002,28 +1027,17 @@ class ShardedRuntime:
             if self.durable_dir is not None:
                 durable_kwargs["durable"] = self._shard_store_dir(index)
                 durable_kwargs["durable_wipe"] = True
-            runtime = DistributedRuntime(
-                seed=self.seed,
+            runtime = _shard_runtime(
+                index,
+                self,
+                hub=self,
                 topology=self._topology,
                 sequence_source=sequence,
-                latency_sampler=KeyedLatencySampler(self.seed),
-                **self._runtime_kwargs,
                 **durable_kwargs,
             )
-            if runtime.durable is not None and (
-                runtime.durable.read_manifest() is None
-            ):
-                runtime.durable.write_manifest(_shard_manifest(index, self))
             # lockstep execution makes one shared supply safe and keeps
             # runtime-fresh names (restrictions) identical to shards=1
             runtime.middleware.supply = supply
-            runtime.middleware.router = ShardRouter(
-                index,
-                self.partitioner,
-                runtime,
-                hub=self,
-                lookahead=self.lookahead,
-            )
             self._shards.append(runtime)
         nf = normalize(self._system, NameSupply(names))
         partitioner = self.partitioner
@@ -1109,19 +1123,17 @@ class ShardedRuntime:
                 seed=self.seed,
                 window=self.window,
                 lookahead=self.lookahead,
-                principal_overrides=self.partitioner.principal_overrides,
-                channel_overrides=self.partitioner.channel_overrides,
-                system=self._system if self._builder is None else None,
+                partitioner=self.partitioner,
+                runtime_kwargs=self.runtime_kwargs,
+                system=self._system,
                 builder=self._builder,
                 builder_kwargs=self._builder_kwargs,
-                collect_trace=self._collect_trace,
                 durable_dir=(
                     self._shard_store_dir(index)
                     if self.durable_dir is not None
                     else None
                 ),
                 checkpoint_every=self.checkpoint_every,
-                **self._runtime_kwargs,
             )
             for index in range(self.n_shards)
         ]
@@ -1143,13 +1155,8 @@ class ShardedRuntime:
         specs = self._make_specs()
         try:
             for spec in specs:
-                parent_conn, child_conn = context.Pipe()
-                worker = context.Process(
-                    target=_shard_worker, args=(child_conn, spec), daemon=True
-                )
-                worker.start()
-                child_conn.close()
-                connections.append(parent_conn)
+                conn, worker = _spawn(context, spec)
+                connections.append(conn)
                 workers.append(worker)
             next_times = [
                 self._expect(conn, "ready")[1] for conn in connections
@@ -1217,16 +1224,16 @@ class ShardedRuntime:
                     next_times[index] = next_time
                     for envelope in outgoing:
                         pending[envelope.target].append(envelope)
-            results = []
+            reports = []
             for conn in connections:
                 conn.send(("finish",))
             for index, conn in enumerate(connections):
-                result = self._expect(conn, "result")[1]
-                result["delivered"] = _decode_delivered(
-                    index, result["delivered"]
+                report = self._expect(conn, "result")[1]
+                report["delivered"] = _decode_delivered(
+                    index, report["delivered"]
                 )
-                results.append(result)
-            self._process_results = results
+                reports.append(report)
+            self._worker_reports = reports
             for worker in workers:
                 worker.join(timeout=30)
             return processed
@@ -1281,18 +1288,9 @@ class ShardedRuntime:
                 if worker.is_alive():
                     worker.terminate()
                 worker.join(timeout=5)
-                parent_conn, child_conn = context.Pipe()
-                replacement = context.Process(
-                    target=_shard_worker,
-                    args=(
-                        child_conn,
-                        dataclasses.replace(spec, recover=True),
-                    ),
-                    daemon=True,
+                parent_conn, workers[index] = _spawn(
+                    context, dataclasses.replace(spec, recover=True)
                 )
-                replacement.start()
-                child_conn.close()
-                workers[index] = replacement
                 connections[index] = parent_conn
                 _, replayed, last_reply = self._expect(
                     parent_conn, "recovered"
@@ -1330,15 +1328,26 @@ class ShardedRuntime:
 
     # -- results -----------------------------------------------------------
 
+    def _reports(self, strict: bool = True) -> list[dict[str, Any]]:
+        """One :func:`_shard_report` per shard: built from the live
+        inline shards, or the process workers' ``finish`` replies.
+
+        Before a process-mode run there are none: ``strict`` readers
+        raise, the others read an empty mesh.
+        """
+
+        if self.shard_mode == "inline":
+            return [_shard_report(shard) for shard in self._shards]
+        if self._worker_reports is None and strict:
+            raise SimulationError("run() the mesh before reading results")
+        return self._worker_reports or []
+
     @property
     def now(self) -> float:
-        if self.shard_mode == "process":
-            if self._process_results is None:
-                return 0.0
-            return max(result["now"] for result in self._process_results)
-        if not self._shards:
-            return 0.0
-        return max(shard.simulator.now for shard in self._shards)
+        return max(
+            (report["now"] for report in self._reports(strict=False)),
+            default=0.0,
+        )
 
     @property
     def events_processed(self) -> int:
@@ -1350,55 +1359,18 @@ class ShardedRuntime:
 
         return self._barrier_rounds
 
-    def _shard_delivered(self) -> list[list[DeliveryRecord]]:
-        if self.shard_mode == "process":
-            if self._process_results is None:
-                raise SimulationError("run() the mesh before reading results")
-            return [
-                result["delivered"] for result in self._process_results
-            ]
-        return [list(shard.metrics.delivered) for shard in self._shards]
+    def delivered_trace(self) -> list[DeliveryRecord]:
+        """The merged global trace, canonically ordered
+        (:func:`merge_delivered`: time, channel name, per-channel
+        ordinal) — independent of the partitioning, and the artifact
+        the E21 differential compares bit for bit."""
 
-    def delivered_trace(
-        self,
-    ) -> list[tuple[float, Principal, Channel, tuple, int]]:
-        """The merged global trace, canonically ordered.
-
-        Sort key: ``(time, channel name, per-channel ordinal)``.  Each
-        channel is homed on exactly one shard, so its deliveries carry a
-        total order (the ordinal); merging by time with the channel
-        name and ordinal as tie-breaks yields one canonical sequence
-        that is independent of how principals were partitioned — the
-        artifact the E21 differential compares bit for bit.
-        """
-
-        keyed = []
-        for records in self._shard_delivered():
-            ordinals: dict[Channel, int] = {}
-            for record in records:
-                ordinal = ordinals.get(record.channel, 0)
-                ordinals[record.channel] = ordinal + 1
-                keyed.append(
-                    (record.time, record.channel.name, ordinal, record)
-                )
-        keyed.sort(key=lambda entry: entry[:3])
-        return [
-            (
-                record.time,
-                record.principal,
-                record.channel,
-                record.values,
-                record.branch_index,
-            )
-            for *_, record in keyed
-        ]
+        return merge_delivered(
+            report["delivered"] for report in self._reports()
+        )
 
     def shard_summaries(self) -> list[dict[str, Any]]:
-        if self.shard_mode == "process":
-            if self._process_results is None:
-                raise SimulationError("run() the mesh before reading results")
-            return [result["summary"] for result in self._process_results]
-        return [shard.metrics.summary() for shard in self._shards]
+        return [report["summary"] for report in self._reports()]
 
     def metrics_summary(self) -> dict[str, Any]:
         """All shards' summaries composed via :meth:`RuntimeMetrics.merge`."""
@@ -1427,55 +1399,27 @@ class ShardedRuntime:
     def shard_stats(self) -> list[dict[str, Any]]:
         """Per-shard load figures — imbalance without a profiler."""
 
-        if self.shard_mode == "process":
-            if self._process_results is None:
-                raise SimulationError("run() the mesh before reading results")
-            return [
-                {
-                    "shard": index,
-                    "events": result["events_processed"],
-                    "deliveries": result["deliveries"],
-                    "messages_sent": result["messages_sent"],
-                    "cross_shard_sent": result["cross_shard_sent"],
-                    "cross_shard_received": result["cross_shard_received"],
-                    "barrier_stall_seconds": result["barrier_stall_seconds"],
-                    "blocked_threads": result["blocked_threads"],
-                }
-                for index, result in enumerate(self._process_results)
-            ]
         return [
-            {
-                "shard": index,
-                "events": shard.simulator.events_processed,
-                "deliveries": shard.metrics.deliveries,
-                "messages_sent": shard.metrics.messages_sent,
-                "cross_shard_sent": shard.middleware.router.cross_shard_sent,
-                "cross_shard_received": (
-                    shard.middleware.router.cross_shard_received
-                ),
-                "barrier_stall_seconds": 0.0,
-                "blocked_threads": shard.blocked_threads(),
-            }
-            for index, shard in enumerate(self._shards)
+            {"shard": index, **report["stats"]}
+            for index, report in enumerate(self._reports())
         ]
 
     def blocked_threads(self) -> int:
-        if self.shard_mode == "process":
-            if self._process_results is None:
-                return 0
-            return sum(
-                result["blocked_threads"] for result in self._process_results
-            )
-        return sum(shard.blocked_threads() for shard in self._shards)
+        return sum(
+            report["stats"]["blocked_threads"]
+            for report in self._reports(strict=False)
+        )
 
     def messages_in_flight(self) -> int:
-        if self.shard_mode == "process":
-            if self._process_results is None:
-                return 0
-            return sum(
-                result["messages_in_flight"]
-                for result in self._process_results
-            )
         return sum(
-            shard.network.messages_in_flight for shard in self._shards
+            report["messages_in_flight"]
+            for report in self._reports(strict=False)
         )
+
+    def close(self) -> None:
+        """Close every inline shard's journal (call once, after the last
+        :meth:`run`); process workers close theirs at ``finish``."""
+
+        for shard in self._shards:
+            if shard.durability is not None:
+                shard.durability.close()

@@ -92,18 +92,15 @@ class RecoveredState(RecordView):
         return pairs
 
     def delivered_trace(self) -> list:
-        """The persisted trace in the merged-trace comparison shape."""
+        """The persisted trace as
+        :class:`~repro.runtime.metrics.DeliveryRecord`\\ s — the shape
+        of a live runtime's ``metrics.delivered`` and of
+        ``ShardedRuntime.delivered_trace()``, so the three compare
+        directly."""
 
-        return [
-            (
-                entry.time,
-                entry.principal,
-                entry.channel,
-                entry.values,
-                entry.branch_index,
-            )
-            for entry in self.entries
-        ]
+        from repro.runtime.metrics import DeliveryRecord
+
+        return [DeliveryRecord.of(entry) for entry in self.entries]
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,16 +319,7 @@ def verify_replay(
     runtime = runtime_from_manifest(state.manifest)
     runtime.deploy(system)
     runtime.run(max_events=max_events)
-    replayed = [
-        (
-            record.time,
-            record.principal,
-            record.channel,
-            record.values,
-            record.branch_index,
-        )
-        for record in runtime.metrics.delivered
-    ]
+    replayed = list(runtime.metrics.delivered)
     persisted = state.delivered_trace()
     if len(persisted) > len(replayed):
         return ReplayReport(

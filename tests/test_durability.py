@@ -77,6 +77,7 @@ class TestDurableCapture:
     def test_capture_does_not_change_summary(self, tmp_path):
         reference, _ = run_gauntlet()
         durable, _ = run_gauntlet(durable=str(tmp_path / "store"))
+        durable.durability.close()
         ref_summary = reference.metrics.summary()
         dur_summary = durable.metrics.summary()
         for key in ("deliveries", "messages_sent", "vet_transitions"):
@@ -420,6 +421,7 @@ class TestHostileManifestSource:
         runtime.deploy(vetted_relay_chain(1).system)
         runtime.run()
         runtime.checkpoint()
+        runtime.durability.close()
         return root
 
     @staticmethod

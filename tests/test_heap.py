@@ -192,10 +192,7 @@ class TestCycleFreeQueryIndex:
         runtime = DistributedRuntime(seed=1)
         runtime.deploy(vetted_relay_chain(64).system)
         runtime.run()
-        trace = [
-            (r.time, r.principal, r.channel, r.values, r.branch_index)
-            for r in runtime.metrics.delivered
-        ]
+        trace = list(runtime.metrics.delivered)
         guard = relay_guard()
 
         def run():

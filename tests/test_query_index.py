@@ -355,10 +355,7 @@ def system_traces(draw):
         runtime.run(max_events=2_000)
     except TypeError:
         pass  # dynamically ill-typed: keep what was delivered before
-    return [
-        (r.time, r.principal, r.channel, r.values, r.branch_index)
-        for r in runtime.metrics.delivered
-    ]
+    return list(runtime.metrics.delivered)
 
 
 class TestOracleDifferential:
@@ -452,10 +449,7 @@ class TestLiveRuntime:
                 runtime.attach_query_index()
             runtime.deploy(vetted_relay_chain(6).system)
             runtime.run()
-            return [
-                (r.time, r.principal, r.channel, r.values, r.branch_index)
-                for r in runtime.metrics.delivered
-            ]
+            return list(runtime.metrics.delivered)
 
         assert trace(False) == trace(True)
 
@@ -465,10 +459,7 @@ class TestLiveRuntime:
         runtime.deploy(vetted_relay_chain(4).system)
         runtime.run()
         index.commit()
-        metrics_trace = [
-            (r.time, r.principal, r.channel, r.values, r.branch_index)
-            for r in runtime.metrics.delivered
-        ]
+        metrics_trace = list(runtime.metrics.delivered)
         assert [
             d.trace_tuple() for d in index.deliveries()
         ] == metrics_trace
@@ -512,6 +503,7 @@ class TestPersistence:
         runtime.run()
         if checkpoint:
             runtime.checkpoint()
+        runtime.durability.close()
         return runtime, index
 
     @staticmethod
@@ -556,6 +548,7 @@ class TestPersistence:
         # more deliveries after the last checkpoint land journal-only
         runtime.deploy(parse_system("a[t1<v>] || b[t1(x).0]"))
         runtime.run()
+        runtime.durability.close()
         live.commit()
         rebuilt, info = resume_index(tmp_path)
         marks = len(live.generation_marks)
@@ -574,6 +567,7 @@ class TestPersistence:
         runtime.deploy(vetted_relay_chain(24).system)
         runtime.run()
         runtime.checkpoint()
+        runtime.durability.close()
         names = {path.name for path in tmp_path.iterdir()}
         assert "MANIFEST.json" in names
         assert sum(name.startswith("checkpoint-") for name in names) > 2
@@ -688,6 +682,7 @@ class TestPersistence:
         runtime.deploy(vetted_relay_chain(3).system)
         runtime.run()
         runtime.checkpoint()
+        runtime.durability.close()
         assert not list(tmp_path.glob("queryindex-*"))
         assert resume_index(tmp_path)[0].delivered == 4
 

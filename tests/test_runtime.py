@@ -627,10 +627,7 @@ def _sink_streams(runtime):
     metrics = runtime.metrics
     assert metrics.deliveries == len(state.entries) == len(indexed)
     if metrics.retain != 0:
-        retained = [
-            (r.time, r.principal, r.channel, r.values, r.branch_index)
-            for r in metrics.delivered
-        ]
+        retained = list(metrics.delivered)
         assert retained == state.delivered_trace() == indexed
     digest = ZERO_DIGEST
     for time, principal, channel, values, branch in indexed:
@@ -708,6 +705,7 @@ class TestIncrementalVetting:
                 # vetting paths must then fail the same way
                 return type(error).__name__, str(error)
             finally:
+                runtime.close()
                 for index in range(shards):
                     policy = runtime.shard(index).middleware.policy
                     decided += getattr(policy, "decisions", 0)
@@ -909,10 +907,7 @@ class TestSchedulerDifferential:
 
     @staticmethod
     def _trace(runtime):
-        return [
-            (r.time, r.principal, r.channel, r.values, r.branch_index)
-            for r in runtime.metrics.delivered
-        ]
+        return list(runtime.metrics.delivered)
 
     def test_fan_in_fan_out_identical_under_jitter(self):
         from repro.workloads import fan_in_fan_out

@@ -111,8 +111,7 @@ class TestInlineSharding:
         runtime = ShardedRuntime(
             shards=2,
             seed=1,
-            principal_overrides={"a": 0, "b": 1},
-            channel_overrides={"m": 1},
+            plan=ShardPlan({"a": 0, "b": 1}, {"m": 1}),
         )
         runtime.deploy(parse_system("a[m<u>] || b[m(x).0]"))
         runtime.run()
@@ -120,6 +119,18 @@ class TestInlineSharding:
         assert stats[0]["cross_shard_sent"] == 1
         assert stats[1]["cross_shard_received"] == 1
         assert runtime.metrics_summary()["deliveries"] == 1
+
+    def test_deploy_honours_a_topology(self):
+        runtime = ShardedRuntime(
+            shards=2, seed=1, plan=ShardPlan({"a": 0, "b": 1}, {"m": 1})
+        )
+        runtime.deploy(
+            parse_system("a[m<u>] || b[m(x).0]"),
+            topology=lambda sender, channel: LatencyModel(7.5, 0.0),
+        )
+        runtime.run()
+        [delivery] = runtime.delivered_trace()
+        assert delivery.time == pytest.approx(7.5)
 
     def test_shard_stats_are_consistent(self):
         runtime = _run(RACY_EXAMPLE, 3, seed=3)
@@ -182,7 +193,7 @@ class TestInlineSharding:
                     shards,
                     seed=seed,
                     max_events=4_000,
-                    principal_overrides=dict(overridden),
+                    plan=ShardPlan(dict(overridden)),
                 )
             return
         sharded = _run(
@@ -190,7 +201,7 @@ class TestInlineSharding:
             shards,
             seed=seed,
             max_events=4_000,
-            principal_overrides=dict(overridden),
+            plan=ShardPlan(dict(overridden)),
         )
         assert sharded.delivered_trace() == baseline.delivered_trace()
         base_summary = baseline.metrics_summary()
@@ -258,6 +269,52 @@ class TestProcessSharding:
         stats = sharded.shard_stats()
         assert all(s["barrier_stall_seconds"] >= 0.0 for s in stats)
 
+    def test_both_modes_report_the_same_results(self):
+        """Inline shards and process workers fill one report shape: every
+        result accessor reads the same values in both modes.  ``now`` is
+        left out (a process clock stops at a window boundary), and so is
+        the wall-clock barrier stall."""
+
+        kwargs = dict(n_regions=4, sources_per_region=4, burst=2,
+                      guard_depth=1)
+        plan = wide_fanout(**kwargs).shard_plan(2)
+        results = []
+        for mode in ("inline", "process"):
+            runtime = ShardedRuntime(
+                shards=2, shard_mode=mode, seed=7, plan=plan
+            )
+            runtime.deploy_builder(wide_fanout, **kwargs)
+            runtime.run()
+            stats = runtime.shard_stats()
+            for row in stats:
+                del row["barrier_stall_seconds"]
+            results.append(
+                (
+                    stats,
+                    runtime.shard_summaries(),
+                    runtime.blocked_threads(),
+                    runtime.messages_in_flight(),
+                    runtime.delivered_trace(),
+                )
+            )
+        inline, process = results
+        assert inline[-1], "the run delivered nothing"
+        assert inline == process
+
+    def test_results_before_run(self):
+        runtime = ShardedRuntime(shards=2, shard_mode="process")
+        runtime.deploy(RACY_EXAMPLE)
+        for read in (
+            runtime.shard_summaries,
+            runtime.shard_stats,
+            runtime.delivered_trace,
+        ):
+            with pytest.raises(SimulationError, match=r"run\(\) the mesh"):
+                read()
+        assert runtime.now == 0.0
+        assert runtime.blocked_threads() == 0
+        assert runtime.messages_in_flight() == 0
+
     def test_remote_receiver_rejected_with_clear_error(self):
         # channel homed away from its receiver: inline resolves the
         # home manager in-process, but across OS processes a delivery
@@ -266,8 +323,7 @@ class TestProcessSharding:
             shards=2,
             shard_mode="process",
             lookahead=1.0,
-            principal_overrides={"a": 0, "b": 1},
-            channel_overrides={"m": 0},
+            plan=ShardPlan({"a": 0, "b": 1}, {"m": 0}),
         )
         runtime.deploy(parse_system("a[m<u>] || b[m(x).0]"))
         with pytest.raises(SimulationError, match="co-locate"):
@@ -281,8 +337,7 @@ class TestProcessSharding:
             shard_mode="process",
             lookahead=5.0,
             latency=LatencyModel(1.0, 0.0),
-            principal_overrides={"a": 0, "b": 1},
-            channel_overrides={"m": 1},
+            plan=ShardPlan({"a": 0, "b": 1}, {"m": 1}),
         )
         runtime.deploy(parse_system("a[m<u>] || b[m(x).0]"))
         with pytest.raises(SimulationError, match="lookahead"):
@@ -376,6 +431,7 @@ class TestRouterTrustNotes:
             )
             runtime.deploy(fan_in_fan_out(8).system)
             runtime.run()
+            runtime.close()
             detected += _assert_trust_journaled(
                 tmp_path / str(seed), runtime.shard_summaries()
             )
@@ -399,6 +455,24 @@ class TestRouterTrustNotes:
         assert _assert_trust_journaled(tmp_path, summaries) > 0
         kinds = RuntimeMetrics.merge(*summaries)["tamper_by_kind"]
         assert kinds.get("wire") and kinds.get("replay")
+
+
+class TestShardedStoreQuery:
+    def test_query_dot_export_matches_the_live_merge(self, tmp_path):
+        """``repro query`` on a sharded store merges the shard journals
+        exactly as ``delivered_trace()`` merges the live records."""
+
+        from repro.cli import main
+        from repro.query import to_dot
+
+        store = tmp_path / "store"
+        runtime = _run(RACY_EXAMPLE, 3, seed=3, durable_dir=store)
+        runtime.close()
+        expected = to_dot(runtime.build_query_index())
+        dot = tmp_path / "trace.dot"
+        assert main(["query", str(store), "--export-dot", str(dot)]) == 0
+        assert dot.read_text(encoding="utf-8") == expected
+        assert len(runtime.delivered_trace()) == 5
 
 
 class TestProcessResultFrames:
