@@ -106,7 +106,7 @@ def run_capture_gate(hops=GATE_HOPS, lanes=LANES, repeats=3):
             memory_best = min(memory_best, _timed_gauntlet(hops, lanes)[0])
             gc.collect()
             elapsed, runtime = _timed_gauntlet(hops, lanes, durable=root)
-            runtime.durability.close()
+            runtime.close()
             durable_best = min(durable_best, elapsed)
     ratio = durable_best / memory_best
     assert ratio <= MAX_CAPTURE_RATIO, (
@@ -124,7 +124,7 @@ def run_seal_gate(hops=GATE_HOPS, lanes=LANES):
         with tempfile.TemporaryDirectory() as root:
             _, runtime = _timed_gauntlet(size, lanes, durable=root)
             sizes.append(runtime.checkpoint().stat().st_size)
-            runtime.durability.close()
+            runtime.close()
     assert sizes[0] == sizes[1], (
         f"checkpoint bytes grew with the record: {sizes[0]} B at {hops} "
         f"hops, {sizes[1]} B at {2 * hops}"
@@ -141,7 +141,7 @@ def run_recovery_gate(hops, lanes):
         runtime.deploy(workload.system)
         runtime.run()
         runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(root)
         state = load_state(store)
         assert len(state.entries) == workload.expected_deliveries
@@ -197,7 +197,7 @@ def run_torn_detection_gate(cases=FUZZ_CASES):
         runtime = DistributedRuntime(seed=41, durable=root)
         runtime.deploy(workload.system)
         runtime.run()
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(root)
         generation = store.journal_generations()[-1]
         pristine = store.journal_path(generation).read_bytes()
@@ -313,7 +313,7 @@ def test_gauntlet_capture_throughput(benchmark, durable):
                 )
                 runtime.deploy(workload.system)
                 runtime.run()
-                runtime.durability.close()
+                runtime.close()
                 return runtime
         runtime = DistributedRuntime(
             seed=43, detailed_metrics=False, metrics_retention=64

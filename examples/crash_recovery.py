@@ -59,7 +59,7 @@ def child(root: str) -> None:
     sink = runtime.durability
 
     class DieAfter:
-        def record_delivery(self, *args):
+        def record_delivery(self, record, latency):
             if sink.delivered_count + len(sink._pending) == CRASH_AFTER:
                 runtime.checkpoint()
                 os.kill(os.getpid(), signal.SIGKILL)

@@ -50,8 +50,9 @@ def capture(store_dir: Path):
     runtime.deploy(vetted_relay_chain(HOPS).system)
     runtime.run()
     runtime.checkpoint()  # seals the journal; the index commits
+    runtime.close()  # the checkpoint opened the next generation's segment
     live.commit()
-    return runtime, live
+    return live
 
 
 def ask(index) -> dict:
@@ -60,13 +61,13 @@ def ask(index) -> dict:
     producer, first_relay = Principal("a"), Principal("p1")
     last = index.delivered - 1
     witness = index.minimal_witness(
-        index.delivery(last).roots[0], relay_guard()
+        index.delivery(last).values[0].provenance, relay_guard()
     )
     return {
         "summary": index.summary(),
         "generation_marks": index.generation_marks,
         "edge_counts": index.edge_counts(),
-        "trace": [d.trace_tuple() for d in index.deliveries()],
+        "trace": index.deliveries(),
         "where_producer": index.derived_from_sends(producer),
         "taint_relay": index.taint(first_relay),
         "cone_last": index.cone_of_influence(last),
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
     store_dir = out / "store"
 
     print(f"relay chain: {HOPS} hops, seed {SEED}; artifacts in {out}\n")
-    runtime, live = capture(store_dir)
+    live = capture(store_dir)
     print(
         f"[capture ] deliveries={live.delivered} "
         f"spine_nodes={live.summary()['spine_nodes']} "
@@ -118,7 +119,9 @@ def main(argv=None) -> int:
     write_prov_json(live, prov_path)
     dot_path.write_text(to_dot(live), encoding="utf-8")
     spine_path.write_text(
-        spine_to_dot(live.delivery(last).roots[0], name="final_value"),
+        spine_to_dot(
+            live.delivery(last).values[0].provenance, name="final_value"
+        ),
         encoding="utf-8",
     )
     print(

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap per-delivery metric series at the last N entries "
+        help="keep only the last N delivered records in the metrics "
         "(aggregates are streamed either way; default keeps everything)",
     )
     sim_p.add_argument(
@@ -455,7 +455,7 @@ def _cmd_query(args) -> int:
             from repro.runtime.shards import merge_delivered
 
             index = ProvenanceIndex()
-            index.extend_entries(
+            index.extend_trace(
                 merge_delivered(
                     load_state(DurableStore(path)).entries
                     for path in store.shard_dirs()
@@ -574,9 +574,9 @@ def _witness_target(index, ordinal):
     for candidate in candidates:
         if not 0 <= candidate < index.delivered:
             return None
-        for provenance in index.delivery(candidate).roots:
-            if len(provenance):
-                return candidate, provenance
+        for value in index.delivery(candidate).values:
+            if len(value.provenance):
+                return candidate, value.provenance
         if ordinal is not None:
             return None
     return None
@@ -812,7 +812,7 @@ def main(argv: list[str] | None = None) -> int:
             # seal the last generation, so a clean exit leaves every
             # journal checked against a seal
             runtime.checkpoint()
-            runtime.durability.close()
+            runtime.close()
         summary = runtime.metrics.summary()
         if args.stats_json:
             _write_stats_json(args.stats_json, summary)

@@ -35,7 +35,6 @@ from repro.query.index import (
     EDGE_KINDS,
     PROGRAM,
     HBEdge,
-    IndexedDelivery,
     ProvenanceIndex,
     default_index,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "EDGE_KINDS",
     "PROGRAM",
     "HBEdge",
-    "IndexedDelivery",
     "ProvenanceIndex",
     "QueryPlan",
     "default_index",

@@ -62,20 +62,21 @@ def to_prov_json(
     def rel(table: dict, payload: dict) -> None:
         table[f"_:r{next(relation)}"] = payload
 
-    for record in records:
-        activity = f"activity:deliver-{record.ordinal}"
+    for ordinal, record in enumerate(records):
+        activity = f"activity:deliver-{ordinal}"
         agent = f"agent:{record.principal.name}"
         agents.setdefault(agent, {"prov:label": record.principal.name})
         activities[activity] = {
             "prov:label": (
-                f"deliver #{record.ordinal} on {record.channel.name}"
+                f"deliver #{ordinal} on {record.channel.name}"
             ),
             "repro:time": record.time,
             "repro:channel": record.channel.name,
             "repro:branch": record.branch_index,
         }
         rel(associated, {"prov:activity": activity, "prov:agent": agent})
-        for value, root in zip(record.values, record.roots):
+        roots = [value.provenance for value in record.values]
+        for value, root in zip(record.values, roots):
             entity = _entity_id(root)
             entities.setdefault(
                 entity,
@@ -88,12 +89,15 @@ def to_prov_json(
                 generated,
                 {"prov:entity": entity, "prov:activity": activity},
             )
-        for kind, source in index.predecessors(record.ordinal):
+        for kind, source in index.predecessors(ordinal):
             if source >= len(records):
                 continue
             previous = f"activity:deliver-{source}"
             if kind == DERIVES:
-                for root in index.delivery(source).roots:
+                sources = [
+                    value.provenance for value in records[source].values
+                ]
+                for root in sources:
                     rel(
                         used,
                         {
@@ -101,9 +105,7 @@ def to_prov_json(
                             "prov:entity": _entity_id(root),
                         },
                     )
-                for mine, theirs in zip(
-                    record.roots, index.delivery(source).roots
-                ):
+                for mine, theirs in zip(roots, sources):
                     rel(
                         derived,
                         {
@@ -157,22 +159,22 @@ def to_dot(index: ProvenanceIndex, limit: Optional[int] = None) -> str:
         "  rankdir=LR;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    for record in records:
+    for ordinal, record in enumerate(records):
         label = (
-            f"#{record.ordinal} {record.principal.name}"
+            f"#{ordinal} {record.principal.name}"
             f"@{record.channel.name}\\nt={record.time:g}"
         )
-        lines.append(f'  d{record.ordinal} [label="{label}"];')
+        lines.append(f'  d{ordinal} [label="{label}"];')
     count = len(records)
-    for record in records:
-        for kind, source in index.predecessors(record.ordinal):
+    for ordinal in range(count):
+        for kind, source in index.predecessors(ordinal):
             if source >= count:
                 continue
             style = (
                 "solid" if kind == DERIVES else "dashed"
             )
             lines.append(
-                f"  d{source} -> d{record.ordinal} "
+                f"  d{source} -> d{ordinal} "
                 f'[style={style}, label="{kind}"];'
             )
     lines.append("}")

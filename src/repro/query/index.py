@@ -19,8 +19,11 @@ generation; queries between commits are pure lookups.  The absorb cost
 is O(new events), not O(history): hash-consing means a delivered spine
 shares its entire tail with previously indexed deliveries, so the
 per-node walk (:meth:`~ProvenanceIndex._node_info_of`) stops at the
-first already-indexed node and computes sender/receiver sets and the
-derivation anchor only for genuinely new nodes.  The
+first already-indexed node and computes sender sets and the derivation
+anchor only for genuinely new nodes.  The index holds each delivery as
+the :class:`~repro.runtime.metrics.DeliveryRecord` it was fed (the very
+object a live runtime's metrics retain), plus what its queries read:
+the sender set, the happens-before edges and the posting lists.  The
 :attr:`~ProvenanceIndex.events_indexed` counter exposes that work
 explicitly — ``benchmarks/bench_query_layer.py`` (E24) gates it flat
 per batch as history grows.
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import chain, zip_longest
+from itertools import chain, compress, zip_longest
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.heap import settled_heap
@@ -61,10 +64,10 @@ from repro.core.names import Channel, Principal
 from repro.core.patterns import Pattern
 from repro.core.provenance import EMPTY, Event, OutputEvent, Provenance
 from repro.patterns.dfa import PolicyEngine
+from repro.runtime.metrics import DeliveryRecord
 
 __all__ = [
     "HBEdge",
-    "IndexedDelivery",
     "ProvenanceIndex",
     "default_index",
 ]
@@ -88,16 +91,10 @@ class _NodeInfo:
     was indexed — the anchor the derivation edges hang off.
     """
 
-    __slots__ = ("senders", "receivers", "latest_root")
+    __slots__ = ("senders", "latest_root")
 
-    def __init__(
-        self,
-        senders: frozenset,
-        receivers: frozenset,
-        latest_root: Optional[int],
-    ) -> None:
+    def __init__(self, senders: frozenset, latest_root: Optional[int]) -> None:
         self.senders = senders
-        self.receivers = receivers
         self.latest_root = latest_root
 
 
@@ -115,61 +112,6 @@ class HBEdge(tuple):
         return self[1]
 
 
-class IndexedDelivery:
-    """One absorbed delivery with its derived facts."""
-
-    __slots__ = (
-        "ordinal",
-        "time",
-        "principal",
-        "channel",
-        "branch_index",
-        "values",
-        "roots",
-        "senders",
-        "receivers",
-    )
-
-    def __init__(
-        self,
-        ordinal: int,
-        time: float,
-        principal: Principal,
-        channel: Channel,
-        branch_index: int,
-        values: tuple,
-        roots: Tuple[Provenance, ...],
-        senders: frozenset,
-        receivers: frozenset,
-    ) -> None:
-        self.ordinal = ordinal
-        self.time = time
-        self.principal = principal
-        self.channel = channel
-        self.branch_index = branch_index
-        self.values = values
-        self.roots = roots
-        self.senders = senders
-        self.receivers = receivers
-
-    def trace_tuple(self) -> tuple:
-        """The merged-trace comparison shape used across the repo."""
-
-        return (
-            self.time,
-            self.principal,
-            self.channel,
-            self.values,
-            self.branch_index,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"IndexedDelivery(#{self.ordinal} t={self.time} "
-            f"{self.principal}@{self.channel})"
-        )
-
-
 class ProvenanceIndex:
     """Happens-before + dataflow graphs over the delivered trace.
 
@@ -185,10 +127,13 @@ class ProvenanceIndex:
         self.events_indexed = 0
         """Spine nodes + events walked while indexing — the O(new
         events) work counter E24 gates."""
-        self._deliveries: List[IndexedDelivery] = []
-        self._pending: List[tuple] = []
+        self._deliveries: List[DeliveryRecord] = []
+        self._senders: List[frozenset] = []
+        """Per ordinal: every principal that sent along the delivered
+        values' histories."""
+        self._pending: List[DeliveryRecord] = []
         self._node_info: dict = {}
-        self._event_info: dict = {}
+        self._event_senders: dict = {}
         self._last_by_principal: dict = {}
         self._last_by_channel: dict = {}
         self._received_by: dict = {}
@@ -208,35 +153,19 @@ class ProvenanceIndex:
         self._sweep_cache: dict = {}
         self._witness_memo: dict = {}
         self._global_cache: dict = {}
-        empty = _NodeInfo(_EMPTY_SET, _EMPTY_SET, None)
-        self._node_info[EMPTY] = empty
+        self._node_info[EMPTY] = _NodeInfo(_EMPTY_SET, None)
 
     # -- feeding ---------------------------------------------------------
 
-    def observe_delivery(
-        self,
-        time: float,
-        principal: Principal,
-        channel: Channel,
-        values: tuple,
-        branch_index: int,
-    ) -> None:
+    def observe_delivery(self, record: DeliveryRecord) -> None:
         """O(1) append; indexed at commit."""
 
-        self._pending.append((time, principal, channel, values, branch_index))
+        self._pending.append(record)
 
-    def record_delivery(
-        self,
-        time: float,
-        principal: Principal,
-        channel: Channel,
-        values: tuple,
-        branch_index: int,
-        latency: float,
-    ) -> None:
+    def record_delivery(self, record: DeliveryRecord, latency: float) -> None:
         """The sink delivery call: :meth:`observe_delivery`."""
 
-        self.observe_delivery(time, principal, channel, values, branch_index)
+        self.observe_delivery(record)
 
     def note(self, kind: str, detail: str) -> None:
         """The sink note call: trust notes carry no provenance."""
@@ -265,8 +194,8 @@ class ProvenanceIndex:
         self._pending = []
         before = self.events_indexed
         with settled_heap():
-            for entry in batch:
-                self._absorb(*entry)
+            for record in batch:
+                self._absorb(record)
         self.generation += 1
         self._generation_marks.append(len(self._deliveries))
         self._generation_work.append(self.events_indexed - before)
@@ -274,32 +203,19 @@ class ProvenanceIndex:
         return len(batch)
 
     def extend_trace(self, trace: Iterable[tuple]) -> int:
-        """Absorb ``(time, principal, channel, values, branch)`` tuples.
+        """Absorb a trace as one generation.
 
-        One call is one generation — the shape produced by
-        ``ShardedRuntime.delivered_trace()``,
-        ``RecoveredState.delivered_trace()`` and the metrics'
-        ``delivered`` records (via their field order).
+        Items are :class:`~repro.runtime.metrics.DeliveryRecord`\\ s —
+        ``ShardedRuntime.delivered_trace()``, a decoded durable record
+        (``RecoveredState.entries``) or the metrics' ``delivered`` —
+        or plain ``(time, principal, channel, values, branch)`` tuples,
+        which are stored as records.
         """
 
-        for entry in trace:
-            time, principal, channel, values, branch = entry
-            self._pending.append((time, principal, channel, values, branch))
-        return self.commit()
-
-    def extend_entries(self, entries: Iterable) -> int:
-        """Absorb decoded :class:`~repro.storage.journal.DeliveryEntry`."""
-
-        for entry in entries:
-            self._pending.append(
-                (
-                    entry.time,
-                    entry.principal,
-                    entry.channel,
-                    entry.values,
-                    entry.branch_index,
-                )
-            )
+        self._pending.extend(
+            entry if type(entry) is DeliveryRecord else DeliveryRecord(*entry)
+            for entry in trace
+        )
         return self.commit()
 
     # -- indexing (the O(new events) core) -------------------------------
@@ -317,7 +233,7 @@ class ProvenanceIndex:
         info = cache.get(node)
         if info is not None:
             return info
-        events = self._event_info
+        events = self._event_senders
         work = [node]
         while work:
             top = work[-1]
@@ -325,23 +241,19 @@ class ProvenanceIndex:
                 work.pop()
                 continue
             head = top.head
-            head_info = events.get(head)
-            if head_info is None:
+            head_senders = events.get(head)
+            if head_senders is None:
                 nested = cache.get(head.channel_provenance)
                 if nested is None:
                     work.append(head.channel_provenance)
                     continue
-                if type(head) is OutputEvent:
-                    senders = nested.senders
-                    if head.principal not in senders:
-                        senders = senders | {head.principal}
-                    head_info = (senders, nested.receivers)
-                else:
-                    receivers = nested.receivers
-                    if head.principal not in receivers:
-                        receivers = receivers | {head.principal}
-                    head_info = (nested.senders, receivers)
-                events[head] = head_info
+                head_senders = nested.senders
+                if (
+                    type(head) is OutputEvent
+                    and head.principal not in head_senders
+                ):
+                    head_senders = head_senders | {head.principal}
+                events[head] = head_senders
                 self.events_indexed += 1
             tail = top.tail
             tail_info = cache.get(tail)
@@ -349,26 +261,17 @@ class ProvenanceIndex:
                 work.append(tail)
                 continue
             senders = tail_info.senders
-            if not head_info[0] <= senders:
-                senders = senders | head_info[0]
-            receivers = tail_info.receivers
-            if not head_info[1] <= receivers:
-                receivers = receivers | head_info[1]
-            cache[top] = _NodeInfo(senders, receivers, tail_info.latest_root)
+            if not head_senders <= senders:
+                senders = senders | head_senders
+            cache[top] = _NodeInfo(senders, tail_info.latest_root)
             self.events_indexed += 1
             work.pop()
         return cache[node]
 
-    def _absorb(
-        self,
-        time: float,
-        principal: Principal,
-        channel: Channel,
-        values: tuple,
-        branch_index: int,
-    ) -> None:
+    def _absorb(self, record: DeliveryRecord) -> None:
         ordinal = len(self._deliveries)
-        roots = tuple(value.provenance for value in values)
+        principal = record.principal
+        channel = record.channel
         edges: List[HBEdge] = []
         last = self._last_by_principal.get(principal)
         if last is not None:
@@ -379,16 +282,12 @@ class ProvenanceIndex:
             edges.append(HBEdge((CHANNEL, last)))
         self._last_by_channel[channel] = ordinal
         senders: frozenset = _EMPTY_SET
-        receivers: frozenset = _EMPTY_SET
         derived: set = set()
-        for root in roots:
+        for value in record.values:
+            root = value.provenance
             info = self._node_info_of(root)
             if not senders >= info.senders:
                 senders = senders | info.senders if senders else info.senders
-            if not receivers >= info.receivers:
-                receivers = (
-                    receivers | info.receivers if receivers else info.receivers
-                )
             if len(root):
                 previous = info.latest_root
                 if previous is not None and previous != ordinal:
@@ -396,19 +295,11 @@ class ProvenanceIndex:
                 info.latest_root = ordinal
         for source in sorted(derived):
             edges.append(HBEdge((DERIVES, source)))
-        self._deliveries.append(
-            IndexedDelivery(
-                ordinal,
-                time,
-                principal,
-                channel,
-                branch_index,
-                values,
-                roots,
-                senders,
-                receivers,
-            )
-        )
+        self._deliveries.append(record)
+        self._senders.append(senders)
+        # one int object per ordinal, shared by every posting list and
+        # answer that holds it
+        self._ordinals.append(ordinal)
         self._received_by.setdefault(principal, []).append(ordinal)
         self._on_channel.setdefault(channel, []).append(ordinal)
         self._hb_preds.append(tuple(edges))
@@ -437,11 +328,13 @@ class ProvenanceIndex:
 
         return tuple(self._generation_work)
 
-    def delivery(self, ordinal: int) -> IndexedDelivery:
+    def delivery(self, ordinal: int) -> DeliveryRecord:
+        """The record of delivery ``ordinal`` (its trace position)."""
+
         self._check(ordinal)
         return self._deliveries[ordinal]
 
-    def deliveries(self) -> Sequence[IndexedDelivery]:
+    def deliveries(self) -> Sequence[DeliveryRecord]:
         return tuple(self._deliveries)
 
     def predecessors(self, ordinal: int) -> Tuple[HBEdge, ...]:
@@ -509,9 +402,10 @@ class ProvenanceIndex:
         cached = self._global_cache.get(key)
         if cached is None:
             cached = tuple(
-                record.ordinal
-                for record in self._deliveries
-                if principal in record.senders
+                compress(
+                    self._ordinals,
+                    [principal in senders for senders in self._senders],
+                )
             )
             self._global_cache[key] = cached
         return cached
@@ -530,11 +424,13 @@ class ProvenanceIndex:
         cached = self._global_cache.get(key)
         if cached is not None:
             return cached
-        seeds = [
-            record.ordinal
-            for record in self._deliveries
-            if principal in record.senders or record.principal == principal
-        ]
+        seeds = compress(
+            self._ordinals,
+            [
+                principal in senders or record.principal == principal
+                for record, senders in zip(self._deliveries, self._senders)
+            ],
+        )
         reached = self._forward_closure(seeds, kinds)
         cached = tuple(sorted(reached))
         self._global_cache[key] = cached
@@ -660,9 +556,7 @@ class ProvenanceIndex:
             preds = self._hb_preds
             work = 0
             for current in range(len(clocks), len(self._deliveries)):
-                record = self._deliveries[current]
-                self._ordinals.append(record.ordinal)
-                principal = record.principal
+                principal = self._deliveries[current].principal
                 slot = slots.get(principal)
                 if slot is None:
                     slot = slots[principal] = len(slots)
@@ -756,8 +650,8 @@ class ProvenanceIndex:
 
         self._check(ordinal)
         return (
-            (root, self.minimal_witness(root, pattern))
-            for root in self._deliveries[ordinal].roots
+            (value.provenance, self.minimal_witness(value.provenance, pattern))
+            for value in self._deliveries[ordinal].values
         )
 
 

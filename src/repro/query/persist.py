@@ -57,7 +57,7 @@ def resume_index(
     index = ProvenanceIndex()
     start = 0
     for _, end in record.segments:
-        index.extend_entries(record.entries[start:end])
+        index.extend_trace(record.entries[start:end])
         start = end
     return index, {
         "extended_deliveries": index.delivered,

@@ -144,6 +144,7 @@ def run_where(
     # plan_where committed, and every pool ordinal came from the index:
     # read the records without delivery()'s per-call range check
     records = index._deliveries
+    senders = index._senders
     matches = []
     for ordinal in pool:
         record = records[ordinal]
@@ -151,7 +152,7 @@ def run_where(
             continue
         if channel is not None and record.channel != channel:
             continue
-        if sender is not None and sender not in record.senders:
+        if sender is not None and sender not in senders[ordinal]:
             continue
         matches.append(ordinal)
     return tuple(matches), plan

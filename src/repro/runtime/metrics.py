@@ -15,15 +15,13 @@ bound that never looks at ``bytes_*`` never encodes;
 ``RuntimeMetrics(detailed=False)`` drops the thunks entirely (bytes
 report 0) when byte metrics are not wanted at all.
 
-The per-delivery series (``delivered`` records, latencies, spine
-lengths, event counts) are **streamed**: every aggregate
-:meth:`summary` reports — maxima, sums, counts — is maintained
-incrementally at record time, and the raw series exist only as an
-inspection surface.  ``retain=N`` (opt-in; the default ``None`` keeps
-everything, as the seed did) caps each series at its last ``N``
-entries, so a week-long soak holds O(N) memory while ``summary()`` —
-computed from the streaming aggregates, never from the capped series —
-stays byte-identical to an unbounded run.
+Delivery counters are **streamed**: every aggregate :meth:`summary`
+reports — maxima, sums, counts — is maintained incrementally at record
+time.  The ``delivered`` records are the one retained series, the run's
+delivered trace.  ``retain=N`` (opt-in; the default ``None`` keeps
+everything) caps it at its last ``N`` records, so a week-long soak
+holds O(N) memory while ``summary()`` stays byte-identical to an
+unbounded run.
 """
 
 from __future__ import annotations
@@ -44,11 +42,13 @@ PayloadSizer = Callable[[], tuple[int, int]]
 class DeliveryRecord(NamedTuple):
     """One successful delivery, as observed by the middleware.
 
-    The one shape of a delivery in a trace: its fields are in trace
-    order, so ``list(runtime.metrics.delivered)`` *is* the delivered
-    trace — what ``ShardedRuntime.delivered_trace()`` merges,
-    ``RecoveredState.delivered_trace()`` reads back from a journal, and
-    ``ProvenanceIndex.extend_trace`` absorbs.
+    The one shape of a delivery, built once at the rendezvous and
+    handed to every sink: the metrics retain it, the query index
+    absorbs it, the journal encodes it and decodes back to it.  Its
+    fields are in trace order, so ``list(runtime.metrics.delivered)``
+    *is* the delivered trace — what ``ShardedRuntime.delivered_trace()``
+    merges, ``RecoveredState.delivered_trace()`` reads back from a
+    journal, and ``ProvenanceIndex.deliveries()`` returns.
     """
 
     time: float
@@ -57,30 +57,18 @@ class DeliveryRecord(NamedTuple):
     values: tuple[AnnotatedValue, ...]
     branch_index: int
 
-    @classmethod
-    def of(cls, entry) -> "DeliveryRecord":
-        """The record of a decoded journal delivery entry."""
-
-        return cls(
-            entry.time,
-            entry.principal,
-            entry.channel,
-            entry.values,
-            entry.branch_index,
-        )
-
 
 @dataclass(slots=True)
 class RuntimeMetrics:
-    """Counters and series accumulated over a simulation run."""
+    """Counters and the delivered trace accumulated over a simulation run."""
 
     detailed: bool = True
     """False drops byte accounting entirely instead of deferring it."""
 
     retain: Optional[int] = None
-    """Cap each per-delivery series at its last ``retain`` entries.
+    """Cap :attr:`delivered` at its last ``retain`` records.
 
-    ``None`` (default) keeps the full series.  Aggregates are streamed
+    ``None`` (default) keeps every record.  Aggregates are streamed
     either way, so :meth:`summary` is unaffected by the cap."""
 
     messages_sent: int = 0
@@ -158,30 +146,20 @@ class RuntimeMetrics:
     faults_corrupted: int = 0
     """Link-level fault injections actually applied (per fault kind)."""
 
-    provenance_spine_lengths: MutableSequence[int] = field(default_factory=list)
-    provenance_event_counts: MutableSequence[int] = field(default_factory=list)
-    delivery_latencies: MutableSequence[float] = field(default_factory=list)
     delivered: MutableSequence[DeliveryRecord] = field(default_factory=list)
     _bytes_total: int = 0
     _bytes_payload: int = 0
     _bytes_provenance: int = 0
     _pending_sizers: list[PayloadSizer] = field(default_factory=list)
     _max_provenance_spine: int = 0
-    _max_provenance_events: int = 0
     _sum_provenance_events: int = 0
     _count_provenance_events: int = 0
-    _sum_latency: float = 0.0
-    _max_latency: float = 0.0
 
     def __post_init__(self) -> None:
         if self.retain is not None:
             if self.retain < 0:
                 raise ValueError(f"retain must be non-negative: {self.retain}")
-            cap = self.retain
-            self.provenance_spine_lengths = deque(maxlen=cap)
-            self.provenance_event_counts = deque(maxlen=cap)
-            self.delivery_latencies = deque(maxlen=cap)
-            self.delivered = deque(maxlen=cap)
+            self.delivered = deque(maxlen=self.retain)
 
     PENDING_SIZER_BOUND = 4096
     """Deferred sends are settled in batches past this bound, so the
@@ -273,53 +251,29 @@ class RuntimeMetrics:
 
         return len(self._pending_sizers)
 
-    def record_delivery(
-        self,
-        time: float,
-        principal: Principal,
-        channel: Channel,
-        values: tuple[AnnotatedValue, ...],
-        branch_index: int,
-        latency: float,
-    ) -> None:
+    def record_delivery(self, record: DeliveryRecord, latency: float) -> None:
         """Count one delivery — the metrics sink's delivery call.
 
-        The series (and the :class:`DeliveryRecord`) are kept only when
-        records are retained; ``retain=0`` runs (throughput benches,
-        soak runs) update the aggregates alone."""
+        The record is retained unless ``retain=0`` (throughput benches,
+        soak runs), which updates the aggregates alone."""
 
         if self.retain != 0:
-            self.delivery_latencies.append(latency)
-            self.delivered.append(
-                DeliveryRecord(time, principal, channel, values, branch_index)
-            )
-            for value in values:
-                provenance = value.provenance
-                self.provenance_spine_lengths.append(len(provenance))
-                self.provenance_event_counts.append(provenance.total_events())
-        self.record_delivery_streaming(values, latency)
+            self.delivered.append(record)
+        self.record_delivery_streaming(record.values)
 
     def record_delivery_streaming(
-        self, values: tuple[AnnotatedValue, ...], latency: float
+        self, values: tuple[AnnotatedValue, ...]
     ) -> None:
-        """The aggregate half of :meth:`record_delivery`.
-
-        Every counter :meth:`summary` and :meth:`aggregates` read is
-        updated here, so a ``retain=0`` run reports identically to a
-        retained one."""
+        """The aggregate half of :meth:`record_delivery`: every counter
+        :meth:`summary` reads, so a ``retain=0`` run reports
+        identically to a retained one."""
 
         self.deliveries += 1
-        self._sum_latency += latency
-        if latency > self._max_latency:
-            self._max_latency = latency
         for value in values:
             spine = len(value.provenance)
-            events = value.provenance.total_events()
             if spine > self._max_provenance_spine:
                 self._max_provenance_spine = spine
-            if events > self._max_provenance_events:
-                self._max_provenance_events = events
-            self._sum_provenance_events += events
+            self._sum_provenance_events += value.provenance.total_events()
             self._count_provenance_events += 1
 
     @property
@@ -329,22 +283,6 @@ class RuntimeMetrics:
         if not self.bytes_total:
             return 0.0
         return self.bytes_provenance / self.bytes_total
-
-    def aggregates(self) -> dict[str, float]:
-        """Streaming latency/provenance aggregates for long-run reports.
-
-        Computed from O(1) state maintained at record time — valid under
-        any ``retain`` cap, including ``retain=0``.
-        """
-
-        return {
-            "mean_delivery_latency": (
-                self._sum_latency / self.deliveries if self.deliveries else 0.0
-            ),
-            "max_delivery_latency": self._max_latency,
-            "max_provenance_events": self._max_provenance_events,
-            "retained_deliveries": len(self.delivered),
-        }
 
     def summary(self) -> dict[str, Any]:
         """A flat dict for reports and benchmark rows.

@@ -21,7 +21,8 @@ Architecture:
   message, stamping the input event before handing the values over;
 * one ordered sink list (``Middleware.sinks``): the metrics, then the
   durable journal and query indexes a runtime appends.  Each delivery
-  goes to every sink in order, and so does every trust transition
+  (one :class:`~repro.runtime.metrics.DeliveryRecord`, built once) goes
+  to every sink in order, and so does every trust transition
   (:meth:`Middleware.note`) — the metrics are the only place that
   counts them, and the journal persists them for recovery;
 * ``inject_raw`` — the unchecked path an adversary would use; with
@@ -72,7 +73,7 @@ from repro.core.provenance import InputEvent, OutputEvent, Provenance
 from repro.core.semantics import SemanticsMode
 from repro.core.values import AnnotatedValue
 from repro.patterns.dfa import PolicyBank, PolicyEngine
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.metrics import DeliveryRecord, RuntimeMetrics
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 from repro.runtime.wire import Codec, encode_plain, encode_varint
@@ -299,15 +300,11 @@ class ChannelManager:
                 )
                 now = middleware.simulator.now
                 latency = now - stored.posted_at
+                record = DeliveryRecord(
+                    now, waiter.principal, self.channel, values, branch_index
+                )
                 for sink in middleware.sinks:
-                    sink.record_delivery(
-                        now,
-                        waiter.principal,
-                        self.channel,
-                        values,
-                        branch_index,
-                        latency,
-                    )
+                    sink.record_delivery(record, latency)
                 branch.callback(branch_index, values)
                 return True
         return False
@@ -355,8 +352,9 @@ class Middleware:
         self.sinks: list = [self.metrics]
         """The delivery pipeline, in order: metrics first, then the
         durable journal and query indexes their runtime appends.  Every
-        sink takes ``record_delivery(time, principal, channel, values,
-        branch_index, latency)`` for each delivery and ``note(kind,
+        sink takes ``record_delivery(record, latency)`` for each
+        delivery — one :class:`~repro.runtime.metrics.DeliveryRecord`,
+        built once and shared by every sink — and ``note(kind,
         detail)`` for each trust transition (:meth:`note`).  Sinks after
         the metrics are pure consumers: they touch no runtime state, so
         the delivered trace is bit-identical with or without them."""

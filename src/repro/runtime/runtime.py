@@ -327,6 +327,13 @@ class DistributedRuntime:
         self.durability.flush()
         return processed
 
+    def close(self) -> None:
+        """Flush and close the durable journal (a no-op without one, or
+        when already closed)."""
+
+        if self.durability is not None:
+            self.durability.close()
+
     @property
     def now(self) -> float:
         return self.simulator.now

@@ -479,15 +479,16 @@ class ShardRouter:
             self.cross_shard_received += 1
 
 
-def merge_delivered(per_shard: Iterable[Iterable[Any]]) -> list:
+def merge_delivered(
+    per_shard: Iterable[Iterable[DeliveryRecord]],
+) -> list[DeliveryRecord]:
     """Per-shard delivery lists merged into one canonical trace.
 
     Sort key: ``(time, channel name, per-channel ordinal)``.  Each
     channel is homed on exactly one shard, so its deliveries carry a
     total order (the ordinal); merging by time with the channel name and
     ordinal as tie-breaks yields one sequence that is independent of how
-    principals were partitioned.  Items need ``time`` and ``channel``:
-    :class:`DeliveryRecord`\\ s and journal delivery entries both merge.
+    principals were partitioned.
     """
 
     keyed = []
@@ -664,16 +665,16 @@ def _decode_delivered(index: int, entries: list[bytes]) -> list[DeliveryRecord]:
     raises :class:`SimulationError` naming the shard.
     """
 
-    from repro.storage.journal import DeliveryEntry, decode_entry
+    from repro.storage.journal import decode_entry
 
     codec = Codec()
     records = []
     try:
         for payload in entries:
-            entry = decode_entry(payload, codec)
-            if not isinstance(entry, DeliveryEntry):
+            record = decode_entry(payload, codec)
+            if type(record) is not DeliveryRecord:
                 raise StorageError("not a delivery entry")
-            records.append(DeliveryRecord.of(entry))
+            records.append(record)
     except StorageError as error:
         raise SimulationError(
             f"shard {index} returned an undecodable delivered record "
@@ -817,8 +818,7 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
                     ("done", events, next_time(), router.drain_outbox())
                 )
             elif kind == "finish":
-                if runtime.durability is not None:
-                    runtime.durability.close()
+                runtime.close()
                 if windows is not None:
                     windows.close()
                 report = _shard_report(runtime, barrier_stall)
@@ -1417,9 +1417,9 @@ class ShardedRuntime:
         )
 
     def close(self) -> None:
-        """Close every inline shard's journal (call once, after the last
-        :meth:`run`); process workers close theirs at ``finish``."""
+        """Close every inline shard's journal (after the last
+        :meth:`run`; a second call does nothing); process workers close
+        theirs at ``finish``."""
 
         for shard in self._shards:
-            if shard.durability is not None:
-                shard.durability.close()
+            shard.close()

@@ -37,7 +37,6 @@ from repro.storage.checkpoint import (
     write_checkpoint,
 )
 from repro.storage.journal import (
-    DeliveryEntry,
     DurabilitySink,
     NoteEntry,
     WindowEntry,

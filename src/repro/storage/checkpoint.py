@@ -36,15 +36,17 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
+from repro.core.provenance import Provenance
+from repro.runtime.metrics import DeliveryRecord
 from repro.runtime.wire import Codec
 from repro.storage.journal import (
     ZERO_DIGEST,
-    DeliveryEntry,
     NoteEntry,
     chain_digest,
+    delivery_key,
     read_journal,
 )
 from repro.storage.segments import (
@@ -77,10 +79,17 @@ class Seal(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class RecordView:
-    """The store's delivered record, decoded from its journals."""
+    """The store's delivered record, decoded from its journals.
 
-    entries: List[DeliveryEntry]
+    :attr:`entries` are the :class:`DeliveryRecord`\\ s the capture's
+    middleware built, in trace order, so they compare with ``==`` to a
+    live ``metrics.delivered``."""
+
+    entries: List[DeliveryRecord]
     notes: List[NoteEntry]
+    attested: Dict[Provenance, bytes]
+    """Every journaled attestation tag, keyed by the spine node it
+    attests, in the order the journal introduced the nodes."""
     torn: List[str]
     """Names of journal segments the record lost: the first torn or
     missing generation (its valid prefix is kept) and every later one."""
@@ -145,8 +154,9 @@ def collect_entries(
     journals = set(store.journal_generations())
     seals = set(store.checkpoint_generations())
     codec = Codec()
-    entries: List[DeliveryEntry] = []
+    entries: List[DeliveryRecord] = []
     notes: List[NoteEntry] = []
+    attested: Dict[Provenance, bytes] = {}
     torn: List[str] = []
     segments: List[Tuple[int, int]] = []
     digest = ZERO_DIGEST
@@ -159,13 +169,16 @@ def collect_entries(
             # one held: the record ends at the first of them
             torn.append(path.name)
             continue
-        decoded, was_torn = read_journal(path, codec)
+        decoded, was_torn = read_journal(path, codec, attested)
         for entry in decoded:
-            if isinstance(entry, DeliveryEntry):
-                entries.append(entry)
-                digest = chain_digest(digest, entry.key())
-            else:
+            if type(entry) is NoteEntry:
                 notes.append(entry)
+                continue
+            entries.append(entry)
+            time, principal, channel, values, branch = entry
+            digest = chain_digest(
+                digest, delivery_key(time, principal, channel, branch, values)
+            )
         segments.append((generation, len(entries)))
         if was_torn:
             torn.append(path.name)
@@ -188,6 +201,7 @@ def collect_entries(
     return view(
         entries=entries,
         notes=notes,
+        attested=attested,
         torn=torn,
         trace_digest=digest,
         segments=segments,

@@ -14,9 +14,11 @@ Two record streams live here:
   it introduced, so a recovered :class:`AttestationStore` can answer
   verify queries without the signing keys ever leaving the manifest.
   Encoding is *deferred*, sizer-thunk style: :meth:`DurabilitySink.
-  record_delivery` appends object references to a pending list and the
-  bytes are produced in batches at :meth:`~DurabilitySink.flush` — the
-  hot delivery path pays one list append.
+  record_delivery` appends the middleware's
+  :class:`~repro.runtime.metrics.DeliveryRecord` to a pending list and
+  the bytes are produced in batches at :meth:`~DurabilitySink.flush` —
+  the hot delivery path pays one list append.  Reading a delivery back
+  (:func:`decode_entry`) yields that same record shape.
 
 * The **window WAL** (``windows.seg``): shard workers journal each
   barrier window *before* executing it — boundary, event budget, and
@@ -55,12 +57,13 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import StorageError, WireFormatError
 from repro.core.names import Channel, Principal
 from repro.core.provenance import Provenance
 from repro.core.values import AnnotatedValue
+from repro.runtime.metrics import DeliveryRecord
 from repro.runtime.wire import (
     Codec,
     _decode_name,
@@ -76,7 +79,6 @@ from repro.storage.segments import (
 )
 
 __all__ = [
-    "DeliveryEntry",
     "DurabilitySink",
     "NoteEntry",
     "WindowEntry",
@@ -131,33 +133,6 @@ def delivery_key(
         parts.append(b"\x00")
         parts.append(annotated.provenance.digest)
     return b"".join(parts)
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryEntry:
-    """One journaled delivery, as decoded back from a segment."""
-
-    time: float
-    principal: Principal
-    channel: Channel
-    branch_index: int
-    latency: float
-    values: Tuple[AnnotatedValue, ...]
-    new_nodes: Tuple[Provenance, ...]
-    """Spine nodes this record introduced to its segment's codec table
-    (post-order, matching decode order)."""
-    tags: Tuple[Optional[bytes], ...]
-    """Attestation tags aligned with :attr:`new_nodes`; ``None`` where
-    the run had crypto off or the node was never attested."""
-
-    def key(self) -> bytes:
-        return delivery_key(
-            self.time,
-            self.principal,
-            self.channel,
-            self.branch_index,
-            self.values,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,8 +228,18 @@ def encode_note_entry(kind: str, detail: str) -> bytes:
     return bytes((K_NOTE,)) + _encode_name(kind) + _encode_name(detail)
 
 
-def decode_entry(payload: bytes, codec: Codec):
+def decode_entry(
+    payload: bytes,
+    codec: Codec,
+    attested: Optional[Dict[Provenance, bytes]] = None,
+) -> Union[DeliveryRecord, NoteEntry]:
     """Decode one journal record payload (delivery or note).
+
+    A delivery decodes to the :class:`DeliveryRecord` the middleware
+    handed its sinks; the latency field is checked and skipped, since
+    no reader uses it.  The attestation tags a delivery carries go into
+    ``attested``, when given: each newly introduced spine node maps to
+    its tag, first write kept, never-attested nodes left out.
 
     Truncated or malformed bytes raise :class:`StorageError` — never a
     bare ``struct.error``, ``IndexError``, name ``ValueError`` or the
@@ -263,12 +248,16 @@ def decode_entry(payload: bytes, codec: Codec):
     """
 
     try:
-        return _decode_entry(payload, codec)
+        return _decode_entry(payload, codec, attested)
     except (WireFormatError, struct.error, IndexError, ValueError) as error:
         raise StorageError(f"malformed journal record: {error}") from error
 
 
-def _decode_entry(payload: bytes, codec: Codec):
+def _decode_entry(
+    payload: bytes,
+    codec: Codec,
+    attested: Optional[Dict[Provenance, bytes]],
+) -> Union[DeliveryRecord, NoteEntry]:
     if not payload:
         raise StorageError("empty journal record")
     kind = payload[0]
@@ -286,7 +275,7 @@ def _decode_entry(payload: bytes, codec: Codec):
     principal_name, offset = _decode_name(payload, offset)
     channel_name, offset = _decode_name(payload, offset)
     branch_index, offset = decode_varint(payload, offset)
-    (latency,) = _F64.unpack_from(payload, offset)
+    _F64.unpack_from(payload, offset)  # latency: present, unread
     offset += _F64.size
     values, offset, new_nodes = codec.decode_payload(payload, offset)
     tags, offset = _decode_tags(payload, offset)
@@ -297,38 +286,44 @@ def _decode_entry(payload: bytes, codec: Codec):
         )
     if offset != len(payload):
         raise StorageError("trailing bytes after delivery record")
-    return DeliveryEntry(
-        time=time,
-        principal=Principal(principal_name),
-        channel=Channel(channel_name),
-        branch_index=branch_index,
-        latency=latency,
-        values=values,
-        new_nodes=new_nodes,
-        tags=tags,
+    if attested is not None:
+        for node, tag in zip(new_nodes, tags):
+            if tag is not None:
+                attested.setdefault(node, tag)
+    return DeliveryRecord(
+        time,
+        Principal(principal_name),
+        Channel(channel_name),
+        values,
+        branch_index,
     )
 
 
 def read_journal(
-    path: Union[str, Path], codec: Optional[Codec] = None
+    path: Union[str, Path],
+    codec: Optional[Codec] = None,
+    attested: Optional[Dict[Provenance, bytes]] = None,
 ) -> Tuple[list, bool]:
     """Decode one journal generation; returns ``(entries, torn)``.
 
     ``codec`` carries the stream's tables in from the generations before
     this one (:func:`~repro.storage.checkpoint.collect_entries` passes
-    one codec through them all); a fresh codec reads generation 1.  A
-    torn tail (crash mid-append) truncates the view to the valid prefix
-    — entries past the tear are gone, which is exactly the write-ahead
-    contract: nothing past the last complete record was ever
-    acknowledged.  CRC-valid records that fail to *decode* raise
-    :class:`StorageError` instead: that is corruption the frame check
-    cannot explain, not a torn tail.
+    one codec through them all); a fresh codec reads generation 1.
+    ``attested`` collects the generation's attestation tags (see
+    :func:`decode_entry`).  A torn tail (crash mid-append) truncates the
+    view to the valid prefix — entries past the tear are gone, which is
+    exactly the write-ahead contract: nothing past the last complete
+    record was ever acknowledged.  CRC-valid records that fail to
+    *decode* raise :class:`StorageError` instead: that is corruption the
+    frame check cannot explain, not a torn tail.
     """
 
     view = read_segment(path)
     if codec is None:
         codec = Codec()
-    entries = [decode_entry(payload, codec) for payload in view.records]
+    entries = [
+        decode_entry(payload, codec, attested) for payload in view.records
+    ]
     return entries, view.torn
 
 
@@ -391,23 +386,13 @@ class DurabilitySink:
 
     # -- recording (hot path) -----------------------------------------
 
-    def record_delivery(
-        self,
-        time: float,
-        principal: Principal,
-        channel: Channel,
-        values: Tuple[AnnotatedValue, ...],
-        branch_index: int,
-        latency: float,
-    ) -> None:
-        self._pending.append(
-            (time, principal, channel, values, branch_index, latency)
-        )
+    def record_delivery(self, record: DeliveryRecord, latency: float) -> None:
+        self._pending.append((record, latency))
         if len(self._pending) >= self.FLUSH_BOUND:
             self.flush()
 
     def note(self, kind: str, detail: str) -> None:
-        self._pending.append((kind, detail))
+        self._pending.append(NoteEntry(kind, detail))
         if len(self._pending) >= self.FLUSH_BOUND:
             self.flush()
 
@@ -422,10 +407,10 @@ class DurabilitySink:
             lookup = self._lookup
             digest = self.trace_digest
             for entry in self._pending:
-                if len(entry) == 2:
-                    writer.append(encode_note_entry(*entry))
+                if type(entry) is NoteEntry:
+                    writer.append(encode_note_entry(entry.kind, entry.detail))
                     continue
-                time, principal, channel, values, branch, latency = entry
+                (time, principal, channel, values, branch), latency = entry
                 payload, _, _ = encode_delivery_entry(
                     codec,
                     time,
@@ -474,6 +459,10 @@ class DurabilitySink:
         return path
 
     def close(self, sync: bool = True) -> None:
+        """Flush and close the open generation; a second call does nothing."""
+
+        if self._writer.closed:
+            return
         self.flush(sync=sync)
         self._writer.close(sync=sync)
 

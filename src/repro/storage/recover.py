@@ -82,14 +82,7 @@ class RecoveredState(RecordView):
     def attestation_pairs(self) -> List[Tuple[object, bytes]]:
         """All journaled ``(spine node, tag)`` pairs, first-write order."""
 
-        pairs = []
-        seen = set()
-        for entry in self.entries:
-            for node, tag in zip(entry.new_nodes, entry.tags):
-                if tag is not None and node not in seen:
-                    seen.add(node)
-                    pairs.append((node, tag))
-        return pairs
+        return list(self.attested.items())
 
     def delivered_trace(self) -> list:
         """The persisted trace as
@@ -98,9 +91,7 @@ class RecoveredState(RecordView):
         ``ShardedRuntime.delivered_trace()``, so the three compare
         directly."""
 
-        from repro.runtime.metrics import DeliveryRecord
-
-        return [DeliveryRecord.of(entry) for entry in self.entries]
+        return list(self.entries)
 
 
 @dataclass(frozen=True, slots=True)

@@ -109,6 +109,10 @@ class SegmentWriter:
         if sync:
             os.fsync(self._handle.fileno())
 
+    @property
+    def closed(self) -> bool:
+        return self._handle.closed
+
     def close(self, sync: bool = True) -> None:
         if self._handle.closed:
             return

@@ -58,13 +58,33 @@ def run_gauntlet(durable=None, seed=13, checkpoint_every=None):
     return runtime, workload
 
 
+RECORD_SHA256 = {
+    "checkpoint-00000001.ck": "356a18a407b9f269fa25aac727f39a6fe122e302ea974d2c1ceae026ac032177",
+    "checkpoint-00000002.ck": "d45b2096c3d3b6f43cf060a25df43acf98df96c8e91a90bd4fcbba41289c9de2",
+    "checkpoint-00000003.ck": "0beb6216643bb30fc7b8dd58bdddc126a043ecd3f241ff857421b4592f0dc618",
+    "checkpoint-00000004.ck": "120e2d00bcbd95315bcafa43400c07ad376c2daa787665e87abb264446709ed3",
+    "checkpoint-00000005.ck": "85c46053bbfe77c1f8b4caa3e86999e7bec04333828a45243b3b33654f7fd1a1",
+    "checkpoint-00000006.ck": "4a691dbcb3443af0408b2f22a31f052c312176c326405b6a6bbd656d57d26fde",
+    "journal-00000001.seg": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "journal-00000002.seg": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "journal-00000003.seg": "f974138dd118f405cb3464fc98c65d7510acb6d54fd21523843d78ee65ea4778",
+    "journal-00000004.seg": "884f6b84fff182c711f856929b7e6bf282e9985e6aced36b02f66ee18114acb4",
+    "journal-00000005.seg": "01c09474933911d79815cc89eaba0a344d49712f68760c45b678f0072cdab7e0",
+    "journal-00000006.seg": "5869de17d72e4d1d02ddfeb4d08c80dc3b372ca686a770acaf6cc6158f00914b",
+    "journal-00000007.seg": "2686f004acfe8cfc5b2f1427e119c42b3eef0e4e2a9005d24273c645a416977a",
+}
+"""sha256 of every journal segment and seal of the relay gauntlet
+(8 hops, 2 lanes, seed 13, a checkpoint every 8 events).  Generations
+1 and 2 seal before the first delivery, so their segments are empty."""
+
+
 class TestDurableCapture:
     def test_persisted_record_matches_in_memory_run(self, tmp_path):
         reference, _ = run_gauntlet()
         durable, workload = run_gauntlet(durable=str(tmp_path / "store"))
         assert trace(durable) == trace(reference)
         durable.checkpoint()
-        durable.durability.close()
+        durable.close()
         state = load_state(DurableStore(tmp_path / "store"))
         persisted = [
             (e.time, e.principal.name, e.channel.name, e.values,
@@ -77,18 +97,57 @@ class TestDurableCapture:
     def test_capture_does_not_change_summary(self, tmp_path):
         reference, _ = run_gauntlet()
         durable, _ = run_gauntlet(durable=str(tmp_path / "store"))
-        durable.durability.close()
+        durable.close()
         ref_summary = reference.metrics.summary()
         dur_summary = durable.metrics.summary()
         for key in ("deliveries", "messages_sent", "vet_transitions"):
             assert dur_summary[key] == ref_summary[key], key
+
+    def test_close_twice_is_a_no_op(self, tmp_path):
+        runtime, workload = run_gauntlet(durable=str(tmp_path / "single"))
+        runtime.close()
+        runtime.close()
+        state = load_state(DurableStore(tmp_path / "single"))
+        assert len(state.entries) == workload.expected_deliveries
+        sharded = ShardedRuntime(
+            shards=2,
+            shard_mode="inline",
+            seed=7,
+            plan=wide_fanout(**SHARD_KWARGS).shard_plan(2),
+            durable_dir=str(tmp_path / "sharded"),
+        )
+        sharded.deploy_builder(wide_fanout, **SHARD_KWARGS)
+        sharded.run()
+        sharded.close()
+        sharded.close()
+        assert sharded.delivered_trace()
+
+    def test_record_bytes_are_pinned(self, tmp_path):
+        # the on-disk format (RECORD_FORMAT 2): a change to how a
+        # delivery, a note or a seal is encoded shows up here
+        import hashlib
+
+        root = tmp_path / "store"
+        workload = relay_gauntlet(hops=8, lanes=2)
+        runtime = DistributedRuntime(
+            seed=13, durable=str(root), checkpoint_every=8
+        )
+        runtime.deploy(workload.system)
+        runtime.run()
+        runtime.close()
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.iterdir())
+            if path.suffix in (".seg", ".ck")
+        }
+        assert digests == RECORD_SHA256
 
     def test_checkpoint_cadence_seals_every_generation(self, tmp_path):
         root = tmp_path / "store"
         runtime, workload = run_gauntlet(
             durable=str(root), checkpoint_every=8
         )
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(root)
         generations = store.checkpoint_generations()
         assert generations, "cadenced run cut no checkpoint"
@@ -118,27 +177,35 @@ class TestRecovery:
     def test_tags_survive_recovery_from_the_journal_alone(self, tmp_path):
         root = tmp_path / "store"
         runtime, _ = run_gauntlet(durable=str(root), checkpoint_every=8)
-        runtime.durability.close()
+        runtime.close()
         assert runtime.durability.generation > 2
         assert stray_files(root) == []
         live = runtime.middleware.attestations
+        persisted = load_state(DurableStore(root))
         journaled = {
-            node.digest: live.tag(node)
-            for entry in load_state(DurableStore(root)).entries
-            for node in entry.new_nodes
+            node.digest: tag for node, tag in persisted.attested.items()
         }
-        assert journaled and None not in journaled.values()
+        assert journaled == {
+            node.digest: live.tag(node) for node in persisted.attested
+        }
+        # every spine node of every delivered value was journaled
+        assert all(
+            node.digest in journaled
+            for entry in persisted.entries
+            for value in entry.values
+            for node in value.provenance.suffixes()
+            if node
+        )
         # drop the live run and its tag store: recovery has only the
         # store directory to read tags from
-        del runtime, live
+        del runtime, live, persisted
         gc.collect()
         recovered, state = recover_runtime(DurableStore(root))
         middleware = recovered.middleware
         assert middleware.crypto
         recovered_tags = {
             node.digest: middleware.attestations.tag(node)
-            for entry in state.entries
-            for node in entry.new_nodes
+            for node in state.attested
         }
         assert recovered_tags == journaled
         for entry in state.entries:
@@ -149,7 +216,7 @@ class TestRecovery:
     def test_verify_replay_confirms_bit_identical_record(self, tmp_path):
         runtime, workload = run_gauntlet(durable=str(tmp_path / "store"))
         runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(tmp_path / "store")
         report = verify_replay(store)
         assert report.ok, report.detail
@@ -159,7 +226,7 @@ class TestRecovery:
     def test_recovered_runtime_finishes_to_same_trace(self, tmp_path):
         reference, _ = run_gauntlet()
         runtime, _ = run_gauntlet(durable=str(tmp_path / "store"))
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(tmp_path / "store")
         recovered, state = recover_runtime(store)
         recovered.deploy(rebuild_system(state.manifest))
@@ -186,7 +253,7 @@ class TestRecovery:
         assert not bad, f"attacks not detected under durable capture: {bad}"
         assert runtime.middleware.quarantined
         runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
 
         state = load_state(DurableStore(root))
         expected = {p.name for p in runtime.middleware.quarantined}
@@ -213,7 +280,7 @@ class TestRecovery:
         run_threat_suite(runtime.middleware, attacks=("forge",))
         runtime.checkpoint()  # the first quarantine note is sealed
         run_threat_suite(runtime.middleware, attacks=("replay",))
-        runtime.durability.close()  # the second lands in the next generation
+        runtime.close()  # the second lands in the next generation
         state = load_state(DurableStore(root))
         assert {"intruder_forge", "intruder_replay"} <= state.quarantined
 
@@ -230,7 +297,7 @@ class TestSealedRecord:
         )
         runtime.deploy(workload.system)
         runtime.run()
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(root)
         assert len(store.checkpoint_generations()) >= 3
         return store, workload.expected_deliveries
@@ -421,7 +488,7 @@ class TestHostileManifestSource:
         runtime.deploy(vetted_relay_chain(1).system)
         runtime.run()
         runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
         return root
 
     @staticmethod

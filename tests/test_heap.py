@@ -133,7 +133,7 @@ def capture(store, system, topology=None, checkpoint_every=64):
         runtime.deploy(system)
         runtime.run()
         index.commit()
-        runtime.durability.close()
+        runtime.close()
         assert runtime.metrics.deliveries > 0
         return runtime, index
 

@@ -34,6 +34,7 @@ from repro.query import (
     to_dot,
     to_prov_json,
 )
+from repro.runtime.metrics import DeliveryRecord
 from repro.runtime.runtime import DistributedRuntime
 from repro.workloads.random_systems import GeneratorConfig, random_system
 from repro.workloads.scaling import relay_guard, vetted_relay_chain
@@ -160,8 +161,8 @@ class TestGenerations:
     def test_observe_delivery_is_pending_until_commit(self):
         trace, _ = relay_trace(2)
         index = ProvenanceIndex()
-        for time, principal, channel, values, branch in trace:
-            index.observe_delivery(time, principal, channel, values, branch)
+        for entry in trace:
+            index.observe_delivery(DeliveryRecord(*entry))
         assert index.pending == 2
         assert index.delivered == 0
         index.commit()
@@ -171,25 +172,26 @@ class TestGenerations:
         trace, _ = relay_trace(3)
         index = ProvenanceIndex()
         for entry in trace:
-            index.observe_delivery(*entry)
+            index.observe_delivery(DeliveryRecord(*entry))
         assert len(index.derived_from_sends(Principal("p0"))) == 3
         assert index.generation == 1
 
 
+def brute_force_senders(values):
+    senders = set()
+
+    def walk(node):
+        for event in node:
+            if isinstance(event, OutputEvent):
+                senders.add(event.principal)
+            walk(event.channel_provenance)
+
+    for value in values:
+        walk(value.provenance)
+    return senders
+
+
 class TestQueries:
-    def brute_force_senders(self, values):
-        senders = set()
-
-        def walk(node):
-            for event in node:
-                if isinstance(event, OutputEvent):
-                    senders.add(event.principal)
-                walk(event.channel_provenance)
-
-        for value in values:
-            walk(value.provenance)
-        return senders
-
     def test_derived_from_sends_matches_brute_force(self):
         workload = vetted_relay_chain(7)
         runtime = DistributedRuntime(seed=11)
@@ -199,9 +201,9 @@ class TestQueries:
         index.commit()
         for principal in index.known_principals() | {Principal("a")}:
             expected = tuple(
-                record.ordinal
-                for record in index.deliveries()
-                if principal in self.brute_force_senders(record.values)
+                ordinal
+                for ordinal, record in enumerate(index.deliveries())
+                if principal in brute_force_senders(record.values)
             )
             assert index.derived_from_sends(principal) == expected
 
@@ -269,7 +271,7 @@ class TestQueries:
         pairs = list(index.iter_value_witnesses(3, relay_guard()))
         assert len(pairs) == 1
         root, witness = pairs[0]
-        assert root is index.delivery(3).roots[0]
+        assert root is index.delivery(3).values[0].provenance
         assert witness is index.minimal_witness(root, relay_guard())
 
     @pytest.mark.parametrize(
@@ -453,16 +455,29 @@ class TestLiveRuntime:
 
         assert trace(False) == trace(True)
 
-    def test_index_trace_tuples_match_metrics(self):
-        runtime = DistributedRuntime(seed=7)
+    def test_index_trace_tuples_match_metrics(self, tmp_path):
+        # one record per delivery, from the rendezvous to the query: the
+        # live index holds the very objects the metrics retain, and the
+        # journal decodes back to records equal to them
+        from repro.storage import load_state
+
+        runtime = DistributedRuntime(seed=7, durable=tmp_path)
         index = runtime.attach_query_index()
         runtime.deploy(vetted_relay_chain(4).system)
         runtime.run()
+        runtime.checkpoint()
+        runtime.close()
         index.commit()
-        metrics_trace = list(runtime.metrics.delivered)
-        assert [
-            d.trace_tuple() for d in index.deliveries()
-        ] == metrics_trace
+        live = runtime.metrics.delivered
+        assert index.delivered == len(live) > 0
+        for ordinal in range(index.delivered):
+            assert index.delivery(ordinal) is live[ordinal]
+        resumed, _ = resume_index(tmp_path)
+        assert (
+            list(resumed.deliveries())
+            == load_state(tmp_path).delivered_trace()
+            == list(live)
+        )
 
 
 class TestSharded:
@@ -479,9 +494,7 @@ class TestSharded:
 
         one, three = build(1), build(3)
         assert one.summary() == three.summary()
-        assert [d.trace_tuple() for d in one.deliveries()] == [
-            d.trace_tuple() for d in three.deliveries()
-        ]
+        assert one.deliveries() == three.deliveries()
 
     def test_sharded_index_reinterns_cross_shard_spines(self):
         from repro.runtime.shards import ShardedRuntime
@@ -503,7 +516,7 @@ class TestPersistence:
         runtime.run()
         if checkpoint:
             runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
         return runtime, index
 
     @staticmethod
@@ -548,7 +561,7 @@ class TestPersistence:
         # more deliveries after the last checkpoint land journal-only
         runtime.deploy(parse_system("a[t1<v>] || b[t1(x).0]"))
         runtime.run()
-        runtime.durability.close()
+        runtime.close()
         live.commit()
         rebuilt, info = resume_index(tmp_path)
         marks = len(live.generation_marks)
@@ -567,7 +580,7 @@ class TestPersistence:
         runtime.deploy(vetted_relay_chain(24).system)
         runtime.run()
         runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
         names = {path.name for path in tmp_path.iterdir()}
         assert "MANIFEST.json" in names
         assert sum(name.startswith("checkpoint-") for name in names) > 2
@@ -653,7 +666,7 @@ class TestPersistence:
         _, live = self.run_durable(tmp_path)
         planted = self.plant_old_snapshots(tmp_path, [craft])
         fresh = ProvenanceIndex()
-        fresh.extend_entries(load_state(tmp_path).entries)
+        fresh.extend_trace(load_state(tmp_path).entries)
 
         def guard(opener):
             def open_(file, *args, **kwargs):
@@ -682,7 +695,7 @@ class TestPersistence:
         runtime.deploy(vetted_relay_chain(3).system)
         runtime.run()
         runtime.checkpoint()
-        runtime.durability.close()
+        runtime.close()
         assert not list(tmp_path.glob("queryindex-*"))
         assert resume_index(tmp_path)[0].delivered == 4
 
@@ -711,9 +724,9 @@ class TestPlanner:
         ordinals, plan = run_where(index, sender=Principal("p0"))
         assert plan.access == "scan"
         assert ordinals == tuple(
-            d.ordinal
-            for d in index.deliveries()
-            if Principal("p0") in d.senders
+            ordinal
+            for ordinal, d in enumerate(index.deliveries())
+            if Principal("p0") in brute_force_senders(d.values)
         )
 
     def test_conjunctive_query_picks_the_shorter_posting(self):
@@ -727,8 +740,8 @@ class TestPlanner:
         )[0]
         assert plan.access == shorter
         assert ordinals == tuple(
-            d.ordinal
-            for d in index.deliveries()
+            ordinal
+            for ordinal, d in enumerate(index.deliveries())
             if d.principal == receiver and d.channel == channel
         )
 

@@ -37,10 +37,11 @@ from repro.storage import (
     repair_segment,
     torn_truncate,
 )
+from repro.runtime.metrics import DeliveryRecord
 from repro.storage.journal import (
     ZERO_DIGEST,
-    DeliveryEntry,
     decode_entry,
+    delivery_key,
     encode_delivery_entry,
 )
 from repro.storage.segments import SegmentWriter, frame_record
@@ -224,20 +225,15 @@ class TestDurabilitySink:
 
     def test_journal_roundtrips_deliveries(self, tmp_path):
         runtime = self._run(tmp_path / "store")
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(tmp_path / "store")
         [generation] = store.journal_generations()
         entries, torn = read_journal(store.journal_path(generation))
         assert not torn
         deliveries = [e for e in entries if not isinstance(e, NoteEntry)]
-        assert len(deliveries) == len(runtime.metrics.delivered)
-        for entry, record in zip(deliveries, runtime.metrics.delivered):
-            assert entry.time == record.time
-            assert entry.principal == record.principal
-            assert entry.channel == record.channel
-            assert entry.branch_index == record.branch_index
-            # interning makes cross-codec value equality exact
-            assert entry.values == record.values
+        # deliveries decode to the metrics' record shape; interning makes
+        # cross-codec value equality exact
+        assert deliveries == list(runtime.metrics.delivered)
 
     def test_trace_digest_chains_deliveries(self, tmp_path):
         runtime = self._run(tmp_path / "store")
@@ -249,13 +245,17 @@ class TestDurabilitySink:
         entries, _ = read_journal(store.journal_path(generation))
         for entry in entries:
             if not isinstance(entry, NoteEntry):
-                digest = chain_digest(digest, entry.key())
+                time, principal, channel, values, branch = entry
+                digest = chain_digest(
+                    digest,
+                    delivery_key(time, principal, channel, branch, values),
+                )
         assert digest == sink.trace_digest
         assert digest != ZERO_DIGEST
 
     def test_refuses_nonempty_store_without_wipe(self, tmp_path):
         root = tmp_path / "store"
-        self._run(root).durability.close()
+        self._run(root).close()
         with pytest.raises(StorageError, match="wipe"):
             DurabilitySink(DurableStore(root))
         # wipe=True starts over
@@ -265,7 +265,7 @@ class TestDurabilitySink:
     def test_checkpoint_seals_without_compaction(self, tmp_path):
         root = tmp_path / "store"
         runtime = self._run(root, checkpoint_every=3)
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(root)
         seals = store.checkpoint_generations()
         assert seals
@@ -283,7 +283,7 @@ class TestDurabilitySink:
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         root = tmp_path / "store"
         runtime = self._run(root, checkpoint_every=3)
-        runtime.durability.close()
+        runtime.close()
         store = DurableStore(root)
         seals = store.checkpoint_generations()
         path = store.checkpoint_path(seals[-1])
@@ -303,7 +303,7 @@ class TestDurabilitySink:
         self, tmp_path
     ):
         root = tmp_path / "store"
-        self._run(root, checkpoint_every=3).durability.close()
+        self._run(root, checkpoint_every=3).close()
         store = DurableStore(root)
         pristine = store.checkpoint_path(1).read_bytes()
         target = tmp_path / "seal.ck"
@@ -430,13 +430,20 @@ class TestDeliveryEntryDecoding:
         "payload", [MINIMAL_RECORD, RICH_RECORD], ids=["minimal", "rich"]
     )
     def test_roundtrip(self, payload):
-        entry = decode_entry(payload, Codec())
-        assert isinstance(entry, DeliveryEntry)
-        assert (entry.time, entry.branch_index, entry.latency) == (1.5, 2, 0.25)
-        assert (entry.principal, entry.channel) == (
+        attested = {}
+        record = decode_entry(payload, Codec(), attested)
+        assert isinstance(record, DeliveryRecord)
+        assert (record.time, record.branch_index) == (1.5, 2)
+        assert (record.principal, record.channel) == (
             Principal("a"),
             Channel("m"),
         )
+        # the tag lookup attested exactly the odd-length new nodes
+        assert all(
+            len(node) % 2 and tag == bytes(16)
+            for node, tag in attested.items()
+        )
+        assert bool(attested) == (payload is RICH_RECORD)
 
     def test_minimal_record_size(self):
         assert len(MINIMAL_RECORD) == 28
