@@ -14,8 +14,9 @@ claims that make the layer worth its disk:
   a fresh process replays: the single-runtime journal+checkpoint record
   verifies as a bit-identical prefix of a clean re-execution, and a
   sharded run whose every shard is SIGKILLed mid-window
-  (``kill=1.0``) recovers via WAL replay to the *same merged delivered
-  trace* as the uninterrupted same-seed run.
+  (``kill=1.0``) recovers — the conductor re-sends each replacement
+  every window it issued — to the *same merged delivered trace* as the
+  uninterrupted same-seed run.
 * **torn-tail detection** — a fuzzer truncating journal tails
   mid-record and flipping bits must be caught **100%** of the time:
   every surviving record decodes intact (CRC + length framing), the
@@ -154,7 +155,8 @@ def run_kill_recovery_gate():
     """Every shard SIGKILLed once; merged trace identical to no-fault.
 
     ``kill=1.0`` fires deterministically at window 0 of every shard;
-    the conductor respawns each from its WAL and the run completes.
+    the conductor respawns each and re-sends it every window it issued,
+    and the run completes.
     The merged delivered trace must equal the uninterrupted same-seed
     run's bit for bit — the PR's headline differential.
     """
@@ -284,7 +286,7 @@ def test_kill_recovery_differential():
     record_row(
         "E23-durability",
         f"KILL kill=1.0 at shards=2: {deliveries} deliveries identical "
-        f"to no-fault run after WAL replay",
+        f"to no-fault run after the conductor re-sent the windows",
     )
 
 

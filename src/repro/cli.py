@@ -393,8 +393,6 @@ def _cmd_recover(args) -> int:
                 shard_state = load_state(DurableStore(shard_path))
                 print(f"  {shard_path.name}:")
                 _print_recovered_state(shard_state, indent="    ")
-            if not shard_dirs:
-                print("  (no shard stores found)")
             return 0
         state = load_state(store)
         _print_recovered_state(state)

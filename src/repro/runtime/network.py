@@ -133,9 +133,10 @@ class FaultPlan:
 
     ``kill`` and ``torn`` are *process* faults, drawn per shard per
     barrier window rather than per message: ``kill`` SIGKILLs the shard
-    worker mid-window, ``torn`` additionally truncates its window WAL
-    mid-record first (the on-disk state a crash mid-append leaves).
-    They require a durable sharded run to recover from — see
+    worker mid-window, ``torn`` additionally truncates its journal's
+    open segment mid-record first (the on-disk state a crash mid-append
+    leaves; without a store it is a plain kill).  They require a
+    durable sharded run to recover from — see
     :class:`~repro.runtime.shards.ShardedRuntime` — and they do not
     make a plan "loud" for :attr:`is_quiet`, which concerns per-message
     link faults only.
@@ -274,7 +275,7 @@ class FaultInjector:
         so the same seed kills the same shard at the same window on
         every run, which is what makes the kill-injection differential
         reproducible.  ``torn`` wins when both fire: it is a kill plus
-        a mangled WAL tail.
+        a mangled journal tail.
         """
 
         plan = self.plan

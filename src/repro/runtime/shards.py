@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import signal
 import time as time_module
 import traceback
@@ -592,9 +593,8 @@ class _ShardSpec:
     durable_dir: Optional[str] = None
     checkpoint_every: Optional[int] = None
     recover: bool = False
-    """Set on a replacement worker: wipe and rebuild the delivery
-    record by replaying the window WAL, and never draw process faults
-    (at most one injected kill per shard per run)."""
+    """Set on a replacement worker: draw no process faults (at most one
+    injected kill per shard per run)."""
 
 
 def _workload(builder, builder_kwargs):
@@ -618,14 +618,10 @@ def _build_worker_shard(spec: _ShardSpec):
         from repro.storage.segments import DurableStore
 
         durable = DurableStore(spec.durable_dir)
-        if spec.recover:
-            # the killed incarnation's record (flushed or torn) is
-            # discarded wholesale; replaying the window WAL rebuilds it
-            durable.reset_record()
-        else:
-            # fresh deployment: a reused directory must not leak a
-            # previous run's WAL or record into a later recovery
-            durable.wipe()
+        # a fresh worker and a replacement alike start from an empty
+        # store: the conductor re-feeds a replacement every window, so
+        # the killed incarnation's record (flushed or torn) is rebuilt
+        durable.wipe()
     runtime = _shard_runtime(
         spec.index, spec, topology=topology, durable=durable
     )
@@ -686,15 +682,14 @@ def _decode_delivered(index: int, entries: list[bytes]) -> list[DeliveryRecord]:
 def _shard_worker(conn, spec: _ShardSpec) -> None:
     """One OS process: build, deploy, then serve barrier windows.
 
-    Durable shards journal every window write-ahead (boundary, budget,
-    ingested envelopes) before executing it, and checkpoint the
-    delivery record every ``checkpoint_every`` windows.  When the fault
-    plan carries ``kill``/``torn`` process faults, the worker draws
-    deterministically per window and SIGKILLs *itself* mid-window (torn
-    first truncates the WAL tail mid-record) — the conductor then
-    respawns it with ``recover=True``, and this function replays the
-    WAL from ``t = 0`` to rebuild the exact pre-crash state before
-    rejoining the barrier.
+    Durable shards flush their journal after every window and checkpoint
+    every ``checkpoint_every`` windows.  When the fault plan carries
+    ``kill``/``torn`` process faults, the worker draws deterministically
+    per window and SIGKILLs *itself* mid-window (``torn`` first cuts the
+    journal's open segment mid-record).  The conductor then spawns a
+    replacement with ``recover=True`` and re-sends it every window it
+    issued: the engine is deterministic, so the replacement rebuilds
+    the exact pre-crash state from the same inputs.
 
     On ``finish`` the worker replies with its :func:`_shard_report`.
     The delivered records travel home as journal delivery entries
@@ -719,62 +714,18 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
         # settled_heap depth, so that scope would be a no-op here)
         freeze_for_process()
         simulator = runtime.simulator
+        durability = runtime.durability
 
         def next_time() -> Optional[float]:
             key = simulator.next_event_key()
             return None if key is None else key[0]
 
-        windows = None
         windows_done = 0
         process_faults = None
         plan = spec.runtime_kwargs["fault_plan"]
         if plan is not None and plan.has_process_faults and not spec.recover:
             process_faults = FaultInjector(plan, spec.seed)
-
-        def maybe_checkpoint() -> None:
-            if (
-                spec.checkpoint_every
-                and runtime.durability is not None
-                and windows_done % spec.checkpoint_every == 0
-            ):
-                runtime.checkpoint()
-
-        if runtime.durable is not None:
-            from repro.storage.journal import (
-                WindowJournal,
-                read_window_journal,
-            )
-
-            replay_count = 0
-            replayed_reply = None
-            if spec.recover:
-                entries, _ = read_window_journal(
-                    runtime.durable.windows_path()
-                )
-                for entry in entries:
-                    if entry.envelopes:
-                        router.ingest(list(entry.envelopes))
-                    events = simulator.run(
-                        until=entry.boundary, max_events=entry.budget
-                    )
-                    replayed_reply = (
-                        "done",
-                        events,
-                        next_time(),
-                        router.drain_outbox(),
-                    )
-                    replay_count += 1
-                    windows_done += 1
-                    maybe_checkpoint()
-                runtime.durability.flush()
-            # WindowJournal repairs any torn tail before appending
-            windows = WindowJournal(runtime.durable.windows_path())
-            if spec.recover:
-                conn.send(("recovered", replay_count, replayed_reply))
-            else:
-                conn.send(("ready", next_time()))
-        else:
-            conn.send(("ready", next_time()))
+        conn.send(("ready", next_time()))
         barrier_stall = 0.0
         while True:
             wait_start = perf_counter()
@@ -783,44 +734,44 @@ def _shard_worker(conn, spec: _ShardSpec) -> None:
             kind = message[0]
             if kind == "window":
                 _, until, envelopes, budget = message
+                if envelopes:
+                    router.ingest(envelopes)
                 fault = None
                 if process_faults is not None:
                     fault = process_faults.process_fault(
                         spec.index, windows_done
                     )
-                    if fault == "torn" and windows is None:
-                        # nothing to tear without a WAL; a plain kill
-                        # still exercises the ShardLostError path
-                        fault = "kill"
-                if windows is not None:
-                    windows.record(until, budget, envelopes)
-                if fault == "torn":
-                    from repro.storage.segments import torn_truncate
-
-                    windows.close()
-                    torn_truncate(runtime.durable.windows_path())
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if envelopes:
-                    router.ingest(envelopes)
-                if fault == "kill":
+                if fault is not None:
                     # crash lands mid-window: run roughly half of it,
-                    # then die without flushing anything
+                    # then die without flushing what is still pending
                     midpoint = simulator.now + (until - simulator.now) / 2
                     if midpoint > simulator.now:
                         simulator.run(until=midpoint, max_events=budget)
+                    if fault == "torn" and durability is not None:
+                        # without a store a torn fault is a plain kill
+                        from repro.storage.segments import torn_truncate
+
+                        durability.flush()
+                        torn_truncate(
+                            runtime.durable.journal_path(
+                                durability.generation
+                            )
+                        )
                     os.kill(os.getpid(), signal.SIGKILL)
                 events = simulator.run(until=until, max_events=budget)
                 windows_done += 1
-                if runtime.durability is not None:
-                    runtime.durability.flush()
-                    maybe_checkpoint()
+                if durability is not None:
+                    durability.flush()
+                    if (
+                        spec.checkpoint_every
+                        and windows_done % spec.checkpoint_every == 0
+                    ):
+                        runtime.checkpoint()
                 conn.send(
                     ("done", events, next_time(), router.drain_outbox())
                 )
             elif kind == "finish":
                 runtime.close()
-                if windows is not None:
-                    windows.close()
                 report = _shard_report(runtime, barrier_stall)
                 report["delivered"] = _encode_delivered(report["delivered"])
                 conn.send(("result", report))
@@ -1164,6 +1115,14 @@ class ShardedRuntime:
             pending: dict[int, list[WireEnvelope]] = {
                 index: [] for index in range(self.n_shards)
             }
+            # the recovery recipe: every window command each shard was
+            # sent, in order (a replacement re-runs them; kept only when
+            # there is a store to recover into), as the pickled bytes
+            # that went down the pipe — one buffer per window, not the
+            # live envelope objects
+            issued: Optional[list[list[bytes]]] = None
+            if self.durable_dir is not None:
+                issued = [[] for _ in range(self.n_shards)]
             window = self.window
             processed = 0
             while processed < max_events:
@@ -1186,13 +1145,16 @@ class ShardedRuntime:
                 if until is not None and boundary > until:
                     boundary = until
                 budget = max_events - processed
-                commands = []
                 failed: list[int] = []
                 for index, conn in enumerate(connections):
-                    command = ("window", boundary, pending[index], budget)
-                    commands.append(command)
+                    command = pickle.dumps(
+                        ("window", boundary, pending[index], budget),
+                        pickle.HIGHEST_PROTOCOL,
+                    )
+                    if issued is not None:
+                        issued[index].append(command)
                     try:
-                        conn.send(command)
+                        conn.send_bytes(command)
                     except OSError:
                         failed.append(index)
                 pending = {index: [] for index in range(self.n_shards)}
@@ -1216,7 +1178,7 @@ class ShardedRuntime:
                         context,
                         connections,
                         workers,
-                        commands[index],
+                        None if issued is None else issued[index],
                     )
                 for index in range(self.n_shards):
                     _, events, next_time, outgoing = replies[index]
@@ -1224,6 +1186,9 @@ class ShardedRuntime:
                     next_times[index] = next_time
                     for envelope in outgoing:
                         pending[envelope.target].append(envelope)
+            # the barrier is done: no window is re-sent after this, so
+            # the recipe goes before the workers' reports are decoded
+            issued = None
             reports = []
             for conn in connections:
                 conn.send(("finish",))
@@ -1249,32 +1214,29 @@ class ShardedRuntime:
                     worker.join(timeout=5)
 
     def _recover_shard(
-        self, index, spec, context, connections, workers, command
+        self, index, spec, context, connections, workers, commands
     ):
-        """Respawn a dead shard from its durable journal; returns its
-        ``done`` reply for the outstanding barrier round.
+        """Respawn a dead shard; returns its ``done`` reply for the
+        outstanding barrier round.
 
-        The replacement worker replays its window WAL from ``t = 0``
-        (deterministic re-execution — see :func:`_shard_worker`) and
-        reports how many windows it replayed:
-
-        * all issued windows → the last replayed reply *is* the one the
-          dead worker never sent; use it directly.
-        * one short → the window never reached the WAL (killed before
-          journaling, or the tail was torn); re-issue the saved command.
-        * anything else → the journal is inconsistent; degrade.
+        ``commands`` is every window command shard ``index`` was sent
+        (pickled), the one the dead worker never answered included.  The
+        replacement starts from an empty store, and the engine is
+        deterministic, so re-sending them in order rebuilds the exact
+        pre-crash state; the last reply is the one the dead worker
+        owed.
 
         Bounded retries with linear backoff; exhaustion (or a run with
-        no ``durable_dir``) raises :class:`ShardLostError`.
+        no ``durable_dir``, where ``commands`` is ``None``) raises
+        :class:`ShardLostError`.
         """
 
-        if not spec.durable_dir:
+        if commands is None:
             raise ShardLostError(
                 f"shard {index} died at barrier round "
-                f"{self._barrier_rounds} with no durable journal to "
-                f"replay — pass durable_dir= to enable recovery"
+                f"{self._barrier_rounds} with no durable store to "
+                f"recover into — pass durable_dir= to enable recovery"
             )
-        issued = self._barrier_rounds
         last_error: Optional[BaseException] = None
         for attempt in range(RECOVERY_RETRIES + 1):
             if attempt:
@@ -1292,21 +1254,11 @@ class ShardedRuntime:
                     context, dataclasses.replace(spec, recover=True)
                 )
                 connections[index] = parent_conn
-                _, replayed, last_reply = self._expect(
-                    parent_conn, "recovered"
-                )
-                if replayed == issued and last_reply is not None:
-                    return last_reply
-                if replayed == issued - 1:
-                    parent_conn.send(command)
-                    return self._expect(parent_conn, "done")
-                raise ShardLostError(
-                    f"shard {index}: window WAL replayed {replayed} "
-                    f"windows but {issued} were issued — journal "
-                    f"inconsistent"
-                )
-            except ShardLostError:
-                raise
+                self._expect(parent_conn, "ready")
+                for command in commands:
+                    parent_conn.send_bytes(command)
+                    reply = self._expect(parent_conn, "done")
+                return reply
             except (EOFError, OSError, SimulationError) as error:
                 last_error = error
         raise ShardLostError(

@@ -13,8 +13,7 @@ encoding; everything else is a commitment to it or an accelerator:
 * :mod:`repro.storage.journal` — the write-ahead delivery journal
   :class:`~repro.storage.journal.DurabilitySink` the middleware streams
   delivered events and attestations into (deferred encoding, flushed in
-  batches, one codec across every generation), plus the per-shard
-  window WAL used for kill recovery.
+  batches, one codec across every generation).
 * :mod:`repro.storage.checkpoint` — a checkpoint seals a generation:
   a fixed-size, atomically written record of its generation, delivered
   count and chained trace digest.  Reading the record back decodes the
@@ -39,12 +38,9 @@ from repro.storage.checkpoint import (
 from repro.storage.journal import (
     DurabilitySink,
     NoteEntry,
-    WindowEntry,
-    WindowJournal,
     chain_digest,
     delivery_key,
     read_journal,
-    read_window_journal,
 )
 from repro.storage.recover import (
     RecoveredState,
@@ -60,7 +56,6 @@ from repro.storage.segments import (
     SegmentWriter,
     atomic_write_bytes,
     read_segment,
-    repair_segment,
     torn_truncate,
 )
 

@@ -1,32 +1,22 @@
-"""The write-ahead delivery journal and the shard window WAL.
+"""The write-ahead delivery journal.
 
-Two record streams live here:
-
-* The **delivery journal** (``journal-<gen>.seg``): every delivery the
-  middleware hands to a receiver, in delivery order, encoded with one
-  wire :class:`~repro.runtime.wire.Codec` so one spine table is shared across
-  every record of every generation (first occurrence inline,
-  back-references after — the same delta encoding the cross-shard wire
-  uses).  This is the only encoding of the record: a checkpoint seals
-  a generation (:mod:`repro.storage.checkpoint`), and a reader decodes
-  generations in order through one codec.  Each
-  delivery record also carries the attestation tags of the spine nodes
-  it introduced, so a recovered :class:`AttestationStore` can answer
-  verify queries without the signing keys ever leaving the manifest.
-  Encoding is *deferred*, sizer-thunk style: :meth:`DurabilitySink.
-  record_delivery` appends the middleware's
-  :class:`~repro.runtime.metrics.DeliveryRecord` to a pending list and
-  the bytes are produced in batches at :meth:`~DurabilitySink.flush` —
-  the hot delivery path pays one list append.  Reading a delivery back
-  (:func:`decode_entry`) yields that same record shape.
-
-* The **window WAL** (``windows.seg``): shard workers journal each
-  barrier window *before* executing it — boundary, event budget, and
-  the cross-shard envelopes the conductor routed in, as plain fields
-  (reading one runs no code it carries).  Because the
-  engine is deterministic, this WAL is a complete recipe for rebuilding
-  a killed shard: a replacement process replays the journaled windows
-  from ``t = 0`` and arrives at the exact pre-crash state.
+The **delivery journal** (``journal-<gen>.seg``) holds every delivery
+the middleware hands to a receiver, in delivery order, encoded with one
+wire :class:`~repro.runtime.wire.Codec` so one spine table is shared
+across every record of every generation (first occurrence inline,
+back-references after — the same delta encoding the cross-shard wire
+uses).  This is the only encoding of the record: a checkpoint seals a
+generation (:mod:`repro.storage.checkpoint`), and a reader decodes
+generations in order through one codec.  Each delivery record also
+carries the attestation tags of the spine nodes it introduced, so a
+recovered :class:`AttestationStore` can answer verify queries without
+the signing keys ever leaving the manifest.  Encoding is *deferred*,
+sizer-thunk style: :meth:`DurabilitySink.record_delivery` appends the
+middleware's :class:`~repro.runtime.metrics.DeliveryRecord` to a
+pending list and the bytes are produced in batches at
+:meth:`~DurabilitySink.flush` — the hot delivery path pays one list
+append.  Reading a delivery back (:func:`decode_entry`) yields that
+same record shape.
 
 Journal entry payloads (inside the CRC framing of
 :mod:`repro.storage.segments`)::
@@ -35,12 +25,6 @@ Journal entry payloads (inside the CRC framing of
                    ‖ varint branch ‖ f64 latency ‖ payload2(values)
                    ‖ varint n_new ‖ n_new × tag
     note      0x02 ‖ name kind ‖ name detail
-    window    0x03 ‖ f64 boundary ‖ varint budget
-                   ‖ varint n_envelopes ‖ n_envelopes × envelope
-    envelope       varint source ‖ varint target ‖ varint seq
-                   ‖ name channel ‖ f64 send_time ‖ f64 arrival_time
-                   ‖ varint lamport ‖ varint len ‖ data
-                   ‖ varint n_tags ‖ n_tags × tag
     tag            0x00 (never attested) | 0x01 ‖ tag16
 
 The chained **trace digest** commits to the delivery order: starting
@@ -57,7 +41,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError, WireFormatError
 from repro.core.names import Channel, Principal
@@ -71,36 +55,26 @@ from repro.runtime.wire import (
     decode_varint,
     encode_varint,
 )
-from repro.storage.segments import (
-    DurableStore,
-    SegmentWriter,
-    read_segment,
-    repair_segment,
-)
+from repro.storage.segments import DurableStore, SegmentWriter, read_segment
 
 __all__ = [
     "DurabilitySink",
     "NoteEntry",
-    "WindowEntry",
-    "WindowJournal",
     "ZERO_DIGEST",
     "chain_digest",
     "decode_entry",
     "delivery_key",
     "encode_delivery_entry",
     "read_journal",
-    "read_window_journal",
 ]
 
 K_DELIVERY = 0x01
 _K_DELIVERY_BYTE = bytes((K_DELIVERY,))
 K_NOTE = 0x02
-K_WINDOW = 0x03
 
 ZERO_DIGEST = b"\x00" * 16
 
 _F64 = struct.Struct("<d")
-_TIMES = struct.Struct("<dd")
 
 
 def chain_digest(previous: bytes, key: bytes) -> bytes:
@@ -151,15 +125,6 @@ class NoteEntry:
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class WindowEntry:
-    """One write-ahead barrier window from a shard's window WAL."""
-
-    boundary: float
-    budget: int
-    envelopes: tuple
-
-
 def encode_delivery_entry(
     codec: Codec,
     time: float,
@@ -192,15 +157,11 @@ def encode_delivery_entry(
         encode_varint(branch_index),
         _F64.pack(latency),
         body,
+        encode_varint(len(tags)),
     ]
-    _append_tags(parts, tags)
-    return b"".join(parts), new_nodes, tags
-
-
-def _append_tags(parts: list, tags: Sequence[Optional[bytes]]) -> None:
-    parts.append(encode_varint(len(tags)))
     for tag in tags:
         parts.append(b"\x01" + tag if tag is not None else b"\x00")
+    return b"".join(parts), new_nodes, tags
 
 
 def _decode_tags(
@@ -362,18 +323,15 @@ class DurabilitySink:
         attestation_lookup: Optional[
             Callable[[Provenance], Optional[bytes]]
         ] = None,
-        wipe: bool = False,
     ) -> None:
         if not isinstance(store, DurableStore):
             store = DurableStore(store)
-        if wipe:
-            store.reset_record()
         if not store.is_empty_record():
             raise StorageError(
                 f"store {store.root} already holds a record "
                 f"(journals {store.journal_generations()}, checkpoints "
-                f"{store.checkpoint_generations()}); recover it or pass "
-                f"wipe=True to start over"
+                f"{store.checkpoint_generations()}); recover it or "
+                f"wipe() the store to start over"
             )
         self.store = store
         self.generation = 1
@@ -465,105 +423,3 @@ class DurabilitySink:
             return
         self.flush(sync=sync)
         self._writer.close(sync=sync)
-
-
-class WindowJournal:
-    """Write-ahead log of barrier windows for one shard.
-
-    Opened for append after repairing any torn tail from a previous
-    incarnation.  Every :meth:`record` is flushed and fsynced before
-    returning — the window must be durable *before* the worker executes
-    it, or a kill mid-window would leave the replacement without its
-    recipe.
-    """
-
-    __slots__ = ("path", "_writer")
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        repair_segment(self.path)
-        self._writer = SegmentWriter(self.path)
-
-    def record(
-        self, boundary: float, budget: int, envelopes: Sequence
-    ) -> None:
-        parts = [
-            bytes((K_WINDOW,)),
-            _F64.pack(boundary),
-            encode_varint(budget),
-            encode_varint(len(envelopes)),
-        ]
-        for envelope in envelopes:
-            parts += (
-                encode_varint(envelope.source),
-                encode_varint(envelope.target),
-                encode_varint(envelope.seq),
-                _encode_name(envelope.channel),
-                _TIMES.pack(envelope.send_time, envelope.arrival_time),
-                encode_varint(envelope.lamport),
-                encode_varint(len(envelope.data)),
-                envelope.data,
-            )
-            _append_tags(parts, envelope.tags)
-        self._writer.append(b"".join(parts))
-        self._writer.flush(sync=True)
-
-    def close(self) -> None:
-        self._writer.close()
-
-
-def read_window_journal(
-    path: Union[str, Path],
-) -> Tuple[List[WindowEntry], bool]:
-    """Decode a shard's window WAL; returns ``(windows, torn)``.
-
-    Records are plain fields, so reading one runs no code it carries; a
-    malformed or crafted record raises :class:`StorageError`.
-    """
-
-    view = read_segment(path)
-    windows: List[WindowEntry] = []
-    for payload in view.records:
-        try:
-            windows.append(_decode_window(payload))
-        except (
-            StorageError, WireFormatError, struct.error, IndexError, ValueError
-        ) as error:
-            raise StorageError(
-                f"window WAL {path} holds a malformed record: {error}"
-            ) from error
-    return windows, view.torn
-
-
-def _decode_window(payload: bytes) -> WindowEntry:
-    from repro.runtime.shards import WireEnvelope
-
-    if not payload or payload[0] != K_WINDOW:
-        raise StorageError("not a window record")
-    (boundary,) = _F64.unpack_from(payload, 1)
-    budget, offset = decode_varint(payload, 1 + _F64.size)
-    count, offset = decode_varint(payload, offset)
-    envelopes = []
-    for _ in range(count):
-        source, offset = decode_varint(payload, offset)
-        target, offset = decode_varint(payload, offset)
-        seq, offset = decode_varint(payload, offset)
-        channel, offset = _decode_name(payload, offset)
-        Channel(channel)  # ingest builds it; reject a bad name here
-        send_time, arrival_time = _TIMES.unpack_from(payload, offset)
-        offset += _TIMES.size
-        lamport, offset = decode_varint(payload, offset)
-        length, offset = decode_varint(payload, offset)
-        data = payload[offset : offset + length]
-        if len(data) != length:
-            raise StorageError("truncated envelope data")
-        tags, offset = _decode_tags(payload, offset + length)
-        envelopes.append(
-            WireEnvelope(
-                source, target, seq, channel, data,
-                send_time, arrival_time, lamport, tags,
-            )
-        )
-    if offset != len(payload):
-        raise StorageError("trailing bytes after window record")
-    return WindowEntry(boundary, budget, tuple(envelopes))

@@ -11,9 +11,7 @@ The length prefix reuses the wire layer's canonical LEB128 varints
 skip records it does not understand.  The CRC makes every record
 self-validating: a crash mid-append leaves a *torn tail* — a partial
 length, a short payload, or a CRC mismatch — and :func:`read_segment`
-detects it and yields only the valid prefix.  :func:`repair_segment`
-truncates the file in place to that prefix so the segment can be
-reopened for append.
+detects it and yields only the valid prefix.
 
 This module deliberately knows nothing about what payloads *mean*; the
 entry formats live in :mod:`repro.storage.journal`.  It must not import
@@ -43,7 +41,6 @@ __all__ = [
     "frame_record",
     "iter_record_spans",
     "read_segment",
-    "repair_segment",
     "torn_truncate",
 ]
 
@@ -199,24 +196,6 @@ def read_segment(path: Union[str, Path]) -> SegmentView:
     return _scan(data)
 
 
-def repair_segment(path: Union[str, Path]) -> bool:
-    """Truncate a torn segment in place to its last valid record.
-
-    Returns ``True`` if bytes were dropped.  Idempotent: a clean
-    segment (or a missing file) is left untouched.
-    """
-
-    path = Path(path)
-    view = read_segment(path)
-    if not view.torn:
-        return False
-    with open(path, "r+b") as handle:
-        handle.truncate(view.valid_bytes)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return True
-
-
 def torn_truncate(path: Union[str, Path]) -> bool:
     """Cut the last record of a segment mid-record (fault injection).
 
@@ -257,14 +236,14 @@ class DurableStore:
           journal-00000001.seg   # delivery journal, generation 1
           checkpoint-00000001.ck # seal: generation 1 ends here
           journal-00000002.seg   # generation 2, same codec stream
-          windows.seg            # shard-only: write-ahead window WAL
           shard-0/ shard-1/ ...  # sharded runs: one store per shard
 
     Generations monotonically increase.  The journals are the record,
     so nothing here deletes one while the run lives.  Nothing derived
     from the record is stored: attestation tags travel inside the
-    journal's delivery entries, and the query index is rebuilt from the
-    journals (:mod:`repro.query.persist`).
+    journal's delivery entries, the query index is rebuilt from the
+    journals (:mod:`repro.query.persist`), and a killed process shard
+    is rebuilt from the windows its conductor re-sends.
     """
 
     MANIFEST = "MANIFEST.json"
@@ -286,17 +265,29 @@ class DurableStore:
     def checkpoint_path(self, generation: int) -> Path:
         return self.root / f"checkpoint-{generation:08d}.ck"
 
-    def windows_path(self) -> Path:
-        return self.root / "windows.seg"
-
     def shard_dir(self, index: int) -> Path:
         return self.root / f"shard-{index}"
 
     def shard_dirs(self) -> List[Path]:
-        return sorted(
-            (p for p in self.root.glob("shard-*") if p.is_dir()),
-            key=lambda p: int(p.name.split("-")[1]),
-        )
+        """``shard-0`` … ``shard-{N-1}`` for the ``shards`` count N the
+        root manifest declares; other ``shard-*`` entries (a larger
+        earlier run's, say) are not part of the record.  A bad count or
+        a missing shard store raises :class:`StorageError`."""
+
+        shards = (self.read_manifest() or {}).get("shards")
+        if type(shards) is not int or shards < 1:
+            raise StorageError(
+                f"manifest {self.manifest_path()} declares shards="
+                f"{shards!r}; expected an integer >= 1"
+            )
+        dirs = [self.shard_dir(index) for index in range(shards)]
+        for path in dirs:
+            if not path.is_dir():
+                raise StorageError(
+                    f"sharded store {self.root} has no {path.name} "
+                    f"store (its manifest declares {shards} shards)"
+                )
+        return dirs
 
     # -- generations ---------------------------------------------------
 
@@ -361,14 +352,8 @@ class DurableStore:
         )
 
     def reset_record(self) -> List[Path]:
-        """Delete the delivery record (journals and checkpoints).
-
-        Used by a recovering shard worker before deterministic
-        re-execution: the replacement rebuilds the record from scratch,
-        so whatever partial state the killed incarnation left — flushed
-        or torn — is dropped wholesale.  The window WAL and manifest
-        survive; they *drive* the re-execution.
-        """
+        """Delete the delivery record (journals and checkpoints); the
+        manifest and any other file stay."""
 
         removed = []
         for generation in self.journal_generations():
@@ -382,21 +367,21 @@ class DurableStore:
         return removed
 
     def wipe(self) -> List[Path]:
-        """Delete the whole store record, WAL and manifest included.
+        """Delete the whole store record, manifest included.
 
-        Used when a *fresh* run reuses an existing directory: unlike
-        :meth:`reset_record`, nothing from the previous run survives —
-        a stale window WAL or manifest would otherwise poison a later
-        recovery with another run's history.  Files older stores wrote
-        beside the record go too: query-index snapshots (the index is
-        now rebuilt from the journal) and the attestation spill (tags
-        now live only in the journal).
+        Used when a fresh run (or a replacement shard worker) reuses an
+        existing directory: unlike :meth:`reset_record`, nothing from
+        the previous run survives.  Files older stores wrote beside the
+        record go too: query-index snapshots (the index is now rebuilt
+        from the journal), the attestation spill (tags now live only in
+        the journal) and the shard window log (a killed shard is now
+        rebuilt from the windows its conductor re-sends).
         """
 
         removed = self.reset_record()
         for path in (
-            self.windows_path(),
             self.manifest_path(),
+            self.root / "windows.seg",
             self.root / "attest.spill",
             *self.root.glob("queryindex-*.seg"),
         ):

@@ -3,15 +3,16 @@
 These are the integration contracts on top of :mod:`repro.storage`'s
 unit layer (``test_storage.py``): a durable run's persisted record is a
 bit-identical prefix of the same-seed in-memory run; recovery
-re-executes deterministically; a SIGKILLed shard's replacement resumes
-from its WAL without changing the merged trace; and security state
-(quarantine, revocation) survives the crash.
+re-executes deterministically; a SIGKILLed shard's replacement, re-fed
+every window its conductor issued, leaves the merged trace unchanged;
+and security state (quarantine, revocation) survives the crash.
 """
 
 import contextlib
 import gc
 import io
 import json
+import shutil
 
 import pytest
 
@@ -20,10 +21,13 @@ from repro.core.errors import ShardLostError, StorageError
 from repro.lang import parse_system
 from repro.runtime import (
     DistributedRuntime,
+    FaultInjector,
     FaultPlan,
+    LatencyModel,
     ShardedRuntime,
     run_threat_suite,
 )
+from repro.runtime.shards import ShardPlan
 from repro.storage import (
     DurableStore,
     load_state,
@@ -162,13 +166,13 @@ class TestDurableCapture:
 
 
 def stray_files(root):
-    """Names in a store directory other than the manifest, journals,
-    seals and (shards only) the window WAL."""
+    """Names in a store directory other than the manifest, journals
+    and seals."""
 
     return sorted(
         path.name
         for path in root.iterdir()
-        if path.name not in ("MANIFEST.json", "windows.seg")
+        if path.name != "MANIFEST.json"
         and not path.name.startswith(("journal-", "checkpoint-"))
     )
 
@@ -427,13 +431,129 @@ class TestKillRecovery:
             assert stray_files(shard_dir) == []
             store = DurableStore(shard_dir)
             assert store.checkpoint_generations()
-            assert store.windows_path().exists()
+            assert not (shard_dir / "windows.seg").exists()
 
     def test_kill_without_durable_store_is_fatal(self):
-        # no WAL to recover from: the conductor retries, then degrades
+        # no store to recover into: the conductor retries, then degrades
         # to a typed error instead of hanging the barrier
         with pytest.raises(ShardLostError):
             self._trace(fault_plan=FaultPlan.parse("kill=1.0"))
+
+    RELAY_HOPS = 12
+
+    def _relay(self, fault_plan=None, durable_dir=None):
+        """A 12-hop relay ``r0 … r12`` whose principals alternate
+        between two process shards, each ``c_i`` homed with its
+        receiver: every hop crosses shards."""
+
+        hops = self.RELAY_HOPS
+        source = " || ".join(
+            ["r0[c0<v>]"]
+            + [f"r{i}[c{i - 1}(x).c{i}<x>]" for i in range(1, hops)]
+            + [f"r{hops}[c{hops - 1}(x).0]"]
+        )
+        plan = ShardPlan(
+            {f"r{i}": i % 2 for i in range(hops + 1)},
+            {f"c{i}": (i + 1) % 2 for i in range(hops)},
+            LatencyModel().base,
+        )
+        runtime = ShardedRuntime(
+            shards=2,
+            shard_mode="process",
+            seed=15,
+            plan=plan,
+            fault_plan=fault_plan,
+            durable_dir=durable_dir,
+        )
+        runtime.deploy(parse_system(source))
+        runtime.run()
+        return runtime
+
+    @pytest.mark.parametrize("fault", ["kill", "torn"])
+    def test_mid_run_kill_replays_windows_with_envelopes(
+        self, tmp_path, fault
+    ):
+        plan = FaultPlan(**{fault: 0.15})
+        injector = FaultInjector(plan, 15)
+        first_fault = min(
+            window
+            for shard in (0, 1)
+            for window in range(64)
+            if injector.process_fault(shard, window) == fault
+        )
+        # windows 0 and 1 carry no envelopes yet: the kill must land
+        # where the replacement re-ingests cross-shard traffic
+        assert first_fault >= 2
+        reference = self._relay()
+        recovered = self._relay(plan, str(tmp_path / "store"))
+        assert first_fault < recovered.barrier_rounds
+        assert recovered.delivered_trace() == reference.delivered_trace()
+        assert len(reference.delivered_trace()) == self.RELAY_HOPS
+        assert [
+            row["cross_shard_received"] for row in recovered.shard_stats()
+        ] == [self.RELAY_HOPS // 2] * 2
+
+
+class TestShardedStoreShape:
+    """Sharded-store readers read the shards the root manifest declares."""
+
+    SOURCE = "a[m<v>] || s[m(x).n1<x>] || c[n1(x).n2<x>] || d[n2(y).0]"
+
+    def _capture(self, root, shards, plan=None):
+        runtime = ShardedRuntime(
+            shards=shards, seed=1, plan=plan, durable_dir=str(root)
+        )
+        runtime.deploy(parse_system(self.SOURCE))
+        runtime.run()
+        runtime.close()
+        assert len(runtime.delivered_trace()) == 3
+
+    def _query(self, root, capsys):
+        capsys.readouterr()
+        status = main(["query", str(root)])
+        return status, capsys.readouterr()
+
+    def test_a_larger_earlier_run_is_not_merged(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        # the 3-shard run homes the last hop on shard-2; the 2-shard
+        # run reusing the directory leaves that store behind
+        self._capture(root, 3, ShardPlan({"d": 2}, {"n2": 2}))
+        self._capture(root, 2)
+        assert (root / "shard-2").is_dir()
+        status, out = self._query(root, capsys)
+        assert status == 0
+        assert "deliveries=3 " in out.out
+        assert main(["recover", str(root)]) == 0
+        assert "shard-2" not in capsys.readouterr().out
+
+    def test_foreign_shard_entries_are_ignored(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        self._capture(root, 2)
+        (root / "shard-old").mkdir()
+        status, out = self._query(root, capsys)
+        assert status == 0
+        assert "deliveries=3 " in out.out
+
+    @pytest.mark.parametrize("command", ["query", "recover"])
+    def test_a_missing_shard_store_exits_two(
+        self, tmp_path, capsys, command
+    ):
+        root = tmp_path / "store"
+        self._capture(root, 2)
+        shutil.rmtree(root / "shard-1")
+        capsys.readouterr()
+        assert main([command, str(root)]) == 2
+        assert "shard-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("declared", [0, "2", True, None])
+    def test_a_bad_shard_count_exits_two(self, tmp_path, capsys, declared):
+        root = tmp_path / "store"
+        self._capture(root, 2)
+        manifest = DurableStore(root).read_manifest()
+        DurableStore(root).write_manifest({**manifest, "shards": declared})
+        status, out = self._query(root, capsys)
+        assert status == 2
+        assert "shards=" in out.err
 
 
 class TestRecoverCli:

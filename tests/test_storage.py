@@ -1,5 +1,6 @@
 """Tests for the durable segment store: framing, torn tails,
-generations, the delivery journal, generation seals and the window WAL.
+generations, the delivery journal, generation seals and shard recovery
+without a window log.
 
 The load-bearing contracts: a torn tail (crash mid-append) always
 truncates to the last valid record and never surfaces garbage; a
@@ -7,10 +8,12 @@ checkpoint seals a generation without copying it; and every decoder of
 stored bytes fails only with StorageError.
 """
 
+import contextlib
 import json
 import pickle
 import random
 import struct
+import sys
 
 import pytest
 
@@ -27,14 +30,11 @@ from repro.storage import (
     DurableStore,
     DurabilitySink,
     NoteEntry,
-    WindowJournal,
     chain_digest,
     collect_entries,
     read_checkpoint,
     read_journal,
     read_segment,
-    read_window_journal,
-    repair_segment,
     torn_truncate,
 )
 from repro.runtime.metrics import DeliveryRecord
@@ -106,11 +106,12 @@ class TestSegmentFraming:
         writer.append(b"lost")
         writer.close()
         path.write_bytes(path.read_bytes()[:-2])
-        assert repair_segment(path) is True
         view = read_segment(path)
-        assert not view.torn and view.records == [b"keep"]
-        # idempotent: a clean segment repairs to itself
-        assert repair_segment(path) is False
+        assert view.torn and view.records == [b"keep"]
+        # the valid prefix is exactly the frames before the tear
+        assert view.valid_bytes == len(frame_record(b"keep"))
+        # reading truncates the view, never the file
+        assert path.stat().st_size > view.valid_bytes
 
     def test_torn_truncate_cuts_mid_record(self, tmp_path):
         path = tmp_path / "seg"
@@ -172,21 +173,22 @@ class TestDurableStore:
         store = DurableStore(tmp_path / "store")
         store.journal_path(1).write_bytes(b"")
         store.checkpoint_path(1).write_bytes(b"")
-        store.windows_path().write_bytes(b"wal")
+        legacy = store.root / "windows.seg"
+        legacy.write_bytes(b"wal")
         store.write_manifest({"seed": 1})
         store.reset_record()
         assert store.is_empty_record()
-        assert store.windows_path().read_bytes() == b"wal"
+        assert legacy.read_bytes() == b"wal"
         assert store.read_manifest() == {"seed": 1, "format": RECORD_FORMAT}
 
     def test_wipe_removes_everything(self, tmp_path):
         store = DurableStore(tmp_path / "store")
         store.journal_path(1).write_bytes(b"")
-        store.windows_path().write_bytes(b"wal")
+        (store.root / "windows.seg").write_bytes(b"wal")
         store.write_manifest({})
         store.wipe()
         assert store.is_empty_record()
-        assert not store.windows_path().exists()
+        assert list(store.root.iterdir()) == []
         assert store.read_manifest() is None
 
     def test_wipe_removes_a_legacy_attestation_spill(self, tmp_path):
@@ -258,9 +260,10 @@ class TestDurabilitySink:
         self._run(root).close()
         with pytest.raises(StorageError, match="wipe"):
             DurabilitySink(DurableStore(root))
-        # wipe=True starts over
-        sink = DurabilitySink(DurableStore(root), wipe=True)
-        sink.close()
+        # a wiped store starts over
+        store = DurableStore(root)
+        store.wipe()
+        DurabilitySink(store).close()
 
     def test_checkpoint_seals_without_compaction(self, tmp_path):
         root = tmp_path / "store"
@@ -344,29 +347,146 @@ def envelopes():
     ]
 
 
+class _Replacement:
+    """Both ends of a replacement worker the conductor talks to: it
+    answers ``ready``, then one ``done`` per (pickled) window it is
+    sent."""
+
+    def __init__(self):
+        self.sent = []
+        self._replies = [("ready", 0.0)]
+
+    def send_bytes(self, data):
+        command = pickle.loads(data)
+        self.sent.append(command)
+        self._replies.append(("done", len(self.sent), command[1], []))
+
+    def recv(self):
+        return self._replies.pop(0)
+
+    def close(self):
+        pass
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+
+_OPENED = None
+"""While :func:`opened_paths` watches: every path the process opens."""
+
+
+def _audit(event, args):
+    if _OPENED is not None and event == "open" and args[0] is not None:
+        _OPENED.append(str(args[0]))
+
+
+@contextlib.contextmanager
+def opened_paths():
+    """Collect the paths of every file opened inside the block."""
+
+    global _OPENED
+    if not getattr(opened_paths, "installed", False):
+        sys.addaudithook(_audit)  # audit hooks cannot be removed
+        opened_paths.installed = True
+    _OPENED = seen = []
+    try:
+        yield seen
+    finally:
+        _OPENED = None
+
+
+def legacy_window_log(payloads):
+    """The bytes of an older store's ``windows.seg``: one CRC frame per
+    payload."""
+
+    return b"".join(frame_record(payload) for payload in payloads)
+
+
 class TestWindowJournal:
-    def _record(self, tmp_path, windows):
-        journal = WindowJournal(tmp_path / "windows.seg")
-        for boundary, budget, batch in windows:
-            journal.record(boundary, budget, batch)
-        journal.close()
-        return tmp_path / "windows.seg"
+    """A killed process shard is rebuilt from the windows its conductor
+    re-sends; stores keep no window log, and one an older store left is
+    never read and is deleted by :meth:`DurableStore.wipe`."""
 
-    def test_roundtrip(self, tmp_path):
-        windows = [
-            (1.0, 64, envelopes()),
-            (2.5, 0, []),
-            (4.0, 10**9, envelopes()[:1]),
+    def test_roundtrip(self, tmp_path, monkeypatch):
+        from repro.runtime import ShardedRuntime, shards
+
+        spawned = []
+
+        def spawn(context, spec):
+            spawned.append(spec)
+            replacement = _Replacement()
+            return replacement, replacement
+
+        monkeypatch.setattr(shards, "_spawn", spawn)
+        mesh = ShardedRuntime(
+            shards=2, shard_mode="process", durable_dir=tmp_path
+        )
+        issued = [
+            ("window", 1.0, envelopes(), 64),
+            ("window", 2.5, [], 0),
+            ("window", 4.0, envelopes()[:1], 10**9),
         ]
-        read, torn = read_window_journal(self._record(tmp_path, windows))
-        assert not torn
-        assert [
-            (w.boundary, w.budget, list(w.envelopes)) for w in read
-        ] == windows
+        connections = [_Replacement(), _Replacement()]
+        reply = mesh._recover_shard(
+            1, mesh._make_specs()[1], None, connections, list(connections),
+            [pickle.dumps(command) for command in issued],
+        )
+        [spec] = spawned
+        assert spec.recover and spec.index == 1
+        # every issued window, envelopes included, in the order issued;
+        # the last reply is the one the dead worker owed
+        assert connections[1].sent == issued
+        assert reply == ("done", 3, 4.0, [])
 
-    def test_crafted_pickle_runs_no_code(self, tmp_path):
-        """A parent-era window record carried a pickle: reading one must
-        neither unpickle it nor fail untyped."""
+    @pytest.fixture
+    def stores(self, tmp_path):
+        """A single-runtime store and a durable inline sharded store."""
+
+        from repro.runtime import ShardedRuntime
+
+        single = tmp_path / "single"
+        runtime = DistributedRuntime(seed=5, durable=str(single))
+        runtime.deploy(parse_system(RELAY))
+        runtime.run()
+        runtime.close()
+        sharded = tmp_path / "sharded"
+        mesh = ShardedRuntime(shards=2, seed=5, durable_dir=str(sharded))
+        mesh.deploy(parse_system(RELAY))
+        mesh.run()
+        mesh.close()
+        return [single, sharded]
+
+    def _plant_and_read(self, stores, logs, capsys):
+        """Plant ``logs`` (in turn) as the ``windows.seg`` of every store
+        and shard store, read each store the way ``repro recover`` and
+        ``repro query`` do, then wipe it; returns the planted paths any
+        reader opened."""
+
+        from repro.cli import main
+
+        planted = {}
+        for root in stores:
+            for folder in (root, *sorted(root.glob("shard-*"))):
+                path = folder / "windows.seg"
+                path.write_bytes(logs[len(planted) % len(logs)])
+                planted[path] = path.read_bytes()
+        with opened_paths() as seen:
+            for root in stores:
+                assert main(["recover", str(root)]) == 0
+                assert main(["query", str(root)]) == 0
+        capsys.readouterr()
+        for path, data in planted.items():
+            assert path.read_bytes() == data
+            assert path in DurableStore(path.parent).wipe()
+            assert not path.exists()
+        return [path for path in planted if str(path) in seen]
+
+    def test_crafted_pickle_runs_no_code(self, stores, capsys):
+        """An older window record could carry a pickle: a planted one is
+        never unpickled, because nothing opens the file."""
 
         blob = pickle.dumps([_Reducer()], pickle.HIGHEST_PROTOCOL)
         payload = (
@@ -376,31 +496,19 @@ class TestWindowJournal:
             + bytes((len(blob),))
             + blob
         )
-        path = tmp_path / "windows.seg"
-        path.write_bytes(frame_record(payload))
-        with pytest.raises(StorageError, match="window WAL"):
-            read_window_journal(path)
+        data = legacy_window_log([payload])
+        assert self._plant_and_read(stores, [data], capsys) == []
         assert not PICKLE_RAN
 
-    def test_damage_decodes_or_raises_storage_error(self, tmp_path):
-        path = self._record(tmp_path, [(1.0, 64, envelopes())])
-        [payload] = read_segment(path).records
-        target = tmp_path / "damaged.seg"
-        rejected = 0
-        variants = [payload[:cut] for cut in range(len(payload))]
-        for position in range(len(payload)):
-            for bit in range(8):
-                flipped = bytearray(payload)
-                flipped[position] ^= 1 << bit
-                variants.append(bytes(flipped))
-        for variant in variants:
-            # re-framed so the CRC passes: the decoder itself is tested
-            target.write_bytes(frame_record(variant))
-            try:
-                read_window_journal(target)
-            except StorageError:
-                rejected += 1
-        assert rejected >= len(payload)
+    def test_damage_decodes_or_raises_storage_error(self, stores, capsys):
+        """A torn or bit-flipped window log cannot fail a reader: no
+        reader opens it."""
+
+        data = legacy_window_log([b"\x03" + bytes(range(40))] * 3)
+        torn = data[: len(data) - 7]
+        flipped = bytearray(data)
+        flipped[len(flipped) // 2] ^= 0x10
+        assert self._plant_and_read(stores, [torn, bytes(flipped)], capsys) == []
 
 
 def delivery_payload(values, tag_lookup=None):
