@@ -18,13 +18,14 @@ in making the error.  This module turns that reading into tooling:
   all of them costs one spine pass, and a provenance already vetted by
   the runtime answers from cache.
 
-The eager sweep is a thin wrapper over the provenance query index
-(:mod:`repro.query`): with no explicit engine, :func:`matching_suffixes`
-delegates to the process-global :func:`~repro.query.index.default_index`,
-whose per-``(node, pattern)`` memo makes repeated audits over the same
-interned spine a dict hit.  :func:`iter_matching_suffixes` is the lazy
-variant for million-event spines — it materializes nothing and bounds
-memory at the DFA engine's cache cap regardless of spine depth.
+The eager sweep :func:`matching_suffixes` is the lazy
+:func:`iter_matching_suffixes` collected into a list; the lazy variant
+serves million-event spines — it materializes nothing and bounds
+memory at the DFA engine's cache cap regardless of spine depth.  No
+process-global cache keeps an audited spine alive; a caller that
+repeats sweeps over the same spines can ask a
+:class:`~repro.query.ProvenanceIndex`, whose per-``(node, pattern)``
+memo makes a repeat a dict hit.
 """
 
 from __future__ import annotations
@@ -143,19 +144,10 @@ def matching_suffixes(
     as of some earlier moment, so the matching suffixes are exactly the
     moments at which the policy held.  Suffixes are the interned spine
     nodes themselves (zero allocation) and the whole sweep costs one
-    incremental-DFA pass.
-
-    With no explicit ``engine`` the sweep is answered by the
-    process-global provenance query index, which memoizes the result
-    per ``(interned node, pattern)`` — sound forever, since a node's
-    suffix history is immutable.  For a lazy, memory-bounded variant
-    use :func:`iter_matching_suffixes`.
+    incremental-DFA pass.  For a lazy, memory-bounded variant use
+    :func:`iter_matching_suffixes`.
     """
 
-    if engine is None:
-        from repro.query.index import default_index
-
-        return list(default_index().matching_suffixes(provenance, pattern))
     return list(iter_matching_suffixes(provenance, pattern, engine))
 
 

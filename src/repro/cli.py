@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="with --durable: seal the journal's generation with a "
-        "checkpoint every N events (N barrier windows when sharded)",
+        "checkpoint every N events (N barrier windows with "
+        "--shard-mode process; inline shards refuse it)",
     )
     sim_p.add_argument(
         "--stats-json",
@@ -699,18 +700,22 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            runtime = ShardedRuntime(
-                shards=args.shards,
-                shard_mode=args.shard_mode,
-                seed=args.seed,
-                lookahead=args.lookahead,
-                mode=mode,
-                metrics_retention=args.metrics_retention,
-                verify_deliveries=args.verify_deliveries,
-                fault_plan=fault_plan,
-                durable_dir=args.durable,
-                checkpoint_every=args.checkpoint_every,
-            )
+            try:
+                runtime = ShardedRuntime(
+                    shards=args.shards,
+                    shard_mode=args.shard_mode,
+                    seed=args.seed,
+                    lookahead=args.lookahead,
+                    mode=mode,
+                    metrics_retention=args.metrics_retention,
+                    verify_deliveries=args.verify_deliveries,
+                    fault_plan=fault_plan,
+                    durable_dir=args.durable,
+                    checkpoint_every=args.checkpoint_every,
+                )
+            except ValueError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
             from repro.core.errors import SimulationError
 
             deploy_start = perf_counter()

@@ -276,9 +276,3 @@ class SpineVerifier:
                 candidate = cursor
             cursor = cursor._tail
         return candidate
-
-    def reset_counters(self) -> tuple[int, int]:
-        snapshot = (self.nodes_checked, self.cache_hits)
-        self.nodes_checked = 0
-        self.cache_hits = 0
-        return snapshot

@@ -510,15 +510,6 @@ def reduces(system: System, mode: SemanticsMode = SemanticsMode.TRACKED) -> bool
     return bool(enumerate_steps(system, mode))
 
 
-def step_to(
-    system: System, mode: SemanticsMode = SemanticsMode.TRACKED
-) -> Iterator[System]:
-    """Iterate the successor systems of one reduction step."""
-
-    for step in enumerate_steps(system, mode):
-        yield step.target
-
-
 def normal_form_of(system: System) -> System:
     """Structural-congruence normal form as a plain system (convenience)."""
 

@@ -21,7 +21,6 @@ incompleteness result (Proposition 3) shows the converse fails.
 from __future__ import annotations
 
 from itertools import count
-from typing import Iterator
 
 from repro.core.names import Variable
 from repro.core.provenance import Event, InputEvent, OutputEvent, Provenance
@@ -117,15 +116,3 @@ def canonical_denotation(value: LogTerm, provenance: Provenance) -> Log:
     """
 
     return denote(value, provenance, FreshVariables())
-
-
-def denote_all(
-    pairs: Iterator[tuple[LogTerm, Provenance]],
-    fresh: FreshVariables | None = None,
-) -> Iterator[Log]:
-    """Denote a stream of annotated values, sharing one fresh supply."""
-
-    if fresh is None:
-        fresh = FreshVariables()
-    for value, provenance in pairs:
-        yield denote(value, provenance, fresh)

@@ -267,12 +267,6 @@ class OnlineRunReport:
 
         return all(report.holds for report in self.reports)
 
-    @property
-    def values_checked(self) -> int:
-        """Total value checks across all states (batch-equivalent count)."""
-
-        return sum(len(report) for report in self.reports)
-
     def first_failure(self) -> tuple[int, CheckReport] | None:
         """The earliest failing state's index and report, if any."""
 

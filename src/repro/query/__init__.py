@@ -36,7 +36,6 @@ from repro.query.index import (
     PROGRAM,
     HBEdge,
     ProvenanceIndex,
-    default_index,
 )
 from repro.query.persist import resume_index, save_index
 from repro.query.planner import QueryPlan, plan_where, run_where
@@ -49,7 +48,6 @@ __all__ = [
     "HBEdge",
     "ProvenanceIndex",
     "QueryPlan",
-    "default_index",
     "plan_where",
     "resume_index",
     "run_where",

@@ -69,7 +69,6 @@ from repro.runtime.metrics import DeliveryRecord
 __all__ = [
     "HBEdge",
     "ProvenanceIndex",
-    "default_index",
 ]
 
 PROGRAM = "program"
@@ -367,9 +366,6 @@ class ProvenanceIndex:
     def known_principals(self) -> frozenset:
         return frozenset(self._received_by)
 
-    def known_channels(self) -> frozenset:
-        return frozenset(self._on_channel)
-
     def summary(self) -> dict:
         edges = self.edge_counts()
         return {
@@ -653,19 +649,3 @@ class ProvenanceIndex:
             (value.provenance, self.minimal_witness(value.provenance, pattern))
             for value in self._deliveries[ordinal].values
         )
-
-
-_DEFAULT: Optional[ProvenanceIndex] = None
-
-
-def default_index() -> ProvenanceIndex:
-    """The process-global index ad-hoc sweeps (``analysis.audit``) ride.
-
-    Shares nothing with any runtime-attached index; it exists so repeat
-    audits over the same interned spines answer from the sweep cache.
-    """
-
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ProvenanceIndex()
-    return _DEFAULT

@@ -54,9 +54,10 @@ note.  ``verify_deliveries=True`` additionally re-verifies each payload
 at its rendezvous before it can match a receiver — the paranoid mode
 the E22 bench uses to price verification.
 Link-level faults (:class:`~repro.runtime.network.FaultPlan`) are
-consulted on the send path: drops/duplicates/reorders manifest in
-scheduling, and a *corrupt* fault garbles the stamped spine — which is
-exactly what the verifier then catches.
+decided once per send, in :meth:`Middleware.send`, for local and
+cross-shard sends alike: drops/duplicates/reorders manifest in
+scheduling, and a local *corrupt* fault garbles the stamped spine —
+which is exactly what the verifier then catches.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from repro.patterns.dfa import PolicyBank, PolicyEngine
 from repro.runtime.metrics import DeliveryRecord, RuntimeMetrics
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
-from repro.runtime.wire import Codec, encode_plain, encode_varint
+from repro.runtime.wire import Codec, plain_size
 
 __all__ = ["ReceiveBranch", "PendingReceive", "ChannelManager", "Middleware"]
 
@@ -198,10 +199,6 @@ class ChannelManager:
     @property
     def queued_messages(self) -> int:
         return len(self._messages)
-
-    @property
-    def waiting_receivers(self) -> int:
-        return sum(1 for waiter in self._waiters if not waiter.consumed)
 
     def post(self, payload: tuple[AnnotatedValue, ...], posted_at: float) -> None:
         middleware = self._middleware()
@@ -539,7 +536,17 @@ class Middleware:
         channel: AnnotatedValue,
         payload: tuple[AnnotatedValue, ...],
     ) -> None:
-        """Asynchronous output: stamp, ship; byte accounting deferred.
+        """Asynchronous output: the one place a send is decided.
+
+        Local and cross-shard sends take one path, in this order: stamp;
+        one fault decision; a drop is counted and ends the send (no
+        latency draw, nothing encoded); one keyed latency draw, plus
+        ``reorder_delay`` when reordered; then the hand-off — to the
+        channel's rendezvous, or to ``router.send_remote`` when another
+        shard homes the channel.  Corrupt and duplicate are applied per
+        transport: here a corrupt send garbles the spine and a duplicate
+        posts twice at one arrival instant; the router flips a frame
+        byte and ships a second envelope.
 
         Latency never depends on size, so serialization exists only to
         price the message for E13 — the sizer thunk runs when (and only
@@ -549,54 +556,51 @@ class Middleware:
         metadata tax reflects the DAG size).
         """
 
-        if not isinstance(channel.value, Channel):
-            raise TypeError(f"cannot send on non-channel {channel.value!r}")
+        target = channel.value
+        if not isinstance(target, Channel):
+            raise TypeError(f"cannot send on non-channel {target!r}")
+        metrics = self.metrics
         if principal in self.quarantined:
-            self.metrics.quarantined_drops += 1
+            metrics.quarantined_drops += 1
             return
         stamped = self.stamp_output(principal, channel.provenance, payload)
-        router = self.router
-        if router is not None and not router.is_local(channel.value):
-            router.send_remote(principal, channel.value, stamped)
+        network = self.network
+        decision = network.fault_for(principal, target)
+        if decision.drop:
+            metrics.record_send()
+            metrics.faults_dropped += 1
             return
-        metrics = self.metrics
+        delay = network.delay(principal, target)
+        if decision.extra_delay:
+            metrics.faults_reordered += 1
+            delay += decision.extra_delay
+        if decision.corrupt:
+            metrics.faults_corrupted += 1
+        copies = 1
+        if decision.duplicate:
+            metrics.faults_duplicated += 1
+            copies = 2
+        router = self.router
+        if router is not None and not router.is_local(target):
+            router.send_remote(
+                principal, target, stamped, delay, decision.corrupt, copies
+            )
+            return
         if metrics.detailed:
 
             def sizes() -> tuple[int, int]:
                 body, _ = Codec().encode_payload(stamped)
-                total_bytes = len(body)
-                plain_bytes = len(encode_varint(len(stamped))) + sum(
-                    len(encode_plain(value.value)) for value in stamped
-                )
-                return plain_bytes, total_bytes - plain_bytes
+                plain_bytes = plain_size(stamped)
+                return plain_bytes, len(body) - plain_bytes
 
             metrics.record_send(sizes)
         else:
             metrics.record_send()
-        decision = self.network.fault_for(principal, channel.value)
-        if decision.drop:
-            metrics.faults_dropped += 1
-            return
-        if decision.corrupt:
-            metrics.faults_corrupted += 1
-            stamped = _garbled(stamped)
-        if decision.extra_delay:
-            metrics.faults_reordered += 1
-        destination = self.manager(channel.value)
+        posted = _garbled(stamped) if decision.corrupt else stamped
+        destination = self.manager(target)
         posted_at = self.simulator.now
-        self.network.deliver(
-            lambda: destination.post(stamped, posted_at),
-            sender=principal,
-            channel=channel.value,
-            extra_delay=decision.extra_delay,
-        )
-        if decision.duplicate:
-            metrics.faults_duplicated += 1
-            self.network.deliver(
-                lambda: destination.post(stamped, posted_at),
-                sender=principal,
-                channel=channel.value,
-            )
+        for _ in range(copies):
+            network.deliver(lambda: destination.post(posted, posted_at), delay)
 
     def receive(
         self,

@@ -1,44 +1,45 @@
 """Simulated network: latency models, link topology, and delivery.
 
 A deliberately small abstraction: a message takes ``base + U(0, jitter)``
-time units to reach its channel manager, sampled from the simulator's
-seeded generator — latency never depends on size, and byte accounting
-lives entirely in :class:`repro.runtime.metrics.RuntimeMetrics`
-(deferred sizer thunks).
+time units to reach its channel manager — latency never depends on
+size, and byte accounting lives entirely in
+:class:`repro.runtime.metrics.RuntimeMetrics` (deferred sizer thunks).
+
+Every jitter draw is *keyed*: :class:`KeyedLatencySampler` maps a stable
+digest of ``(seed, sender, channel, per-link ordinal)`` to ``U(0, 1)``,
+so a message's latency depends only on its identity.  There is no
+generator stream: a stream would hand the same message a different draw
+depending on which simulator (which shard) it happened to be sent from,
+and a partitioned run could not reproduce the bare one.  (The digest is
+``blake2b``, not the builtin ``hash``, which is randomized per process
+and would break cross-process determinism.)  :meth:`Network.delay` is
+the one draw, and ``Middleware.send`` its one caller, for local and
+cross-shard sends alike.
 
 Delivery is reliable *by default* — the calculus' semantics assumes
 reliable (if arbitrarily delayed) delivery — but a :class:`FaultPlan`
 can be installed to exercise the integrity layer under a hostile
 substrate: per-link, seeded, deterministic **drop / duplicate / reorder
-/ corrupt** decisions.  Decisions are keyed draws (same digest scheme as
-:class:`KeyedLatencySampler`, one ordinal stream per link per fault
-kind), so a faulty run replays bit-identically under a fixed seed and
-does not perturb the latency draws of the non-faulty messages around
-it.  The injector only *decides*; applying the decision — and counting
-it in :class:`~repro.runtime.metrics.RuntimeMetrics` — is the caller's
-job (``Middleware.send`` for local links, ``ShardRouter.send_remote``
-for wire links, where *drop* is decided before the codec encodes so the
-stream stays consistent).
+/ corrupt** decisions.  Decisions are keyed draws too (one ordinal per
+link, shared by the four fault kinds), so a faulty run replays
+bit-identically under a fixed seed.  The injector only *decides*;
+``Middleware.send`` applies and counts the decision in one order for
+both transports: a dropped send draws no latency and encodes nothing,
+and a reorder adds ``reorder_delay`` to the send's one draw.  Drop and
+reorder therefore act the same whichever shard the receiver lives on.
+Corrupt and duplicate keep transport-specific effects: locally a
+corrupt send garbles the spine and a duplicate posts twice at one
+instant; on the wire a corrupt frame fails its digest and a duplicate
+envelope is blocked as a replay.
 
 Which *model* a message samples from may vary per link: a ``topology``
 callable maps ``(sender principal, channel)`` to the
 :class:`LatencyModel` for that hop, so a multi-region deployment can
 make intra-region hops free (they ride the simulator's O(1) run queue)
 while cross-region hops pay distance (they go to the timed heap).  A
-zero link (``LatencyModel(0.0, 0.0)``) samples no jitter and draws
-nothing from the generator, so adding or removing zero links never
-perturbs the random sequence timed links see.
-
-Jitter normally comes from the simulator's seeded generator — one
-stream per simulator.  The sharded runtime cannot use that stream: the
-same message would consume a different draw depending on which shard's
-generator it happened to land on, so an N-shard run would diverge from
-the single-shard run it must stay bit-identical to.
-:class:`KeyedLatencySampler` replaces the stream with a *keyed* draw —
-a stable digest of ``(seed, sender, channel, per-link ordinal)`` — so a
-message's latency depends only on its identity, never on the partition.
-(The digest is ``blake2b``, not the builtin ``hash``, which is
-randomized per process and would break cross-process determinism.)
+zero link (``LatencyModel(0.0, 0.0)``) draws nothing and advances no
+ordinal, so adding or removing zero links never perturbs the draws
+timed links see.
 """
 
 from __future__ import annotations
@@ -64,15 +65,11 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class LatencyModel:
-    """Uniform latency ``base + U(0, jitter)``."""
+    """Uniform latency ``base + U(0, jitter)``; the unit draw is
+    :class:`KeyedLatencySampler`'s."""
 
     base: float = 1.0
     jitter: float = 0.5
-
-    def sample(self, rng) -> float:
-        if self.jitter <= 0:
-            return self.base
-        return self.base + rng.random() * self.jitter
 
 
 ZERO_LATENCY = LatencyModel(0.0, 0.0)
@@ -90,8 +87,10 @@ class KeyedLatencySampler:
     mapped to ``[0, 1)``.  Per-link ordinals live with the sender's
     shard, and per-principal program order is preserved by every
     scheduler mode, so the ordinal a message gets is itself
-    partition-independent.  Zero-jitter links never touch the counter,
-    mirroring the generator-stream rule that free links draw nothing.
+    partition-independent.  Every :class:`Network` owns one.  A dropped
+    send never reaches it, whichever shard its receiver lives on, and
+    zero-jitter links never touch the counter, so adding or removing
+    them never perturbs the draws of timed links.
     """
 
     __slots__ = ("seed", "_ordinals")
@@ -126,10 +125,15 @@ class KeyedLatencySampler:
 class FaultPlan:
     """Per-message fault probabilities for every link of a run.
 
-    Probabilities are independent per fault kind; ``reorder`` manifests
-    as an extra ``reorder_delay`` time units added to the affected
-    message's latency (enough to overtake later traffic on the link),
-    since the simulator itself never reorders equal-time events.
+    Probabilities are independent per fault kind, but a dropped message
+    manifests no other fault.  ``reorder`` manifests as an extra
+    ``reorder_delay`` time units added to the affected message's one
+    latency draw (enough to overtake later traffic on the link), since
+    the simulator itself never reorders equal-time events.  Drop and
+    reorder act the same on local and cross-shard sends, so a sharded
+    run under a plan of only those two still reproduces the bare run;
+    corrupt and duplicate act per transport (see :mod:`this module
+    <repro.runtime.network>`).
 
     ``kill`` and ``torn`` are *process* faults, drawn per shard per
     barrier window rather than per message: ``kill`` SIGKILLs the shard
@@ -250,7 +254,9 @@ class FaultInjector:
     ``blake2b(seed | kind | sender | channel | i)``, so the fault pattern
     of a run is a pure function of the seed and the per-link message
     sequence — reruns and shard-partition changes that preserve per-link
-    order reproduce it exactly.  A quiet plan draws nothing.
+    order reproduce it exactly.  A quiet plan draws nothing.  The
+    injector only decides: ``Middleware.send`` asks it once per send
+    (through :meth:`Network.fault_for`) and applies the decision.
     """
 
     __slots__ = ("plan", "seed", "_ordinals")
@@ -327,20 +333,20 @@ class FaultInjector:
 
 
 class Network:
-    """Routes messages to callbacks after a sampled per-link delay."""
+    """Routes messages to callbacks after a keyed per-link delay."""
 
     def __init__(
         self,
         simulator: Simulator,
         latency: LatencyModel = LatencyModel(),
         topology: Optional[Topology] = None,
-        sampler: Optional[KeyedLatencySampler] = None,
         faults: Optional[FaultInjector] = None,
+        seed: int = 0,
     ) -> None:
         self.simulator = simulator
         self.latency = latency
         self.topology = topology
-        self.sampler = sampler
+        self.sampler = KeyedLatencySampler(seed)
         self.faults = faults
         self.messages_in_flight = 0
 
@@ -359,46 +365,24 @@ class Network:
             return NO_FAULT
         return self.faults.decide(sender, channel)
 
-    def latency_for(
+    def delay(
         self,
-        sender: Optional[Principal] = None,
-        channel: Optional[Channel] = None,
-    ) -> LatencyModel:
-        """The model governing the ``sender → channel`` link."""
-
-        if self.topology is None:
-            return self.latency
-        return self.topology(sender, channel)
-
-    def sample_latency(
-        self,
-        model: LatencyModel,
         sender: Optional[Principal] = None,
         channel: Optional[Channel] = None,
     ) -> float:
-        """One latency draw — keyed when a sampler is installed.
+        """The keyed latency draw for the next message on ``sender →
+        channel``, from the link's model (``topology``, else
+        ``latency``)."""
 
-        The cross-shard router calls this too, so local and remote
-        sends on the same link share one ordinal sequence and the draw
-        a message gets does not depend on where its receiver lives.
-        """
+        model = (
+            self.latency
+            if self.topology is None
+            else self.topology(sender, channel)
+        )
+        return self.sampler.sample(model, sender, channel)
 
-        if self.sampler is not None:
-            return self.sampler.sample(model, sender, channel)
-        return model.sample(self.simulator.rng)
-
-    def deliver(
-        self,
-        callback: Callable[[], None],
-        sender: Optional[Principal] = None,
-        channel: Optional[Channel] = None,
-        extra_delay: float = 0.0,
-    ) -> None:
-        """Schedule ``callback`` after the link's latency sample.
-
-        ``extra_delay`` is added on top of the sampled latency — the
-        fault injector's *reorder* manifestation (the draw itself stays
-        untouched so surrounding messages keep their latencies).
+    def deliver(self, callback: Callable[[], None], delay: float = 0.0) -> None:
+        """Schedule ``callback`` ``delay`` time units from now.
 
         The in-flight counter is balanced in a ``finally``: a callback
         that raises (middleware vetting is allowed to throw on hostile
@@ -414,15 +398,12 @@ class Network:
             finally:
                 self.messages_in_flight -= 1
 
-        model = self.latency_for(sender, channel)
-        self.simulator.schedule(
-            self.sample_latency(model, sender, channel) + extra_delay, arrive
-        )
+        self.simulator.schedule(delay, arrive)
 
     def deliver_at(self, callback: Callable[[], None], time: float) -> None:
         """Deliver at an absolute arrival instant (cross-shard ingress).
 
-        The latency was already sampled on the sending shard and is
+        The latency was already drawn on the sending shard and is
         baked into ``time``; this side only accounts the message as in
         flight until the scheduled arrival runs.
         """

@@ -30,7 +30,6 @@ from repro.runtime.middleware import Middleware
 from repro.runtime.network import (
     FaultInjector,
     FaultPlan,
-    KeyedLatencySampler,
     LatencyModel,
     Network,
     Topology,
@@ -93,7 +92,8 @@ class DistributedRuntime:
 
     The substrate is the two-tier run-queue/heap scheduler with batched
     process interpretation on the nodes, fully deterministic for a given
-    seed (see :mod:`repro.runtime.simulator` and
+    seed: ``seed`` keys every latency and fault draw (see
+    :mod:`repro.runtime.network`, :mod:`repro.runtime.simulator` and
     :mod:`repro.runtime.node`).
     """
 
@@ -109,7 +109,6 @@ class DistributedRuntime:
         topology: Optional[Topology] = None,
         metrics_retention: Optional[int] = None,
         sequence_source: Optional[SequenceSource] = None,
-        latency_sampler: Optional[KeyedLatencySampler] = None,
         crypto: bool = True,
         verify_deliveries: bool = False,
         fault_plan: Optional[FaultPlan] = None,
@@ -118,16 +117,12 @@ class DistributedRuntime:
         checkpoint_every: Optional[int] = None,
         durable_wipe: bool = False,
     ) -> None:
-        self.simulator = Simulator(seed, sequence_source=sequence_source)
+        self.simulator = Simulator(sequence_source=sequence_source)
         faults = None
         if fault_plan is not None and not fault_plan.is_quiet:
             faults = FaultInjector(fault_plan, seed)
         self.network = Network(
-            self.simulator,
-            latency,
-            topology=topology,
-            sampler=latency_sampler,
-            faults=faults,
+            self.simulator, latency, topology=topology, faults=faults, seed=seed
         )
         self.metrics = RuntimeMetrics(
             detailed=detailed_metrics, retain=metrics_retention

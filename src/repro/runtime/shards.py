@@ -16,7 +16,7 @@ Two execution modes, one trace contract:
   *conductor* that always runs the globally least ``(time, sequence)``
   event.  Shards share one :class:`~repro.runtime.simulator.SequenceSource`
   (and one name supply), so the global event order — and therefore the
-  delivered trace — is **bit-identical to the single-shard run for any
+  delivered trace — is **bit-identical to the bare runtime's for any
   system and any partition**, racy rendezvous included.  This is the
   reference mode the property tests exercise against
   ``workloads/random_systems``.
@@ -40,12 +40,14 @@ per-directed-link :class:`~repro.runtime.wire.Codec` pairs whose
 back-reference tables *resume* across messages — a value's provenance
 ships only the suffix its link has not already carried, and the table
 ids are stable for the link's lifetime, so spines re-intern consistently
-on the receiving shard.  Latency jitter comes from
-:class:`~repro.runtime.network.KeyedLatencySampler` (a stable digest of
-seed, sender, channel and per-link ordinal), never from a per-shard
-generator stream — the draw a message gets is independent of the
-partition, which is what makes the ``shards=N`` vs ``shards=1``
-differential exact.
+on the receiving shard.  Every send, local or cross-shard, is decided in
+``Middleware.send`` — one fault decision, then one keyed latency draw
+(:class:`~repro.runtime.network.KeyedLatencySampler`: a stable digest of
+seed, sender, channel and per-link ordinal) — and the router only ships
+what was decided.  The draws a message gets are therefore independent of
+the partition, which is what makes inline shards reproduce the bare
+:class:`~repro.runtime.runtime.DistributedRuntime` trace exactly, under
+a quiet fault plan or one of drops and reorders.
 
 Every result accessor reads one per-shard *report* (:func:`_shard_report`:
 metrics summary, delivered records, load figures, clock), whichever the
@@ -73,6 +75,7 @@ the process-mode throughput ratio.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -101,13 +104,12 @@ from repro.runtime.metrics import DeliveryRecord, RuntimeMetrics
 from repro.runtime.network import (
     FaultInjector,
     FaultPlan,
-    KeyedLatencySampler,
     LatencyModel,
     Topology,
 )
 from repro.runtime.runtime import DistributedRuntime, place_components
 from repro.runtime.simulator import SequenceSource
-from repro.runtime.wire import Codec, encode_plain, encode_varint
+from repro.runtime.wire import Codec, plain_size
 
 __all__ = [
     "Partitioner",
@@ -296,23 +298,27 @@ class ShardRouter:
         principal: Principal,
         channel: Channel,
         payload: tuple,
+        delay: float,
+        corrupt: bool,
+        copies: int,
     ) -> None:
-        """Serialize, stamp, and ship one cross-shard send.
+        """Put one cross-shard send on the wire.
 
-        Fault injection happens here, not in the transport: *drop* is
-        decided **before** the frame is encoded — a dropped message must
-        never advance the link codec's shared history, or every later
-        frame would desync — and *corrupt* flips one frame byte after
-        encoding, which the receiver's digest check is guaranteed to
-        catch (the link is then poisoned, the realistic fate of a
-        corrupted resumed stream).
+        ``Middleware.send`` has decided and counted everything else —
+        the fault (a dropped send never gets here, so it never advances
+        the link codec's shared history), the latency ``delay``
+        (reorder included) and how many ``copies`` ship.  This side does
+        the wire's own work: the lookahead check, frame encoding and
+        attestation tags, byte accounting from the frame, and the link's
+        seq and Lamport numbers.  A ``corrupt`` send flips one frame
+        byte after encoding, which the receiver's digest check is
+        guaranteed to catch (the link is then poisoned, the realistic
+        fate of a corrupted resumed stream); a second copy carries the
+        same seq, so the receiver blocks it as a wire replay.
         """
 
         runtime = self.runtime
-        network = runtime.network
         metrics = runtime.metrics
-        model = network.latency_for(principal, channel)
-        delay = network.sample_latency(model, principal, channel)
         if self.hub is None and (
             self.lookahead is None or delay < self.lookahead
         ):
@@ -323,11 +329,6 @@ class ShardRouter:
                 f"unsound — declare a truthful lookahead (<= every "
                 f"cross-shard link's minimum latency)"
             )
-        decision = network.fault_for(principal, channel)
-        if decision.drop:
-            metrics.record_send()
-            metrics.faults_dropped += 1
-            return
         home = self.partitioner.home_of(channel)
         codec = self._encoders.get(home)
         if codec is None:
@@ -338,22 +339,16 @@ class ShardRouter:
         if middleware.crypto:
             store = middleware.attestations
             tags = tuple(store.tag(node) for node in new_nodes)
-        if decision.corrupt:
-            metrics.faults_corrupted += 1
+        if corrupt:
             flip = bytearray(data)
             flip[len(flip) // 2] ^= 0x01
             data = bytes(flip)
-        if decision.extra_delay:
-            metrics.faults_reordered += 1
-            delay += decision.extra_delay
         if metrics.detailed:
             # honest accounting: these are the bytes that actually
             # crossed the link, back-references included — resumed
             # tables make repeat provenance nearly free; the frame
             # seal (length prefix + digest) counts as metadata
-            plain_bytes = len(encode_varint(len(payload))) + sum(
-                len(encode_plain(value.value)) for value in payload
-            )
+            plain_bytes = plain_size(payload)
             provenance_bytes = max(len(data) - plain_bytes, 0)
             metrics.record_send(lambda: (plain_bytes, provenance_bytes))
         else:
@@ -374,9 +369,6 @@ class ShardRouter:
             tags=tags,
         )
         self.cross_shard_sent += 1
-        copies = 2 if decision.duplicate else 1
-        if decision.duplicate:
-            metrics.faults_duplicated += 1
         for _ in range(copies):
             if self.hub is not None:
                 self.hub.shard(home).middleware.router.ingest([envelope])
@@ -513,10 +505,7 @@ def _shard_runtime(index: int, mesh, hub=None, **extra) -> DistributedRuntime:
     """
 
     runtime = DistributedRuntime(
-        seed=mesh.seed,
-        latency_sampler=KeyedLatencySampler(mesh.seed),
-        **mesh.runtime_kwargs,
-        **extra,
+        seed=mesh.seed, **mesh.runtime_kwargs, **extra
     )
     if runtime.durable is not None and runtime.durable.read_manifest() is None:
         runtime.durable.write_manifest(
@@ -823,9 +812,12 @@ class ShardedRuntime:
         runtime.run()
 
     ``shards=1`` is the degenerate mesh — no cross-shard traffic, run
-    directly on the single simulator — and is the baseline every
-    differential compares against (it uses the same keyed latency
-    sampler, so its draws match the partitioned runs draw for draw).
+    directly on the single simulator.  Its trace, and every inline
+    partition's, is the bare runtime's with the same seed: every
+    network draws the same keyed latencies.
+
+    ``checkpoint_every=N`` seals every shard store each N barrier
+    windows, so it needs process mode; inline mode refuses it.
     """
 
     def __init__(
@@ -851,6 +843,11 @@ class ShardedRuntime:
             raise ValueError(f"need at least one shard, got {shards}")
         if shard_mode not in ("inline", "process"):
             raise ValueError(f"unknown shard_mode {shard_mode!r}")
+        if checkpoint_every and shard_mode == "inline":
+            raise ValueError(
+                "checkpoint_every needs shard_mode='process': the inline "
+                "conductor seals no shard store"
+            )
         if plan is None:
             plan = ShardPlan()
         if lookahead is None:
@@ -957,7 +954,14 @@ class ShardedRuntime:
 
         store = DurableStore(self.durable_dir)
         # a fresh deploy owns the directory: overwrite whatever an
-        # earlier run left so `repro recover` reads *this* run's shape
+        # earlier run left so `repro recover` reads *this* run's shape,
+        # and wipe the shard stores a larger earlier run left beyond it
+        for stale in store.root.glob("shard-*"):
+            index = stale.name[len("shard-"):]
+            if index.isdigit() and int(index) >= self.n_shards:
+                DurableStore(stale).wipe()
+                with contextlib.suppress(OSError):
+                    stale.rmdir()
         store.write_manifest(
             {
                 "sharded": True,

@@ -6,10 +6,11 @@ application code — on a *simulated* distributed substrate (the paper has
 no implementation and we have no cluster; the simulation exercises the
 same code paths: serialize, route, vet, deliver).
 
-This module is the clock.  Determinism is a design requirement — all
-randomness (latency jitter) flows from one seeded generator, and
-simultaneous events tie-break on a monotone sequence number, so every
-run is exactly reproducible.
+This module is the clock.  Determinism is a design requirement — the
+clock draws nothing random (latency jitter is a keyed draw, see
+:class:`~repro.runtime.network.KeyedLatencySampler`), and simultaneous
+events tie-break on a monotone sequence number, so every run is exactly
+reproducible.
 
 Scheduling is two-tier:
 
@@ -24,9 +25,9 @@ the key ``(time, sequence)``; the run queue only ever receives events
 stamped at the *current* clock reading, and both the clock and the
 sequence counter are monotone, so the run queue is itself sorted by that
 key and a single front-vs-top comparison per pop suffices to merge the
-tiers in exact heap order.  The same seed and the same ``schedule()``
-call sequence therefore replay the same callbacks in the same order as a
-single binary heap would.
+tiers in exact heap order.  The same ``schedule()`` call sequence
+therefore replays the same callbacks in the same order as a single
+binary heap would.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from random import Random
 from typing import Callable, Optional
 
 from repro.core.errors import SimulationError
@@ -82,13 +82,8 @@ class Simulator:
     schedule further events.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        sequence_source: Optional[SequenceSource] = None,
-    ) -> None:
+    def __init__(self, sequence_source: Optional[SequenceSource] = None) -> None:
         self.now: float = 0.0
-        self.rng = Random(seed)
         self._queue: list[_Scheduled] = []
         self._runq: deque[_Scheduled] = deque()
         self._sequence = 0

@@ -86,6 +86,7 @@ __all__ = [
     "decode_varint",
     "encode_plain",
     "decode_plain",
+    "plain_size",
 ]
 
 _TAG_CHANNEL = 0x43
@@ -214,6 +215,16 @@ def encode_plain(value: PlainValue) -> bytes:
     if isinstance(value, Principal):
         return bytes((_TAG_PRINCIPAL,)) + _encode_name(value.name)
     raise WireFormatError(f"not a plain value: {value!r}")
+
+
+def plain_size(payload: tuple[AnnotatedValue, ...]) -> int:
+    """Bytes a payload's plain parts take on the wire: the value count
+    plus each value's plain encoding.  Byte accounting counts the rest
+    of a message's bytes as provenance."""
+
+    return len(encode_varint(len(payload))) + sum(
+        len(encode_plain(value.value)) for value in payload
+    )
 
 
 def decode_plain(data: bytes, offset: int) -> tuple[PlainValue, int]:

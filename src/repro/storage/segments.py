@@ -46,11 +46,15 @@ __all__ = [
 
 _CRC_SIZE = 4
 
-RECORD_FORMAT = 2
-"""The layout of a store's record, stamped into every manifest.  Format
-2: one codec streams every journal generation, and a checkpoint is a
-fixed-size seal.  (Format 1 restarted the codec per generation and
-re-encoded the whole record into each checkpoint; it is not readable.)"""
+RECORD_FORMAT = 3
+"""The layout and meaning of a store's record, stamped into every
+manifest.  Format 3: one codec streams every journal generation, a
+checkpoint is a fixed-size seal, and replay draws every latency from
+the keyed sampler.  Format 2 wrote the same bytes, but a bare runtime
+drew its latencies from a generator stream, so replaying one under
+keyed draws would report a false divergence; format 1 restarted the
+codec per generation and re-encoded the whole record into each
+checkpoint.  Neither is readable."""
 
 
 def frame_record(payload: bytes) -> bytes:

@@ -194,15 +194,24 @@ class TestLazySweep:
         )
 
     def test_eager_default_engine_rides_the_query_index_cache(self):
+        import gc
+        import weakref
+
         from repro.analysis.audit import matching_suffixes
+        from repro.patterns.dfa import default_engine
         from repro.patterns.parse import parse_pattern
-        from repro.query.index import default_index
+        from repro.query import ProvenanceIndex
 
         spine = self.deep()
         pattern = parse_pattern("(~!any|~?any)*")
-        first = matching_suffixes(spine, pattern)
-        cached = default_index().matching_suffixes(spine, pattern)
-        # audit's eager sweep answered from (and warmed) the global
-        # index's forever-cache: repeats are the same tuple object
-        assert cached is default_index().matching_suffixes(spine, pattern)
-        assert first == list(cached)
+        swept = matching_suffixes(spine, pattern)
+        assert swept == list(
+            ProvenanceIndex().matching_suffixes(spine, pattern)
+        )
+        # the eager sweep keeps no process-global cache: once the
+        # engine's run cache is cleared, the audited spine is freed
+        probe = weakref.ref(spine)
+        del spine, swept
+        default_engine().clear()
+        gc.collect()
+        assert probe() is None

@@ -133,6 +133,21 @@ class TestSim:
         for line in ("messages_sent = 3", "deliveries = 2"):
             assert line in sharded and line in plain
 
+    def test_sim_inline_shards_end_on_the_bare_clock(self, tmp_path, capsys):
+        # two senders on m, racing receivers, a relay onto k: jittered
+        # arrivals decide the run's last instant
+        path = tmp_path / "race.pi"
+        path.write_text(
+            "a[m<v1>] || a[m<v2>] || b[n<w>] || c[m(x).k<x>] || "
+            "c[m(y).k<y>] || d[n(z).0] || e[k(q).0] || e[k(r).0]"
+        )
+        heads = []
+        for shards in ("1", "2"):
+            assert main(["sim", str(path), "--shards", shards]) == 0
+            first = capsys.readouterr().out.splitlines()[0].split()
+            heads.append(first[:2])
+        assert heads[0] == heads[1] == ["events=12", "time=2.72"]
+
 
 class TestLint:
     CLEAN = "a[m<v>] || b[m(a!any;any as x).0]"
@@ -341,6 +356,21 @@ class TestRecoverExitCodes:
         capsys.readouterr()
         assert main(["recover", str(store)]) == 0
         assert "verify: ok" in capsys.readouterr().out
+
+    def test_format_2_store_exits_two(self, system_file, tmp_path, capsys):
+        import json
+
+        # format 2 recorded stream-drawn latencies: replaying it under
+        # keyed draws would report a false divergence, so it is refused
+        store = tmp_path / "store"
+        assert main(["sim", system_file, "--durable", str(store)]) == 0
+        capsys.readouterr()
+        manifest = store / "MANIFEST.json"
+        payload = json.loads(manifest.read_text())
+        payload["format"] = 2
+        manifest.write_text(json.dumps(payload))
+        assert main(["recover", str(store)]) == 2
+        assert "record format 2" in capsys.readouterr().err
 
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty"

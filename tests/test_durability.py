@@ -65,21 +65,22 @@ def run_gauntlet(durable=None, seed=13, checkpoint_every=None):
 RECORD_SHA256 = {
     "checkpoint-00000001.ck": "356a18a407b9f269fa25aac727f39a6fe122e302ea974d2c1ceae026ac032177",
     "checkpoint-00000002.ck": "d45b2096c3d3b6f43cf060a25df43acf98df96c8e91a90bd4fcbba41289c9de2",
-    "checkpoint-00000003.ck": "0beb6216643bb30fc7b8dd58bdddc126a043ecd3f241ff857421b4592f0dc618",
-    "checkpoint-00000004.ck": "120e2d00bcbd95315bcafa43400c07ad376c2daa787665e87abb264446709ed3",
-    "checkpoint-00000005.ck": "85c46053bbfe77c1f8b4caa3e86999e7bec04333828a45243b3b33654f7fd1a1",
-    "checkpoint-00000006.ck": "4a691dbcb3443af0408b2f22a31f052c312176c326405b6a6bbd656d57d26fde",
+    "checkpoint-00000003.ck": "d0fac6e7f24001fe75ba242ec171783f18f6bdfa808b561b93f1765dcebfe21c",
+    "checkpoint-00000004.ck": "5619b287a8bd2293f6f61d27abcea2944525f2a4c84459bfe298fbecb8aff573",
+    "checkpoint-00000005.ck": "d7bbf184dc50c5d3c1105ca9e1c5deda9973d531fbc842b7a16d9561e68579ac",
+    "checkpoint-00000006.ck": "7e838de8ef937277a8fd6adb6b4832eac87faea9a540b0e3700d0e5575e25ac3",
     "journal-00000001.seg": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "journal-00000002.seg": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "journal-00000003.seg": "f974138dd118f405cb3464fc98c65d7510acb6d54fd21523843d78ee65ea4778",
-    "journal-00000004.seg": "884f6b84fff182c711f856929b7e6bf282e9985e6aced36b02f66ee18114acb4",
-    "journal-00000005.seg": "01c09474933911d79815cc89eaba0a344d49712f68760c45b678f0072cdab7e0",
-    "journal-00000006.seg": "5869de17d72e4d1d02ddfeb4d08c80dc3b372ca686a770acaf6cc6158f00914b",
-    "journal-00000007.seg": "2686f004acfe8cfc5b2f1427e119c42b3eef0e4e2a9005d24273c645a416977a",
+    "journal-00000003.seg": "843af98c89546236be1de1cb6148061981d992028d25d8f4d79bf8e657b6da96",
+    "journal-00000004.seg": "98bac58dfff6e076e4016b9d060f1f0751fd80aadac67ebf4c6d2592ca3a6646",
+    "journal-00000005.seg": "e5f3225b030923d4be9296309b7b84dc799ae2f4c54b6616c3be61654224b275",
+    "journal-00000006.seg": "21599ea798bf9ecc1b652bbf2dc448818c1f572ebafab7e4122ed3f593cb72b8",
+    "journal-00000007.seg": "d54ea817cf3743a6026866a722eeadeafab0eaa73b37498a48af9e4a1bb72da0",
 }
 """sha256 of every journal segment and seal of the relay gauntlet
-(8 hops, 2 lanes, seed 13, a checkpoint every 8 events).  Generations
-1 and 2 seal before the first delivery, so their segments are empty."""
+(8 hops, 2 lanes, seed 13, a checkpoint every 8 events), with keyed
+latency draws (record format 3).  Generations 1 and 2 seal before the
+first delivery, so their segments are empty."""
 
 
 class TestDurableCapture:
@@ -127,7 +128,7 @@ class TestDurableCapture:
         assert sharded.delivered_trace()
 
     def test_record_bytes_are_pinned(self, tmp_path):
-        # the on-disk format (RECORD_FORMAT 2): a change to how a
+        # the on-disk format (RECORD_FORMAT 3): a change to how a
         # delivery, a note or a seal is encoded shows up here
         import hashlib
 
@@ -516,15 +517,35 @@ class TestShardedStoreShape:
     def test_a_larger_earlier_run_is_not_merged(self, tmp_path, capsys):
         root = tmp_path / "store"
         # the 3-shard run homes the last hop on shard-2; the 2-shard
-        # run reusing the directory leaves that store behind
+        # run reusing the directory wipes that store
         self._capture(root, 3, ShardPlan({"d": 2}, {"n2": 2}))
+        planted = tmp_path / "planted"
+        shutil.copytree(root / "shard-2", planted)
         self._capture(root, 2)
-        assert (root / "shard-2").is_dir()
+        assert not (root / "shard-2").exists()
+        # a store planted there anyway is not part of the record
+        shutil.copytree(planted, root / "shard-2")
         status, out = self._query(root, capsys)
         assert status == 0
         assert "deliveries=3 " in out.out
         assert main(["recover", str(root)]) == 0
         assert "shard-2" not in capsys.readouterr().out
+
+    def test_inline_shards_refuse_a_checkpoint_cadence(
+        self, tmp_path, capsys
+    ):
+        # the inline conductor cuts no seals: no manifest may record a
+        # cadence its run would not follow
+        root = tmp_path / "store"
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            ShardedRuntime(shards=2, durable_dir=str(root), checkpoint_every=2)
+        source = tmp_path / "system.pi"
+        source.write_text(self.SOURCE)
+        capsys.readouterr()
+        argv = ["sim", str(source), "--shards", "2", "--durable", str(root)]
+        assert main([*argv, "--checkpoint-every", "2"]) == 2
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not root.exists()
 
     def test_foreign_shard_entries_are_ignored(self, tmp_path, capsys):
         root = tmp_path / "store"

@@ -1,6 +1,7 @@
 """Tests for the simulated distributed runtime: clock, wire, middleware,
 nodes, adversary, and agreement with the calculus semantics."""
 
+import random
 from contextlib import nullcontext
 
 import pytest
@@ -159,13 +160,14 @@ class TestTwoTierScheduler:
 
     def test_windowed_runs_compose_like_one_run(self, scheduler):
         def build():
-            sim = SIMULATORS[scheduler](seed=3)
+            sim = SIMULATORS[scheduler]()
+            rng = random.Random(3)
             seen = []
 
             def ping(label):
                 seen.append((sim.now, label))
                 if len(seen) < 6:
-                    sim.schedule(sim.rng.random(), lambda: ping(label + 1))
+                    sim.schedule(rng.random(), lambda: ping(label + 1))
 
             sim.schedule(0.5, lambda: ping(0))
             return sim, seen
@@ -821,17 +823,15 @@ class TestNetworkAccounting:
             Simulator(),
             topology=lambda sender, channel: slow if sender == B else fast,
         )
-        assert network.latency_for(A, M) is fast
-        assert network.latency_for(B, M) is slow
+        assert network.delay(A, M) == 0.0
+        assert network.delay(B, M) == 9.0
 
     def test_zero_latency_link_draws_no_jitter(self):
-        from repro.runtime import ZERO_LATENCY
+        from repro.runtime import Network, Simulator, ZERO_LATENCY
 
-        class Forbidden:
-            def random(self):  # pragma: no cover - must not be called
-                raise AssertionError("zero link sampled the generator")
-
-        assert ZERO_LATENCY.sample(Forbidden()) == 0.0
+        network = Network(Simulator(), ZERO_LATENCY)
+        assert network.delay(A, M) == 0.0
+        assert network.sampler._ordinals == {}
 
 
 @pytest.mark.parametrize("scheduler", ["runq", "heap"])

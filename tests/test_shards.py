@@ -3,8 +3,8 @@ envelopes, and the process-mode conservative barrier.
 
 The load-bearing contract is the differential: for any system and any
 partition, the inline sharded run's merged delivered trace is
-bit-identical to the single-shard run — times, values, branch indices,
-canonical order.  Process mode carries the same contract for workloads
+bit-identical to the bare runtime's — times, values, branch indices,
+canonical order — under a quiet fault plan and under drops and reorders.  Process mode carries the same contract for workloads
 whose receivers are co-located with their channels' homes.
 """
 
@@ -17,10 +17,15 @@ from hypothesis import strategies as st
 from repro.core.builder import ch, inp, located, nil, out, pr, sys_par, var
 from repro.core.errors import SimulationError
 from repro.lang import parse_system
-from repro.runtime import FaultPlan, LatencyModel, ShardedRuntime
+from repro.runtime import (
+    DistributedRuntime,
+    FaultPlan,
+    LatencyModel,
+    ShardedRuntime,
+)
 from repro.runtime import shards as shards_module
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.shards import Partitioner, ShardPlan
+from repro.runtime.shards import Partitioner, ShardPlan, merge_delivered
 from repro.storage import load_state
 from repro.workloads import fan_in_fan_out, wide_fanout
 from repro.workloads.random_systems import GeneratorConfig, random_system
@@ -50,6 +55,15 @@ def _run(system, shards, seed=0, max_events=20_000, **kwargs):
         seed=seed,
         latency=kwargs.pop("latency", LatencyModel(1.0, 0.5)),
         **kwargs,
+    )
+    runtime.deploy(system)
+    runtime.run(max_events=max_events)
+    return runtime
+
+
+def _run_bare(system, seed, fault_plan=None, max_events=20_000):
+    runtime = DistributedRuntime(
+        seed=seed, latency=LatencyModel(1.0, 0.5), fault_plan=fault_plan
     )
     runtime.deploy(system)
     runtime.run(max_events=max_events)
@@ -171,43 +185,74 @@ class TestInlineSharding:
             st.integers(min_value=0, max_value=1),
             max_size=4,
         ),
+        fault_plan=st.sampled_from([None, FaultPlan(drop=0.2, reorder=0.2)]),
     )
     def test_any_partition_matches_single_shard(
-        self, seed, shards, overridden
+        self, seed, shards, overridden, fault_plan
     ):
-        """The property the whole design hangs on: partition-invariance."""
+        """The property the whole design hangs on: partition-invariance.
+
+        Every partition reproduces the bare runtime's trace, under a
+        quiet plan and under drops and reorders, which every transport
+        applies the same way."""
 
         system = random_system(
             seed, GeneratorConfig(n_components=4, n_messages=2, max_depth=3)
         )
+        runs = ((1, ShardPlan()), (shards, ShardPlan(dict(overridden))))
         # random_system can produce dynamically ill-typed programs (e.g.
         # receiving on a variable bound to a principal); the middleware
         # raises TypeError for those at runtime.  Partition-invariance
         # still has to hold: the sharded run must fail the same way.
         try:
-            baseline = _run(system, 1, seed=seed, max_events=4_000)
+            bare = _run_bare(system, seed, fault_plan, max_events=4_000)
         except TypeError as expected:
-            with pytest.raises(TypeError, match=re.escape(str(expected))):
-                _run(
-                    system,
-                    shards,
-                    seed=seed,
-                    max_events=4_000,
-                    plan=ShardPlan(dict(overridden)),
-                )
+            for count, plan in runs:
+                with pytest.raises(TypeError, match=re.escape(str(expected))):
+                    _run(
+                        system,
+                        count,
+                        seed=seed,
+                        max_events=4_000,
+                        plan=plan,
+                        fault_plan=fault_plan,
+                    )
             return
-        sharded = _run(
-            system,
-            shards,
-            seed=seed,
-            max_events=4_000,
-            plan=ShardPlan(dict(overridden)),
-        )
-        assert sharded.delivered_trace() == baseline.delivered_trace()
-        base_summary = baseline.metrics_summary()
-        shard_summary = sharded.metrics_summary()
-        for key in COMPARED_KEYS:
-            assert shard_summary[key] == base_summary[key], key
+        bare_trace = merge_delivered([bare.metrics.delivered])
+        bare_summary = bare.metrics.summary()
+        for count, plan in runs:
+            sharded = _run(
+                system,
+                count,
+                seed=seed,
+                max_events=4_000,
+                plan=plan,
+                fault_plan=fault_plan,
+            )
+            assert sharded.delivered_trace() == bare_trace
+            shard_summary = sharded.metrics_summary()
+            for key in COMPARED_KEYS:
+                assert shard_summary[key] == bare_summary[key], key
+
+    def test_dropped_sends_leave_the_trace_partition_independent(self):
+        # twelve sends on one link under drops: a dropped cross-shard
+        # send must not consume a latency draw the local path would not
+        sends = " || ".join(f"p[m<v{i}>]" for i in range(12))
+        receivers = " || ".join("c[m(x).0]" for _ in range(12))
+        system = parse_system(f"{sends} || {receivers}")
+        plan = FaultPlan(drop=0.3)
+        bare = _run_bare(system, 5, plan)
+        assert 0 < bare.metrics.faults_dropped < 12
+        expected = merge_delivered([bare.metrics.delivered])
+        for home in (0, 1):
+            sharded = _run(
+                system,
+                2,
+                seed=5,
+                fault_plan=plan,
+                plan=ShardPlan({"p": 0, "c": home}, {"m": home}),
+            )
+            assert sharded.delivered_trace() == expected
 
 
 class TestShardPlan:

@@ -201,7 +201,9 @@ class TestDurableStore:
         assert legacy in store.wipe()
         assert list(store.root.iterdir()) == []
 
-    @pytest.mark.parametrize("declared", [1, None, "2"])
+    @pytest.mark.parametrize(
+        "declared", [1, None, "2", pytest.param(2, id="int-2")]
+    )
     def test_other_record_formats_are_refused(self, tmp_path, declared):
         store = DurableStore(tmp_path / "store")
         manifest = {} if declared is None else {"format": declared}
