@@ -5,8 +5,9 @@ The provenance values themselves are the hottest remaining data structure
 representation copied the spine on every ``cons``, re-walked the whole
 tree on every ``total_events``/``principals``/``hash``, and serialized
 nested trees with zero sharing.  The hash-consed DAG representation
-(:mod:`repro.core.provenance`) makes ``cons``/``tail``/equality O(1) and
-memoizes every observation at intern time.
+(:mod:`repro.core.provenance`) makes ``cons``/``tail``/equality O(1),
+memoizes the structural observations at intern time, and memoizes the
+principal set on the node it is first asked of.
 
 Three measurements:
 

@@ -67,8 +67,9 @@ class CustodyStep:
 def involved_principals(provenance: Provenance) -> frozenset[Principal]:
     """Every principal implicated by the provenance (nested included).
 
-    O(1): the set is memoized on the interned provenance node, so audits
-    over deeply shared DAGs never re-walk nested channel provenances.
+    The set is computed on the first request and memoized on the
+    interned provenance node, so asking again is O(1) and an audit along
+    a growing spine walks only the events added since its last answer.
     """
 
     return provenance.principals()

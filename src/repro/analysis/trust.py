@@ -64,7 +64,7 @@ class TrustModel:
 
     def _implicated(self, provenance: Provenance) -> frozenset[Principal]:
         if self.include_channel_provenance:
-            # Memoized on the interned node — O(1) per scored value.
+            # Memoized on the interned node once asked — O(1) per re-score.
             return provenance.principals()
         spine = frozenset(event.principal for event in provenance)
         return spine

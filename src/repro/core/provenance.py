@@ -29,10 +29,16 @@ all of their structure.  This module exploits that:
 * every event and every spine node is **interned**: structurally equal
   constructions return the *same object*, so ``==`` is identity and
   ``hash`` is a single attribute read;
-* ``principals``, ``total_events``, ``depth``, the spine length and the
-  canonical structural hash are computed once at intern time (from the
+* ``total_events``, ``depth``, the spine length and the canonical
+  structural hash are computed once at intern time (from the
   already-computed values of the children) and memoized on the node, so
-  every repeated query is O(1) no matter how often a subtree is shared.
+  every repeated query is O(1) no matter how often a subtree is shared;
+* ``principals`` is a view no delivery reads (audits and analyses ask
+  for it afterwards), so a node holds ``None`` until someone asks.  The
+  first request walks the DAG iteratively — stopping at every node that
+  already answered — and memoizes the set on the node asked, so asking
+  along a growing spine costs O(new events) per request and no stamp
+  ever allocates a set.
 
 The tree/DAG distinction is observable only through ``is``/``id`` and
 :meth:`Provenance.dag_size`: all sequence-level semantics (ordering,
@@ -154,10 +160,7 @@ class Event:
         object.__setattr__(self, "channel_provenance", nested)
         object.__setattr__(self, "_total_events", 1 + nested._total_events)
         object.__setattr__(self, "_depth", 1 + nested._depth)
-        mentioned = nested._principals
-        if principal not in mentioned:
-            mentioned = mentioned | frozenset((principal,))
-        object.__setattr__(self, "_principals", mentioned)
+        object.__setattr__(self, "_principals", None)
         object.__setattr__(
             self, "_hash", hash((cls._symbol, principal, nested._hash))
         )
@@ -194,9 +197,17 @@ class Event:
         return self._digest
 
     def principals(self) -> frozenset[Principal]:
-        """All principals mentioned by this event, including nested ones."""
+        """All principals mentioned by this event, including nested ones.
 
-        return self._principals
+        Computed on the first request and memoized on the event (see
+        :func:`_mentioned`); O(1) from then on.
+        """
+
+        mentioned = self._principals
+        if mentioned is None:
+            mentioned = _mentioned(self.channel_provenance, {self.principal})
+            object.__setattr__(self, "_principals", mentioned)
+        return mentioned
 
     def total_events(self) -> int:
         """1 plus the number of events nested in the channel provenance."""
@@ -308,10 +319,7 @@ class Provenance:
         )
         depth = event._depth if event._depth > self._depth else self._depth
         object.__setattr__(node, "_depth", depth)
-        mentioned = self._principals
-        if not event._principals <= mentioned:
-            mentioned = mentioned | event._principals
-        object.__setattr__(node, "_principals", mentioned)
+        object.__setattr__(node, "_principals", None)
         object.__setattr__(node, "_hash", hash((event._hash, self._hash)))
         object.__setattr__(
             node,
@@ -397,10 +405,17 @@ class Provenance:
 
         This is the set the auditing example of the paper extracts: the
         principals "involved" in bringing a value to its current state.
-        Memoized at intern time — O(1) per query.
+        Computed on the first request and memoized on this node: the walk
+        (:func:`_mentioned`) stops at every node that already answered,
+        so it costs O(events no asked node covers), and a repeated query
+        is O(1).
         """
 
-        return self._principals
+        mentioned = self._principals
+        if mentioned is None:
+            mentioned = _mentioned(self, set())
+            object.__setattr__(self, "_principals", mentioned)
+        return mentioned
 
     def total_events(self) -> int:
         """Total events including nested channel provenances (tree size)."""
@@ -469,6 +484,39 @@ def dag_event_count(roots: Iterable[Provenance]) -> int:
                 stack.append(event.channel_provenance)
             node = node._tail
     return len(seen_events)
+
+
+def _mentioned(root: Provenance, found: set) -> frozenset[Principal]:
+    """``found`` plus every principal mentioned under ``root``.
+
+    Iterative over spine length and nesting depth alike, and O(unique
+    nodes) like :func:`dag_event_count`.  A node or event that already
+    memoized its set contributes that set and is not entered.  Nothing
+    is memoized here: the caller stores the result on the one node it
+    was asked about, so an unasked spine never holds a set.
+    """
+
+    seen: set[int] = set()
+    stack: list[Provenance] = [root]
+    while stack:
+        node = stack.pop()
+        while node._length and id(node) not in seen:
+            known = node._principals
+            if known is not None:
+                found.update(known)
+                break
+            seen.add(id(node))
+            event = node._head
+            if id(event) not in seen:
+                seen.add(id(event))
+                known = event._principals
+                if known is not None:
+                    found.update(known)
+                else:
+                    found.add(event.principal)
+                    stack.append(event.channel_provenance)
+            node = node._tail
+    return frozenset(found)
 
 
 def _make_empty() -> Provenance:

@@ -17,12 +17,15 @@ Every node implements the core :class:`~repro.core.patterns.Pattern`
 interface; :meth:`matches` asks the process-wide lazy-DFA engine
 (:func:`repro.patterns.dfa.default_engine`), the one decision procedure
 for ``κ ⊨ π``.
+
+Nodes are frozen and are hashed on every registration, bank lookup and
+vet, so each hashes once, at construction (see :func:`_node`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.names import Principal
 from repro.core.patterns import Pattern
@@ -48,7 +51,48 @@ __all__ = [
 ]
 
 
-class Group(abc.ABC):
+class _HashedOnce:
+    """A frozen node whose hash is computed once, at construction.
+
+    The value is exactly the dataclass formula ``hash(tuple(fields))`` —
+    cheap, since every field that is a node answers from its own slot —
+    so set and dict orders are those of an uncached hash.  Pickling
+    rebuilds through the constructor, so an interpreter with another
+    ``PYTHONHASHSEED`` recomputes the hash instead of inheriting it.
+    """
+
+    __slots__ = ("_hash",)
+    _field_names: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._field_names)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+def _node(cls):
+    """``@dataclass(frozen=True, slots=True)`` with the hash of
+    :class:`_HashedOnce`.
+
+    The decorator generates a ``__hash__`` for every frozen class that
+    does not define one itself, overriding the inherited one, so the
+    cached hash is assigned here, class by class.
+    """
+
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_names = tuple(f.name for f in fields(cls))
+    cls.__hash__ = _HashedOnce.__hash__
+    return cls
+
+
+class Group(_HashedOnce, abc.ABC):
     """A group expression ``G`` denoting a set of principals."""
 
     __slots__ = ()
@@ -68,7 +112,7 @@ class Group(abc.ABC):
         """
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class GroupSingle(Group):
     """``a`` — the singleton group."""
 
@@ -84,7 +128,7 @@ class GroupSingle(Group):
         return self.principal.name
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class GroupAll(Group):
     """``∼`` — all principals."""
 
@@ -98,7 +142,7 @@ class GroupAll(Group):
         return "~"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class GroupUnion(Group):
     """``G + G'`` — union."""
 
@@ -115,7 +159,7 @@ class GroupUnion(Group):
         return f"({self.left}+{self.right})"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class GroupDifference(Group):
     """``G − G'`` — difference (enables co-finite groups like ``∼ − a``)."""
 
@@ -134,7 +178,7 @@ class GroupDifference(Group):
         return f"({self.left}-{self.right})"
 
 
-class SamplePattern(Pattern):
+class SamplePattern(_HashedOnce, Pattern):
     """Base class of Table 3 patterns."""
 
     __slots__ = ()
@@ -150,7 +194,7 @@ class SamplePattern(Pattern):
         return frozenset()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Empty(SamplePattern):
     """``ε`` — matches only the empty provenance."""
 
@@ -158,7 +202,7 @@ class Empty(SamplePattern):
         return "eps"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AnyPattern(SamplePattern):
     """``Any`` — matches every provenance."""
 
@@ -166,7 +210,7 @@ class AnyPattern(SamplePattern):
         return "any"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class EventPattern(SamplePattern):
     """``G!π`` (``direction='!'``) or ``G?π`` (``direction='?'``).
 
@@ -181,6 +225,7 @@ class EventPattern(SamplePattern):
     def __post_init__(self) -> None:
         if self.direction not in ("!", "?"):
             raise ValueError(f"direction must be '!' or '?', got {self.direction!r}")
+        _HashedOnce.__post_init__(self)
 
     def mentioned_principals(self) -> frozenset[Principal]:
         return self.group.mentioned() | self.channel_pattern.mentioned_principals()
@@ -192,7 +237,7 @@ class EventPattern(SamplePattern):
         return f"{self.group}{self.direction}({inner})"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sequence(SamplePattern):
     """``π;π'`` — some split of the provenance matches the two parts."""
 
@@ -209,7 +254,7 @@ class Sequence(SamplePattern):
         return f"{self.left};{self.right}"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Alternation(SamplePattern):
     """``π ∨ π'`` — either part matches the whole provenance."""
 
@@ -226,7 +271,7 @@ class Alternation(SamplePattern):
         return f"({self.left}|{self.right})"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Repetition(SamplePattern):
     """``π*`` — zero or more consecutive chunks, each matching ``π``."""
 

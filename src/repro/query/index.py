@@ -62,7 +62,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.core.heap import settled_heap
 from repro.core.names import Channel, Principal
 from repro.core.patterns import Pattern
-from repro.core.provenance import EMPTY, Event, OutputEvent, Provenance
+from repro.core.provenance import EMPTY, OutputEvent, Provenance
 from repro.patterns.dfa import PolicyEngine
 from repro.runtime.metrics import DeliveryRecord
 

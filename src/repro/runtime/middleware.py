@@ -161,17 +161,45 @@ class ChannelManager:
     The manager reaches its middleware through a weak reference: the
     middleware owns its managers, and a strong back-pointer would make
     every discarded runtime cyclic garbage that only a full collector
-    pass could free.
+    pass could free.  The middleware makes that reference once and
+    shares it with every manager it creates.
+
+    A run leaves most managers idle — nothing queued, no live waiter —
+    and every one stays in ``Middleware._managers`` (it holds the last
+    strong reference to its channel's :class:`PolicyBank` and so to the
+    bank's warm run cache).  An idle manager is therefore kept lean: its
+    state lives in slots; its registered patterns are one tuple, which
+    the bank built from them shares; its waiter list is empty; and its
+    message queue exists only while something is queued — the first
+    :meth:`post` allocates it and the delivery that drains it drops it
+    back to ``None``.  It stays a ``deque`` while it lives, so front
+    removal on a fan-in channel is O(1).
     """
 
-    def __init__(self, channel: Channel, middleware: "Middleware") -> None:
+    __slots__ = (
+        "channel",
+        "_middleware",
+        "_messages",
+        "_waiters",
+        "_consumed_count",
+        "_scan_start",
+        "_patterns",
+        "_bank",
+        "_bank_patterns",
+    )
+
+    def __init__(
+        self,
+        channel: Channel,
+        middleware: "weakref.ReferenceType[Middleware]",
+    ) -> None:
         self.channel = channel
-        self._middleware = weakref.ref(middleware)
-        self._messages: deque[_StoredMessage] = deque()
+        self._middleware = middleware
+        self._messages: Optional[deque[_StoredMessage]] = None
         self._waiters: list[PendingReceive] = []
         self._consumed_count = 0
         self._scan_start = 0
-        self._patterns: dict[Pattern, None] = {}
+        self._patterns: tuple[Pattern, ...] = ()
         self._bank: Optional[PolicyBank] = None
         self._bank_patterns: tuple[Pattern, ...] = ()
 
@@ -192,13 +220,14 @@ class ChannelManager:
             policy = self._middleware().policy
             if self._bank_patterns:
                 policy.discard_bank(self._bank_patterns)
-            self._bank_patterns = tuple(self._patterns)
-            self._bank = policy.bank(self._bank_patterns)
+            self._bank_patterns = self._patterns
+            self._bank = policy.bank(self._patterns)
         return self._bank
 
     @property
     def queued_messages(self) -> int:
-        return len(self._messages)
+        messages = self._messages
+        return 0 if messages is None else len(messages)
 
     def post(self, payload: tuple[AnnotatedValue, ...], posted_at: float) -> None:
         middleware = self._middleware()
@@ -211,7 +240,10 @@ class ChannelManager:
             # garbling sender), so the message is just discarded.
             middleware.note("tamper", "chain")
             return
-        self._messages.append(_StoredMessage(payload, posted_at))
+        messages = self._messages
+        if messages is None:
+            messages = self._messages = deque()
+        messages.append(_StoredMessage(payload, posted_at))
         self._match(middleware)
 
     def register(self, pending: PendingReceive) -> None:
@@ -221,7 +253,7 @@ class ChannelManager:
                 continue  # MatchAll registers nothing worth banking
             for pattern in branch.patterns:
                 if pattern not in self._patterns:
-                    self._patterns[pattern] = None
+                    self._patterns += (pattern,)
                     self._bank = None
         self._waiters.append(pending)
         self._match(middleware)
@@ -268,7 +300,8 @@ class ChannelManager:
         )
         bank = self.policy_bank() if self._patterns else None
         erased = middleware.mode is SemanticsMode.ERASED
-        for message_index, stored in enumerate(self._messages):
+        messages = self._messages
+        for message_index, stored in enumerate(messages):
             for branch_index, branch in enumerate(waiter.branches):
                 action = (
                     actions[branch_index] if actions is not None else "vet"
@@ -290,7 +323,9 @@ class ChannelManager:
                         middleware.metrics.vets_elided += branch.arity
                 elif not middleware.vet(branch.patterns, stored.payload, bank):
                     continue
-                del self._messages[message_index]
+                del messages[message_index]
+                if not messages:
+                    self._messages = None
                 waiter.consumed = True
                 values = middleware.stamp_input(
                     waiter.principal, waiter.channel_provenance, stored.payload
@@ -366,11 +401,13 @@ class Middleware:
         receives resolve their rendezvous manager through it; the
         ``None`` path is byte-for-byte the unsharded fast path."""
         self._managers: dict[Channel, ChannelManager] = {}
+        self._weak_self = weakref.ref(self)
+        """The one back-reference every manager of this middleware shares."""
 
     def manager(self, channel: Channel) -> ChannelManager:
         existing = self._managers.get(channel)
         if existing is None:
-            existing = ChannelManager(channel, self)
+            existing = ChannelManager(channel, self._weak_self)
             self._managers[channel] = existing
         return existing
 

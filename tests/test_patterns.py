@@ -7,20 +7,31 @@ pattern-language-level behaviours (paper's example patterns).  The
 policy engine is pinned to both in ``test_dfa_matcher.py``.
 """
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.builder import pr
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent, Provenance
+from repro.patterns import ast
 from repro.patterns.ast import (
     Alternation,
     AnyPattern,
     Empty,
     EventPattern,
+    Group,
     GroupAll,
     GroupDifference,
     GroupSingle,
     GroupUnion,
     Repetition,
+    SamplePattern,
     Sequence,
     alt,
     received_by,
@@ -267,3 +278,69 @@ class TestNFACacheEviction:
         for _ in range(5):
             matcher.matches(provenance, pattern)
         assert matcher.cache_sizes() == sizes
+
+
+def one_of_each_node() -> list:
+    """A pattern built from every group and pattern class of the AST."""
+
+    group = GroupDifference(GroupUnion(GroupSingle(A), GroupAll()), GroupSingle(B))
+    pattern = Sequence(
+        Alternation(EventPattern("!", group, Empty()), AnyPattern()),
+        Repetition(EventPattern("?", GroupSingle(C), AnyPattern())),
+    )
+    nodes, stack = [], [pattern]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack += [
+            value for value in (getattr(node, f.name) for f in dataclasses.fields(node))
+            if isinstance(value, (Group, SamplePattern))
+        ]
+    return nodes
+
+
+class TestHashedOnce:
+    """Patterns hash once, at construction, by the dataclass formula."""
+
+    def test_every_class_hashes_by_the_dataclass_formula(self):
+        nodes = one_of_each_node()
+        classes = {
+            cls for cls in vars(ast).values()
+            if isinstance(cls, type) and issubclass(cls, (Group, SamplePattern))
+            and dataclasses.is_dataclass(cls)
+        }
+        assert {type(node) for node in nodes} == classes
+        for node in nodes:
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields)
+            assert node._hash == hash(node)  # held since construction
+            assert node == type(node)(*fields)
+
+    def test_pickles_rehash_under_another_hash_seed(self):
+        nodes = one_of_each_node()
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        script = (
+            "import dataclasses, pickle, sys\n"
+            "nodes = pickle.load(sys.stdin.buffer)\n"
+            "for node in nodes:\n"
+            "    fields = tuple(getattr(node, f.name)"
+            " for f in dataclasses.fields(node))\n"
+            "    assert hash(node) == hash(fields), node\n"
+            "    assert hash(node) == hash(type(node)(*fields)), node\n"
+            "sys.stdout.buffer.write(pickle.dumps("
+            "(hash('seed probe'), [hash(n) for n in nodes], nodes)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(nodes),
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        probe, there, back = pickle.loads(done.stdout)
+        assert probe != hash("seed probe")  # the seeds really differ
+        assert there != [hash(node) for node in nodes]
+        assert back == nodes
+        assert [hash(node) for node in back] == [hash(node) for node in nodes]

@@ -12,12 +12,14 @@ round-trips through the codec rebuild the very same interned nodes).
 from __future__ import annotations
 
 import gc
+import itertools
 import pickle
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from repro.core.builder import av, ch, pr
+from repro.core.builder import av, ch, pr, sys_par
 from repro.core.errors import WireFormatError
 from repro.core.provenance import (
     EMPTY,
@@ -186,6 +188,118 @@ class TestInterning:
         events_after, spines_after = intern_table_sizes()
         assert events_after < events_before
         assert spines_after < spines_before
+
+
+_FRESH = itertools.count()
+
+
+def fresh(k: Provenance, tag: str) -> Provenance:
+    """``k`` with every principal renamed apart: nodes no test has asked.
+
+    Interned nodes outlive a test while anything holds them, so a
+    structurally reused node may already carry an answer; renaming
+    guarantees each question below meets a node in its unasked state.
+    """
+
+    return Provenance.of(*(
+        type(event)(
+            pr(f"{event.principal.name}_{tag}"),
+            fresh(event.channel_provenance, tag),
+        )
+        for event in k
+    ))
+
+
+def reachable(k: Provenance) -> list:
+    """Every spine node (ε excluded) and event hanging off ``k``."""
+
+    found, stack = [], [k]
+    while stack:
+        node = stack.pop()
+        for suffix in node.suffixes():
+            if suffix.is_empty:
+                break
+            found += [suffix, suffix.head]
+            stack.append(suffix.head.channel_provenance)
+    return found
+
+
+class TestOnDemandPrincipals:
+    """``principals()`` is computed when asked and memoized per node."""
+
+    @given(st.lists(provenances(max_length=5, max_depth=3), max_size=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_any_question_order_agrees_with_the_model(self, roots, order):
+        tag = str(next(_FRESH))
+        roots = [fresh(k, tag) for k in roots]
+        # a DAG: each root also extended by the next, sharing its spine
+        roots += [a.concat(b) for a, b in zip(roots, roots[1:])]
+        nodes = [node for k in roots for node in reachable(k)]
+        random.Random(order).shuffle(nodes)
+        for node in nodes:
+            expected = (
+                model_principals(node) if isinstance(node, Provenance)
+                else model_principals(node.channel_provenance)
+                | {node.principal}
+            )
+            assert node.principals() == expected
+            assert node.principals() is node._principals  # memoized
+
+    def test_tail_asked_before_and_after_its_extension(self):
+        tail = Provenance.of(OutputEvent(pr("t1")), InputEvent(pr("t2")))
+        assert tail.principals() == {pr("t1"), pr("t2")}
+        extended = tail.cons(InputEvent(pr("t3"), tail))
+        assert extended.principals() == {pr("t1"), pr("t2"), pr("t3")}
+        longer = extended.cons(OutputEvent(pr("t4")))
+        assert longer.principals() == {pr(f"t{i}") for i in range(1, 5)}
+        middle = longer.tail.tail  # asked after its extensions
+        assert middle is tail
+        other = Provenance.of(OutputEvent(pr("u1")), InputEvent(pr("u2")))
+        grown = other.cons(OutputEvent(pr("u3")))
+        assert grown.principals() == {pr("u1"), pr("u2"), pr("u3")}
+        assert other._principals is None  # only the asked node holds a set
+        assert other.principals() == {pr("u1"), pr("u2")}
+
+    def test_nested_channel_provenance_asked_first(self):
+        nested = Provenance.of(OutputEvent(pr("n1")), InputEvent(pr("n2")))
+        assert nested.principals() == {pr("n1"), pr("n2")}
+        event = OutputEvent(pr("n3"), nested)
+        assert event.principals() == {pr("n1"), pr("n2"), pr("n3")}
+        k = Provenance.of(InputEvent(pr("n4")), event)
+        assert k.principals() == {pr(f"n{i}") for i in range(1, 5)}
+
+    def test_long_spines_and_deep_nesting_walk_without_recursion(self):
+        spine = EMPTY
+        for hop in range(20_000):
+            spine = spine.cons(OutputEvent(pr(f"long{hop % 7919}")))
+        assert spine.principals() == {pr(f"long{i}") for i in range(7919)}
+        nested = EMPTY
+        for level in range(600):
+            nested = Provenance.of(InputEvent(pr(f"deep{level}"), nested))
+        assert nested.depth() == 600
+        expected = {pr(f"deep{i}") for i in range(600)}
+        assert nested.head.principals() == expected
+        assert nested.principals() == expected
+
+    def test_a_relay_run_leaves_every_delivered_spine_without_a_set(self):
+        from repro.core.builder import inp, located, out, var
+        from repro.runtime import DistributedRuntime
+
+        hops = [pr(f"relay_run_{i}") for i in range(12)]
+        links = [ch(f"relay_run_t{i}") for i in range(len(hops))]
+        x = var("x")
+        components = [located(hops[0], out(links[0], ch("relay_run_v")))]
+        for i in range(1, len(hops)):
+            body = out(links[i], x) if i + 1 < len(hops) else None
+            components.append(located(hops[i], inp(links[i - 1], x, body=body)))
+        runtime = DistributedRuntime(seed=1)
+        runtime.deploy(sys_par(*components))
+        runtime.run()
+        delivered = runtime.metrics.delivered
+        assert len(delivered) == len(hops) - 1
+        for record in delivered:
+            for node in reachable(record.values[0].provenance):
+                assert node._principals is None
 
 
 class TestWireRoundTrips:

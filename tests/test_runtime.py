@@ -1,19 +1,22 @@
 """Tests for the simulated distributed runtime: clock, wire, middleware,
 nodes, adversary, and agreement with the calculus semantics."""
 
+import gc
 import random
+import tracemalloc
+from collections import deque
 from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 
-from repro.core.builder import ch, pr
+from repro.core.builder import ch, inp, located, msg, pr, sys_par, var
 from repro.core.errors import SimulationError, WireFormatError
-from repro.core.names import Channel, Principal
+from repro.core.names import Principal
 from repro.core.process import Process
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent, Provenance
 from repro.core.semantics import SemanticsMode
-from repro.core.values import AnnotatedValue, annotate
+from repro.core.values import annotate
 from repro.lang import parse_system
 from repro.runtime import (
     DistributedRuntime,
@@ -498,6 +501,62 @@ class TestMiddleware:
         runtime.run()
         # empty provenances still serialize a zero-length marker byte
         assert runtime.metrics.provenance_overhead_ratio < 0.5
+
+
+class TestIdleRendezvous:
+    """What a manager holds once its channel's traffic is over."""
+
+    def test_idle_managers_hold_no_queue_and_little_memory(self):
+        # 1024 fresh channels, each used once by a guarded relay hop, as
+        # in a long relay run; every byte the middleware module allocated
+        # and the run still holds, per hop channel, after a full
+        # collection (the consumer's one frozen value stays queued; the
+        # lazy byte-accounting thunks of detailed metrics are off)
+        from repro.runtime import middleware
+        from repro.workloads import vetted_relay_chain
+
+        workload = vetted_relay_chain(1023)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            runtime = DistributedRuntime(seed=1, detailed_metrics=False)
+            runtime.deploy(workload.system)
+            runtime.run()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert runtime.metrics.deliveries == workload.expected_deliveries
+        managers = runtime.middleware._managers
+        assert len(workload.hop_channels) == 1024
+        for channel in workload.hop_channels:
+            manager = managers[channel]
+            assert manager.queued_messages == 0
+            assert manager._messages is None
+            assert all(waiter.consumed for waiter in manager._waiters)
+            assert not hasattr(manager, "__dict__")
+        held = snapshot.filter_traces(
+            [tracemalloc.Filter(True, middleware.__file__)]
+        )
+        retained = sum(stat.size for stat in held.statistics("filename"))
+        assert retained / len(workload.hop_channels) <= 600
+
+    def test_fan_in_queue_delivers_in_arrival_order(self):
+        count = 5000
+        runtime = DistributedRuntime(seed=1)
+        runtime.deploy(sys_par(*(msg(M, ch(f"v{i}")) for i in range(count))))
+        manager = runtime.middleware.manager(M)
+        assert manager.queued_messages == count
+        assert isinstance(manager._messages, deque)  # O(1) front removal
+        runtime.deploy(sys_par(*(
+            located(B, inp(M, var("x"))) for _ in range(count)
+        )))
+        runtime.run()
+        delivered = [record.values[0].value for record in runtime.metrics.delivered]
+        assert delivered == [ch(f"v{i}") for i in range(count)]
+        assert manager.queued_messages == 0 and manager._messages is None
 
 
 class TestNode:
